@@ -6,8 +6,9 @@
 //!
 //! 1. runs the DAQ→WAN border pipeline (mode 1 → mode 2 upgrade: sequence
 //!    stamping, retransmit-source naming, age/timeliness activation);
-//! 2. keeps a bounded ring of the upgraded packets, keyed by sequence
-//!    number;
+//! 2. keeps a bounded window of the upgraded packets, keyed by sequence
+//!    number ([`RetransmitStore`]: a copy of each head, a reference to
+//!    each payload);
 //! 3. answers NAKs from downstream by re-sending the stored packets —
 //!    "recovering lost packets involves requesting re-transmission from
 //!    DTN 1" (§5.4);
@@ -16,6 +17,7 @@
 //!    congestion control (the §5.3 hypothesis exercised by experiment E7).
 
 use crate::machine::{self, Input, Machine, Output};
+use crate::store::{RetransmitStore, Served};
 use mmt_dataplane::action::Intrinsics;
 use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
 use mmt_dataplane::pipeline::Pipeline;
@@ -23,7 +25,6 @@ use mmt_dataplane::programs::{self, BorderConfig};
 use mmt_netsim::{Context, Node, Packet, PacketMeta, PortId, Time, TimerToken};
 use mmt_wire::mmt::{BackpressureRepr, ControlRepr, ExperimentId, MmtRepr, ModeChangeRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
-use std::collections::{BTreeMap, VecDeque};
 
 const TOKEN_CREDIT: TimerToken = 0x42;
 
@@ -75,17 +76,11 @@ pub struct RetransmitBufferStats {
 pub struct RetransmitBuffer {
     pipeline: Pipeline,
     experiment: ExperimentId,
-    capacity_bytes: usize,
-    store_bytes: usize,
-    /// Ring of stored packets, oldest first.
-    ring: VecDeque<u64>,
-    store: BTreeMap<u64, Packet>,
+    store: RetransmitStore,
     credit: Option<CreditConfig>,
     /// Minimum spacing between retransmissions of the same sequence
     /// (`Time::ZERO` = no holdoff, every NAK is served).
     retx_holdoff: Time,
-    /// When each sequence was last retransmitted.
-    last_retx: BTreeMap<u64, Time>,
     /// Bumped on every crash so credit timers armed before the crash are
     /// recognisably stale after restart (no double credit chains).
     credit_epoch: u64,
@@ -109,13 +104,9 @@ impl RetransmitBuffer {
         RetransmitBuffer {
             pipeline: programs::daq_to_wan_border(border),
             experiment,
-            capacity_bytes,
-            store_bytes: 0,
-            ring: VecDeque::new(),
-            store: BTreeMap::new(),
+            store: RetransmitStore::new(capacity_bytes),
             credit,
             retx_holdoff: Time::ZERO,
-            last_retx: BTreeMap::new(),
             credit_epoch: 0,
             outbox: Vec::new(),
             stats: RetransmitBufferStats::default(),
@@ -177,7 +168,7 @@ impl RetransmitBuffer {
     /// Bytes currently retained (the occupancy the shed controller
     /// watches).
     pub fn stored_bytes(&self) -> usize {
-        self.store_bytes
+        self.store.bytes()
     }
 
     /// Export the buffer's counters (and its border pipeline's per-table
@@ -247,7 +238,11 @@ impl RetransmitBuffer {
             "mmt_buffer_stored_bytes",
             "Bytes currently retained for retransmission.",
         );
-        reg.gauge_set("mmt_buffer_stored_bytes", &labels, self.store_bytes as f64);
+        reg.gauge_set(
+            "mmt_buffer_stored_bytes",
+            &labels,
+            self.store.bytes() as f64,
+        );
         reg.describe(
             "mmt_buffer_occupancy_highwater",
             "Highest retransmission-store occupancy reached, bytes.",
@@ -263,8 +258,8 @@ impl RetransmitBuffer {
         // (tests/telemetry_determinism.rs).
         let digest = self
             .store
-            .keys()
-            .fold(0u64, |h, &s| h.wrapping_mul(31).wrapping_add(s));
+            .seqs()
+            .fold(0u64, |h, s| h.wrapping_mul(31).wrapping_add(s));
         reg.describe(
             "mmt_buffer_stored_seq_digest",
             "Order-sensitive digest of retained sequence numbers.",
@@ -281,31 +276,13 @@ impl RetransmitBuffer {
     /// order itself is part of the determinism contract — see
     /// `mmt_buffer_stored_seq_digest`.
     pub fn stored_seqs(&self) -> Vec<u64> {
-        self.store.keys().copied().collect()
+        self.store.seqs().collect()
     }
 
     fn retain(&mut self, seq: u64, pkt: Packet) {
-        let len = pkt.len();
-        while self.store_bytes + len > self.capacity_bytes {
-            let Some(old) = self.ring.pop_front() else {
-                break;
-            };
-            if let Some(old_pkt) = self.store.remove(&old) {
-                self.store_bytes -= old_pkt.len();
-                self.stats.evicted += 1;
-                self.last_retx.remove(&old);
-            }
-        }
-        if len <= self.capacity_bytes {
-            self.store_bytes += len;
-            self.ring.push_back(seq);
-            self.store.insert(seq, pkt);
-        }
+        self.stats.evicted += self.store.retain(seq, pkt).evicted;
         self.stats.stored = self.store.len() as u64;
-        self.stats.occupancy_highwater_bytes = self
-            .stats
-            .occupancy_highwater_bytes
-            .max(self.store_bytes as u64);
+        self.stats.occupancy_highwater_bytes = self.store.highwater_bytes() as u64;
     }
 
     /// Apply a [`ModeChangeRepr`] to the border pipeline: rewrite the
@@ -341,24 +318,16 @@ impl RetransmitBuffer {
         self.stats.naks_received += 1;
         for range in &nak.ranges {
             for seq in range.first..=range.last {
-                match self.store.get(&seq) {
-                    Some(pkt) => {
-                        if self.retx_holdoff > Time::ZERO {
-                            if let Some(&last) = self.last_retx.get(&seq) {
-                                if now.saturating_sub(last) < self.retx_holdoff {
-                                    self.stats.retx_suppressed += 1;
-                                    continue;
-                                }
-                            }
-                        }
+                match self.store.serve(seq, now, self.retx_holdoff) {
+                    Served::Hit(pkt) => {
                         out.push(Output::Transmit {
                             port: from_port,
                             pkt: pkt.clone(),
                         });
-                        self.last_retx.insert(seq, now);
                         self.stats.retransmitted += 1;
                     }
-                    None => self.stats.nak_misses += 1,
+                    Served::HeldOff => self.stats.retx_suppressed += 1,
+                    Served::Miss => self.stats.nak_misses += 1,
                 }
             }
         }
@@ -402,13 +371,13 @@ impl RetransmitBuffer {
 
     fn on_frame(&mut self, now: Time, port: PortId, pkt: Packet, out: &mut Vec<Output>) {
         let meta = pkt.meta;
-        let parsed0 = ParsedPacket::parse(pkt.bytes, port);
-        let Some(off) = parsed0.layers.mmt_offset() else {
+        let mut parsed = ParsedPacket::of(pkt, port);
+        let Some(off) = parsed.layers.mmt_offset() else {
             return;
         };
         // NAKs are served locally; mode changes reconfigure the border
         // pipeline. Other control messages run through the pipeline.
-        match ControlRepr::parse_packet(&parsed0.bytes[off..]) {
+        match ControlRepr::parse_packet(&parsed.bytes[off..]) {
             Ok((_, ControlRepr::Nak(nak))) => {
                 self.serve_nak(now, out, &nak, port);
                 return;
@@ -422,7 +391,6 @@ impl RetransmitBuffer {
             | Err(_) => {}
         }
         // Everything else runs the border pipeline.
-        let mut parsed = parsed0;
         let intr = Intrinsics {
             now_ns: now.as_nanos(),
             created_at_ns: meta.created_at.as_nanos(),
@@ -434,15 +402,14 @@ impl RetransmitBuffer {
         let mut meta = meta;
         if let Some(hdr) = parsed.mmt() {
             meta.seq = hdr.sequence();
-            meta.config = Some(u64::from(hdr.config_id()));
+            meta.config = Some(hdr.config_id());
         }
         if let Some(egress) = disp.egress {
-            let fwd = Packet {
-                bytes: parsed.bytes,
-                meta,
-            };
+            let fwd = parsed.into_packet(meta);
             if egress == PORT_WAN {
                 if let Some(seq) = meta.seq {
+                    // The store gets its own head and a reference to the
+                    // payload; no message byte is copied.
                     self.retain(seq, fwd.clone());
                 }
                 self.stats.forwarded += 1;
@@ -452,7 +419,7 @@ impl RetransmitBuffer {
                 pkt: fwd,
             });
         }
-        for (eport, bytes) in disp.emitted {
+        for (eport, pkt) in disp.emitted {
             // Mirror copies (DUPLICATED mode) are data: they keep the
             // original packet's identity so the receiver's sequence
             // tracker absorbs whichever twin arrives second. Everything
@@ -470,7 +437,7 @@ impl RetransmitBuffer {
             };
             out.push(Output::Transmit {
                 port: eport,
-                pkt: Packet { bytes, meta: pmeta },
+                pkt: Packet { meta: pmeta, ..pkt },
             });
         }
     }
@@ -497,9 +464,6 @@ impl Machine for RetransmitBuffer {
         // the control plane; wiping the cursor would re-issue already-used
         // sequence numbers and break exactly-once delivery downstream.
         self.store.clear();
-        self.ring.clear();
-        self.store_bytes = 0;
-        self.last_retx.clear();
         self.stats.stored = 0;
         // Invalidate any credit timer armed before the crash so restart
         // starts exactly one fresh chain.

@@ -21,6 +21,9 @@
 //!   stores the upgraded stream and answers NAKs, so recovery happens
 //!   from "a 'recent' (lower RTT) retransmission buffer ... to avoid
 //!   retransmission from the source" (§1).
+//! * [`store`] — the byte-bounded, sequence-keyed retransmission window
+//!   that the buffer, the standby and the transit buffer all keep: a head
+//!   and a payload reference per packet, oldest evicted first.
 //! * [`receiver`] — the consuming endpoint (the DTN 2 role): detects loss
 //!   from sequence gaps, NAKs the retransmission source named *in the
 //!   packet header*, delivers datagrams immediately (no head-of-line
@@ -50,6 +53,7 @@ pub mod resourcemap;
 pub mod sender;
 pub mod seqtrack;
 pub mod standby;
+pub mod store;
 pub mod transit;
 
 pub use buffer::{RetransmitBuffer, RetransmitBufferStats};
@@ -64,4 +68,5 @@ pub use resourcemap::{Capability, ModePlanner, ResourceMap};
 pub use sender::{Framing, MmtSender, SenderConfig, SenderStats};
 pub use seqtrack::SeqTracker;
 pub use standby::{StandbyBuffer, StandbyBufferStats};
+pub use store::RetransmitStore;
 pub use transit::{TransitBuffer, TransitBufferStats};

@@ -8,7 +8,7 @@
 
 use crate::machine::{self, Input, Machine, Output};
 use crate::seqtrack::SeqTracker;
-use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
+use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
 use mmt_netsim::{Context, Node, Packet, PortId, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr, NakRange, NakRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
@@ -426,12 +426,12 @@ impl MmtReceiver {
 impl MmtReceiver {
     fn on_frame(&mut self, now: Time, pkt: Packet, out: &mut Vec<Output>) {
         let meta = pkt.meta;
-        let parsed = ParsedPacket::parse(pkt.bytes, 0);
-        let Some(off) = parsed.layers.mmt_offset() else {
+        let parsed = FrameView::of(&pkt);
+        let Some(mmt) = parsed.mmt_bytes() else {
             return;
         };
         // Control messages: count deadline notifications.
-        if let Ok((_, ctrl)) = ControlRepr::parse_packet(&parsed.bytes[off..]) {
+        if let Ok((_, ctrl)) = ControlRepr::parse_packet(mmt) {
             if matches!(ctrl, ControlRepr::DeadlineExceeded(_)) {
                 self.stats.deadline_notifications += 1;
             }
@@ -478,13 +478,10 @@ impl MmtReceiver {
                 self.arm_nak_timer(now, self.config.reorder_delay, out);
             }
         }
-        // Extract the application message index from the payload prefix.
-        let payload = &parsed.bytes[off + repr.header_len()..];
-        if payload.len() < 8 {
+        // Extract the application message index from the payload prefix —
+        // the only payload bytes the endpoint reads.
+        let Some(prefix) = parsed.payload().and_then(|p| p.prefix::<8>()) else {
             return;
-        }
-        let Ok(prefix) = payload[..8].try_into() else {
-            return; // unreachable: length checked above
         };
         let msg_index = u64::from_be_bytes(prefix);
         let msg = ReceivedMessage {
@@ -552,6 +549,7 @@ impl Node for MmtReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_dataplane::parser::ParsedPacket;
     use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator};
 
     struct Sink;

@@ -9,33 +9,12 @@
 //! congestion or loss, it can relay a back-pressure signal to the sender").
 
 use crate::machine::{self, Input, Machine, Output};
-use mmt_dataplane::parser::{build_eth_mmt_frame, build_ip_mmt_frame, build_udp_tunnel_frame};
-use mmt_netsim::{Context, Node, Packet, PortId, Time, TimerToken};
+use mmt_dataplane::parser::{build_head, FrameView};
+use mmt_netsim::{Context, Node, Packet, PortId, Tail, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr};
-use mmt_wire::{EthernetAddress, Ipv4Address};
+use mmt_wire::EthernetAddress;
 
-/// How the sender frames its datagrams (Req 1: the protocol works both
-/// directly on Ethernet and on IP; a UDP tunnel covers networks that drop
-/// unknown IP protocols).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Framing {
-    /// MMT directly over Ethernet (DAQ-network framing).
-    Ethernet,
-    /// MMT over IPv4 (protocol 253).
-    Ipv4 {
-        /// Source address.
-        src: Ipv4Address,
-        /// Destination address.
-        dst: Ipv4Address,
-    },
-    /// MMT in a UDP tunnel over IPv4.
-    UdpTunnel {
-        /// Source address.
-        src: Ipv4Address,
-        /// Destination address.
-        dst: Ipv4Address,
-    },
-}
+pub use mmt_dataplane::parser::Framing;
 
 const TOKEN_PUMP: TimerToken = 1;
 
@@ -176,36 +155,27 @@ impl MmtSender {
             // Mode-0 header: identification only; the network adds the
             // rest. The payload carries the message index so receivers can
             // account per-message latency even before sequencing begins.
+            //
+            // The payload is written here, once, into a shared tail; from
+            // this point to delivery every hop handles only the head.
             let repr = MmtRepr::data(self.config.experiment);
-            let mut payload = vec![0u8; self.config.message_len];
-            payload[..8].copy_from_slice(&(self.next as u64).to_be_bytes());
-            let frame = match self.config.framing {
-                Framing::Ethernet => {
-                    build_eth_mmt_frame(self.config.src_mac, self.config.dst_mac, &repr, &payload)
-                }
-                Framing::Ipv4 { src, dst } => build_ip_mmt_frame(
-                    self.config.src_mac,
-                    self.config.dst_mac,
-                    src,
-                    dst,
-                    &repr,
-                    &payload,
-                ),
-                Framing::UdpTunnel { src, dst } => build_udp_tunnel_frame(
-                    self.config.src_mac,
-                    self.config.dst_mac,
-                    src,
-                    dst,
-                    &repr,
-                    &payload,
-                ),
-            };
-            let mut pkt = Packet::with_flow(frame, u64::from(self.config.experiment.raw()));
+            let index = (self.next as u64).to_be_bytes();
+            let head = build_head(
+                self.config.src_mac,
+                self.config.dst_mac,
+                self.config.framing,
+                &repr,
+                self.config.message_len,
+            );
+            let mut pkt = Packet::with_flow(head, u64::from(self.config.experiment.raw()));
+            pkt.tail = Tail::build(self.config.message_len, |payload| {
+                payload[..8].copy_from_slice(&index);
+            });
             pkt.meta.created_at = self.config.schedule[self.next];
             // Mirror the header identity into simulator metadata so trace
             // events correlate from the very first hop.
             pkt.meta.seq = repr.sequence();
-            pkt.meta.config = Some(u64::from(repr.config_id));
+            pkt.meta.config = Some(repr.config_id);
             out.push(Output::Transmit { port: 0, pkt });
             self.stats.sent += 1;
             self.next += 1;
@@ -227,11 +197,10 @@ impl Machine for MmtSender {
             Input::Start => self.pump(now, out),
             Input::Frame { pkt, .. } => {
                 // The only traffic a sensor receives is relayed control.
-                let parsed = mmt_dataplane::parser::ParsedPacket::parse(pkt.bytes, 0);
-                let Some(off) = parsed.layers.mmt_offset() else {
+                let Some(mmt) = FrameView::of(&pkt).mmt_bytes() else {
                     return;
                 };
-                match ControlRepr::parse_packet(&parsed.bytes[off..]) {
+                match ControlRepr::parse_packet(mmt) {
                     Ok((_, ControlRepr::Backpressure(bp))) => {
                         self.stats.backpressure_signals += 1;
                         if self.config.respect_backpressure {
@@ -287,6 +256,7 @@ impl Node for MmtSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_dataplane::parser::build_eth_mmt_frame;
     use mmt_netsim::{Bandwidth, LinkSpec, Simulator};
     use mmt_wire::mmt::BackpressureRepr;
     use mmt_wire::Ipv4Address;
@@ -332,12 +302,14 @@ mod tests {
         let got = sim.local_deliveries(d);
         assert_eq!(got.len(), 20);
         for (i, (_, pkt)) in got.iter().enumerate() {
-            let parsed = mmt_dataplane::parser::ParsedPacket::parse(pkt.bytes.clone(), 0);
+            let parsed = FrameView::of(pkt);
             let repr = parsed.mmt_repr().unwrap();
             assert_eq!(repr.experiment, exp);
             assert!(repr.features.is_empty(), "sensors emit mode 0");
-            let payload = parsed.mmt().unwrap().payload().to_vec();
-            let idx = u64::from_be_bytes(payload[..8].try_into().unwrap());
+            let payload = parsed.payload().unwrap();
+            assert_eq!(payload.len(), 1024);
+            assert_eq!(pkt.tail.len(), 1024, "the payload rides as the tail");
+            let idx = u64::from_be_bytes(payload.prefix().unwrap());
             assert_eq!(idx, i as u64);
             // created_at carries the schedule time.
             assert_eq!(pkt.meta.created_at, Time::from_micros(10) * i as u64);

@@ -13,11 +13,11 @@
 //! upstream — the primary, if alive, still gets a chance.
 
 use crate::machine::{self, Input, Machine, Output};
-use mmt_dataplane::parser::ParsedPacket;
+use crate::store::{RetransmitStore, Served};
+use mmt_dataplane::parser::{FrameView, ParsedPacket};
 use mmt_netsim::{Context, Node, Packet, PortId, Time};
 use mmt_wire::mmt::{ControlRepr, ModeChangeRepr};
 use mmt_wire::Ipv4Address;
-use std::collections::{BTreeMap, VecDeque};
 
 /// Port facing the primary buffer (upstream).
 pub const PORT_UP: PortId = 0;
@@ -47,14 +47,10 @@ pub struct StandbyBufferStats {
 pub struct StandbyBuffer {
     own_addr: Ipv4Address,
     own_port: u16,
-    capacity_bytes: usize,
-    store_bytes: usize,
-    ring: VecDeque<u64>,
-    store: BTreeMap<u64, Packet>,
+    store: RetransmitStore,
     active: bool,
     /// Minimum spacing between serves of the same sequence.
     retx_holdoff: Time,
-    last_retx: BTreeMap<u64, Time>,
     outbox: Vec<Output>,
     /// Counters.
     pub stats: StandbyBufferStats,
@@ -67,13 +63,9 @@ impl StandbyBuffer {
         StandbyBuffer {
             own_addr,
             own_port,
-            capacity_bytes,
-            store_bytes: 0,
-            ring: VecDeque::new(),
-            store: BTreeMap::new(),
+            store: RetransmitStore::new(capacity_bytes),
             active: false,
             retx_holdoff: Time::ZERO,
-            last_retx: BTreeMap::new(),
             outbox: Vec::new(),
             stats: StandbyBufferStats::default(),
         }
@@ -98,7 +90,7 @@ impl StandbyBuffer {
 
     /// Bytes currently retained.
     pub fn stored_bytes(&self) -> usize {
-        self.store_bytes
+        self.store.bytes()
     }
 
     /// Export the standby's counters into a metric registry, labeled by
@@ -154,33 +146,19 @@ impl StandbyBuffer {
             "mmt_standby_stored_bytes",
             "Bytes currently retained in the standby store.",
         );
-        reg.gauge_set("mmt_standby_stored_bytes", &labels, self.store_bytes as f64);
+        reg.gauge_set(
+            "mmt_standby_stored_bytes",
+            &labels,
+            self.store.bytes() as f64,
+        );
     }
 
     fn retain(&mut self, seq: u64, pkt: Packet) {
         // Retransmissions from the primary pass through here too; the
-        // first copy is authoritative, so a duplicate sequence must not
-        // inflate the ring or the byte count.
-        if self.store.contains_key(&seq) {
-            return;
-        }
-        let len = pkt.len();
-        while self.store_bytes + len > self.capacity_bytes {
-            let Some(old) = self.ring.pop_front() else {
-                break;
-            };
-            if let Some(old_pkt) = self.store.remove(&old) {
-                self.store_bytes -= old_pkt.len();
-                self.stats.evicted += 1;
-                self.last_retx.remove(&old);
-            }
-        }
-        if len <= self.capacity_bytes {
-            self.store_bytes += len;
-            self.ring.push_back(seq);
-            self.store.insert(seq, pkt);
-            self.stats.tapped += 1;
-        }
+        // store keeps the first copy of a sequence and ignores the rest.
+        let retained = self.store.retain(seq, pkt);
+        self.stats.evicted += retained.evicted;
+        self.stats.tapped += u64::from(retained.stored);
     }
 
     fn handle_mode_change(&mut self, mc: &ModeChangeRepr) {
@@ -204,36 +182,28 @@ impl StandbyBuffer {
         let mut missing = Vec::new();
         for range in &nak.ranges {
             for seq in range.first..=range.last {
-                match self.store.get(&seq) {
-                    Some(pkt) => {
-                        if self.retx_holdoff > Time::ZERO {
-                            if let Some(&last) = self.last_retx.get(&seq) {
-                                if now.saturating_sub(last) < self.retx_holdoff {
-                                    continue;
-                                }
-                            }
-                        }
+                match self.store.serve(seq, now, self.retx_holdoff) {
+                    Served::Hit(pkt) => {
                         // Re-stamp the RETRANSMIT extension: the recovered
                         // copy teaches the receiver that NAKs now resolve
-                        // here, not at the dead primary.
-                        let mut parsed = ParsedPacket::parse(pkt.bytes.clone(), PORT_UP);
+                        // here, not at the dead primary. The copy that
+                        // leaves is the only one made: its head rewritten
+                        // in place, the stored payload shared.
+                        let meta = pkt.meta;
+                        let mut parsed = ParsedPacket::of(pkt.clone(), PORT_UP);
                         let Some(repr) = parsed.mmt_repr() else {
                             self.stats.misses += 1;
                             continue;
                         };
                         parsed.rewrite_mmt(&repr.with_retransmit(self.own_addr, self.own_port));
-                        let served = Packet {
-                            bytes: parsed.bytes,
-                            meta: pkt.meta,
-                        };
                         out.push(Output::Transmit {
                             port: from_port,
-                            pkt: served,
+                            pkt: parsed.into_packet(meta),
                         });
-                        self.last_retx.insert(seq, now);
                         self.stats.served += 1;
                     }
-                    None => {
+                    Served::HeldOff => {}
+                    Served::Miss => {
                         self.stats.misses += 1;
                         missing.push(mmt_wire::mmt::NakRange {
                             first: seq,
@@ -247,21 +217,16 @@ impl StandbyBuffer {
     }
 
     fn on_frame(&mut self, now: Time, port: PortId, pkt: Packet, out: &mut Vec<Output>) {
-        let parsed = ParsedPacket::parse(pkt.bytes, port);
-        let Some(off) = parsed.layers.mmt_offset() else {
+        let Some(mmt) = FrameView::of(&pkt).mmt_bytes() else {
             return;
         };
-        match ControlRepr::parse_packet(&parsed.bytes[off..]) {
+        match ControlRepr::parse_packet(mmt) {
             Ok((_, ControlRepr::ModeChange(mc))) => {
                 self.handle_mode_change(&mc);
                 return;
             }
             Ok((_, ControlRepr::Nak(nak))) if port == PORT_DOWN => {
                 self.stats.naks_seen += 1;
-                let pkt = Packet {
-                    bytes: parsed.bytes,
-                    meta: pkt.meta,
-                };
                 if !self.active {
                     // Passive: relay the NAK to the primary untouched.
                     self.stats.naks_forwarded += 1;
@@ -289,10 +254,6 @@ impl StandbyBuffer {
         match port {
             PORT_UP => {
                 // Downstream data: tap sequenced packets, pass everything.
-                let pkt = Packet {
-                    bytes: parsed.bytes,
-                    meta: pkt.meta,
-                };
                 if let Some(seq) = pkt.meta.seq {
                     if !pkt.meta.control {
                         self.retain(seq, pkt.clone());
@@ -306,13 +267,7 @@ impl StandbyBuffer {
             _ => {
                 // Upstream control (credits, deadline notifications, NAKs
                 // while passive fell through above): relay to the primary.
-                out.push(Output::Transmit {
-                    port: PORT_UP,
-                    pkt: Packet {
-                        bytes: parsed.bytes,
-                        meta: pkt.meta,
-                    },
-                });
+                out.push(Output::Transmit { port: PORT_UP, pkt });
             }
         }
     }
@@ -331,9 +286,6 @@ impl Machine for StandbyBuffer {
         // activation (control-plane state) survives in the controller and
         // would be re-pushed on restart.
         self.store.clear();
-        self.ring.clear();
-        self.store_bytes = 0;
-        self.last_retx.clear();
         self.active = false;
     }
 

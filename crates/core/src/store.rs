@@ -1,0 +1,262 @@
+//! The retransmission store shared by every buffering node.
+//!
+//! DTN 1 ([`crate::RetransmitBuffer`]), the standby
+//! ([`crate::StandbyBuffer`]) and the mid-path
+//! [`crate::TransitBuffer`] all keep the same thing: a byte-bounded window
+//! of recently forwarded packets keyed by sequence number, evicted oldest
+//! first, with a per-sequence holdoff against NAK storms. This is that
+//! window, written once.
+//!
+//! A stored packet is a *clone* of the forwarded one: the store owns a
+//! copy of the head (tens of bytes — so an age update applied downstream
+//! never leaks back into what a NAK is served from) and a reference to the
+//! shared payload tail. Byte accounting is on wire length
+//! ([`Packet::len`]), so capacity means what it says on the wire however
+//! little of a packet is resident.
+
+use mmt_netsim::{Packet, Time};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::VecDeque;
+
+#[derive(Debug)]
+struct Held {
+    pkt: Packet,
+    /// When this sequence was last served, for the holdoff.
+    last_served: Option<Time>,
+}
+
+/// What [`RetransmitStore::retain`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retained {
+    /// Whether the packet is now in the store (false: the sequence was
+    /// already held, or the packet alone exceeds the capacity).
+    pub stored: bool,
+    /// Older packets evicted to make room.
+    pub evicted: u64,
+}
+
+/// The answer to one NAKed sequence.
+#[derive(Debug)]
+pub enum Served<'a> {
+    /// Held: re-send (a clone of) this packet.
+    Hit(&'a Packet),
+    /// Held, but served less than the holdoff ago; suppressed.
+    HeldOff,
+    /// Not held (never stored, or evicted since).
+    Miss,
+}
+
+/// A byte-bounded, sequence-keyed window of packets.
+#[derive(Debug)]
+pub struct RetransmitStore {
+    capacity_bytes: usize,
+    bytes: usize,
+    highwater_bytes: usize,
+    /// Stored sequences, oldest first.
+    ring: VecDeque<u64>,
+    entries: BTreeMap<u64, Held>,
+}
+
+impl RetransmitStore {
+    /// An empty store holding at most `capacity_bytes` wire bytes.
+    pub fn new(capacity_bytes: usize) -> RetransmitStore {
+        RetransmitStore {
+            capacity_bytes,
+            bytes: 0,
+            highwater_bytes: 0,
+            ring: VecDeque::new(),
+            entries: BTreeMap::new(),
+        }
+    }
+
+    /// Retain `pkt` under `seq`, evicting the oldest packets until it
+    /// fits. The first copy of a sequence is authoritative: a second one
+    /// (a retransmission or mirror twin passing through) is ignored. A
+    /// packet larger than the whole store is refused *before* anything is
+    /// evicted — it must not wipe the recovery state of every other
+    /// sequence on its way to not being stored.
+    pub fn retain(&mut self, seq: u64, pkt: Packet) -> Retained {
+        let len = pkt.len();
+        let mut outcome = Retained {
+            stored: false,
+            evicted: 0,
+        };
+        if len > self.capacity_bytes {
+            return outcome;
+        }
+        let Entry::Vacant(slot) = self.entries.entry(seq) else {
+            return outcome;
+        };
+        slot.insert(Held {
+            pkt,
+            last_served: None,
+        });
+        self.ring.push_back(seq);
+        self.bytes += len;
+        outcome.stored = true;
+        // The newcomer fits on its own, so this stops before reaching it.
+        while self.bytes > self.capacity_bytes {
+            let Some(old) = self.ring.pop_front() else {
+                break;
+            };
+            if let Some(held) = self.entries.remove(&old) {
+                self.bytes -= held.pkt.len();
+                outcome.evicted += 1;
+            }
+        }
+        self.highwater_bytes = self.highwater_bytes.max(self.bytes);
+        outcome
+    }
+
+    /// The packet held under `seq`, if any.
+    pub fn get(&self, seq: u64) -> Option<&Packet> {
+        self.entries.get(&seq).map(|held| &held.pkt)
+    }
+
+    /// Look `seq` up to answer a NAK at `now`. With a nonzero `holdoff`,
+    /// a sequence served less than `holdoff` ago is [`Served::HeldOff`];
+    /// a hit records `now` as the sequence's last service.
+    pub fn serve(&mut self, seq: u64, now: Time, holdoff: Time) -> Served<'_> {
+        let Some(held) = self.entries.get_mut(&seq) else {
+            return Served::Miss;
+        };
+        if holdoff > Time::ZERO
+            && held
+                .last_served
+                .is_some_and(|last| now.saturating_sub(last) < holdoff)
+        {
+            return Served::HeldOff;
+        }
+        held.last_served = Some(now);
+        Served::Hit(&held.pkt)
+    }
+
+    /// Drop everything held — every head and every payload reference —
+    /// as a power loss does. The highwater mark is history and stays.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.ring.clear();
+        self.bytes = 0;
+    }
+
+    /// Packets currently held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Wire bytes currently held.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The most wire bytes ever held at once.
+    pub fn highwater_bytes(&self) -> usize {
+        self.highwater_bytes
+    }
+
+    /// Held sequence numbers, ascending.
+    pub fn seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.keys().copied()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmt_netsim::Tail;
+
+    fn pkt(head: usize, tail: usize) -> Packet {
+        let mut p = Packet::new(vec![0xAB; head]);
+        if tail > 0 {
+            p.tail = Tail::build(tail, |_| {});
+        }
+        p
+    }
+
+    #[test]
+    fn evicts_oldest_first_on_wire_length() {
+        // 100 wire bytes each, 40 of them resident: 3 fit in 300.
+        let mut s = RetransmitStore::new(300);
+        for seq in 0..5 {
+            let r = s.retain(seq, pkt(40, 60));
+            assert!(r.stored);
+            assert_eq!(r.evicted, u64::from(seq >= 3));
+        }
+        assert_eq!(s.seqs().collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(s.bytes(), 300);
+        assert_eq!(s.highwater_bytes(), 300);
+    }
+
+    #[test]
+    fn oversize_packet_is_refused_without_evicting_anything() {
+        // Regression: all three stores used to evict everything they held
+        // before noticing the newcomer could never fit.
+        let mut s = RetransmitStore::new(300);
+        for seq in 0..3 {
+            s.retain(seq, pkt(100, 0));
+        }
+        let r = s.retain(9, pkt(20, 400));
+        assert_eq!(
+            r,
+            Retained {
+                stored: false,
+                evicted: 0
+            }
+        );
+        assert_eq!(s.seqs().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(s.bytes(), 300);
+        assert!(matches!(s.serve(9, Time::ZERO, Time::ZERO), Served::Miss));
+    }
+
+    #[test]
+    fn first_copy_of_a_sequence_is_authoritative() {
+        let mut s = RetransmitStore::new(1_000);
+        assert!(s.retain(7, pkt(100, 0)).stored);
+        assert!(!s.retain(7, pkt(200, 0)).stored);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.bytes(), 100);
+    }
+
+    #[test]
+    fn holdoff_suppresses_repeat_service() {
+        let mut s = RetransmitStore::new(1_000);
+        s.retain(1, pkt(100, 0));
+        let hold = Time::from_millis(2);
+        assert!(matches!(s.serve(1, Time::ZERO, hold), Served::Hit(_)));
+        assert!(matches!(
+            s.serve(1, Time::from_millis(1), hold),
+            Served::HeldOff
+        ));
+        assert!(matches!(
+            s.serve(1, Time::from_millis(3), hold),
+            Served::Hit(_)
+        ));
+        // Zero holdoff serves every time.
+        assert!(matches!(
+            s.serve(1, Time::from_millis(3), Time::ZERO),
+            Served::Hit(_)
+        ));
+        assert!(matches!(s.serve(2, Time::ZERO, hold), Served::Miss));
+    }
+
+    #[test]
+    fn clear_releases_every_payload_reference() {
+        let mut s = RetransmitStore::new(1 << 20);
+        let original = pkt(40, 4096);
+        let Tail::Shared(payload) = &original.tail else {
+            panic!("built with a shared tail");
+        };
+        s.retain(0, original.clone());
+        assert_eq!(std::sync::Arc::strong_count(payload), 2);
+        s.clear();
+        assert_eq!(std::sync::Arc::strong_count(payload), 1);
+        assert!(s.is_empty());
+        assert_eq!(s.bytes(), 0);
+        assert_eq!(s.highwater_bytes(), 40 + 4096);
+    }
+}

@@ -15,11 +15,11 @@
 //! re-NAKed upstream toward the previous buffer.
 
 use crate::machine::{self, Input, Machine, Output};
-use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
+use crate::store::RetransmitStore;
+use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
 use mmt_netsim::{Context, Node, Packet, PortId, Time};
 use mmt_wire::mmt::{ControlRepr, CoreHeader, MmtRepr, NakRange, NakRepr, RetransmitExt};
 use mmt_wire::{EthernetAddress, Ipv4Address};
-use std::collections::{BTreeMap, VecDeque};
 
 /// Port facing the source.
 pub const PORT_UP: PortId = 0;
@@ -47,14 +47,11 @@ pub struct TransitBufferStats {
 pub struct TransitBuffer {
     own_addr: Ipv4Address,
     own_port: u16,
-    capacity_bytes: usize,
     /// Rewrite the retransmit source to this node (the multi-modal
     /// behaviour). When false the node still forwards and stores nothing —
     /// the "source-only retransmission" ablation of experiment E1.
     pub repoint: bool,
-    store_bytes: usize,
-    ring: VecDeque<u64>,
-    store: BTreeMap<u64, Packet>,
+    store: RetransmitStore,
     outbox: Vec<Output>,
     /// Counters.
     pub stats: TransitBufferStats,
@@ -66,11 +63,8 @@ impl TransitBuffer {
         TransitBuffer {
             own_addr,
             own_port,
-            capacity_bytes,
             repoint: true,
-            store_bytes: 0,
-            ring: VecDeque::new(),
-            store: BTreeMap::new(),
+            store: RetransmitStore::new(capacity_bytes),
             outbox: Vec::new(),
             stats: TransitBufferStats::default(),
         }
@@ -89,24 +83,6 @@ impl TransitBuffer {
         self.store.len()
     }
 
-    fn retain(&mut self, seq: u64, pkt: Packet) {
-        let len = pkt.len();
-        while self.store_bytes + len > self.capacity_bytes {
-            let Some(old) = self.ring.pop_front() else {
-                break;
-            };
-            if let Some(old_pkt) = self.store.remove(&old) {
-                self.store_bytes -= old_pkt.len();
-                self.stats.evicted += 1;
-            }
-        }
-        if len <= self.capacity_bytes {
-            self.store_bytes += len;
-            self.ring.push_back(seq);
-            self.store.insert(seq, pkt);
-        }
-    }
-
     fn handle_nak(
         &mut self,
         out: &mut Vec<Output>,
@@ -117,7 +93,7 @@ impl TransitBuffer {
         let mut unserved: Vec<u64> = Vec::new();
         for range in &nak.ranges {
             for seq in range.first..=range.last {
-                match self.store.get(&seq) {
+                match self.store.get(seq) {
                     Some(pkt) => {
                         out.push(Output::Transmit {
                             port: PORT_DOWN,
@@ -163,15 +139,14 @@ impl TransitBuffer {
     }
 
     fn on_frame(&mut self, port: PortId, mut pkt: Packet, out: &mut Vec<Output>) {
-        let parsed = ParsedPacket::parse(pkt.bytes.clone(), port);
-        let Some(off) = parsed.layers.mmt_offset() else {
+        let Some(off) = FrameView::of(&pkt).layers.mmt_offset() else {
             // Not MMT: forward transparently.
             let egress = if port == PORT_UP { PORT_DOWN } else { PORT_UP };
             out.push(Output::Transmit { port: egress, pkt });
             return;
         };
         // Control traffic.
-        if let Ok((experiment, ctrl)) = ControlRepr::parse_packet(&parsed.bytes[off..]) {
+        if let Ok((experiment, ctrl)) = ControlRepr::parse_packet(&pkt.bytes[off..]) {
             match (port, ctrl) {
                 (PORT_DOWN, ControlRepr::Nak(nak)) if self.repoint => {
                     self.handle_nak(out, nak, experiment);
@@ -196,7 +171,7 @@ impl TransitBuffer {
                     self.stats.repointed += 1;
                 }
                 if let Some(seq) = seq {
-                    self.retain(seq, pkt.clone());
+                    self.stats.evicted += self.store.retain(seq, pkt.clone()).evicted;
                 }
             }
             self.stats.forwarded += 1;
@@ -241,6 +216,7 @@ impl Node for TransitBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_dataplane::parser::ParsedPacket;
     use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Time};
     use mmt_wire::mmt::ExperimentId;
 

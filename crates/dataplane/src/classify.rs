@@ -5,14 +5,13 @@
 //! processing of age-sensitive data as it travels away from ①" (§5.3) and
 //! the deadline-aware AQM of Fig. 2 ("age sensitivity").
 
-use crate::parser::ParsedPacket;
+use crate::parser::FrameView;
 use mmt_netsim::Packet;
 
 /// Classifier for [`mmt_netsim::QueueSpec::DeadlineAware`] queues: returns
 /// 255 ("shed first") for packets whose MMT aged flag is set, 0 otherwise.
 pub fn aged_shed_classifier(pkt: &Packet) -> u8 {
-    let parsed = ParsedPacket::parse(pkt.bytes.clone(), 0);
-    match parsed.mmt_repr().and_then(|r| r.age()) {
+    match FrameView::of(pkt).mmt_repr().and_then(|r| r.age()) {
         Some(age) if age.aged => 255,
         _ => 0,
     }
@@ -22,8 +21,7 @@ pub fn aged_shed_classifier(pkt: &Packet) -> u8 {
 /// the MMT priority class to a band (clamped to the available bands);
 /// non-MMT and unprioritized traffic rides in band 0.
 pub fn priority_class_classifier(pkt: &Packet) -> u8 {
-    let parsed = ParsedPacket::parse(pkt.bytes.clone(), 0);
-    parsed
+    FrameView::of(pkt)
         .mmt_repr()
         .and_then(|r| r.priority_class())
         .unwrap_or(0)

@@ -4,7 +4,7 @@ use crate::action::Intrinsics;
 use crate::parser::ParsedPacket;
 use crate::pipeline::Pipeline;
 use mmt_netsim::{Context, Node, Packet, PacketMeta, PortId, Time, TimerToken};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Counters exposed by a [`DataplaneElement`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,8 +29,10 @@ pub struct ElementStats {
 pub struct DataplaneElement {
     pipeline: Pipeline,
     stats: ElementStats,
-    /// Packets waiting out the processing latency, keyed by timer token.
-    pending: BTreeMap<TimerToken, Vec<(PortId, Packet)>>,
+    /// Packets waiting out the processing latency, each under the token
+    /// of the timer that releases it. The latency is one constant, so
+    /// timers fire in the order they were set and this is a FIFO.
+    pending: VecDeque<(TimerToken, PortId, Packet)>,
     next_token: TimerToken,
 }
 
@@ -40,7 +42,7 @@ impl DataplaneElement {
         DataplaneElement {
             pipeline,
             stats: ElementStats::default(),
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
             next_token: 1,
         }
     }
@@ -103,17 +105,13 @@ impl DataplaneElement {
         self.pipeline.export_metrics(element, reg);
     }
 
-    fn dispatch(&mut self, ctx: &mut Context<'_>, sends: Vec<(PortId, Packet)>) {
-        let latency = Time::from_nanos(self.pipeline.latency_ns);
-        if latency == Time::ZERO {
-            for (port, pkt) in sends {
-                ctx.send(port, pkt);
-            }
+    /// Send `pkt` out `port` once the processing latency has passed:
+    /// at once if there is none, else when the timer `token` fires.
+    fn emit(&mut self, ctx: &mut Context<'_>, token: TimerToken, port: PortId, pkt: Packet) {
+        if self.pipeline.latency_ns == 0 {
+            ctx.send(port, pkt);
         } else {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.pending.insert(token, sends);
-            ctx.set_timer(latency, token);
+            self.pending.push_back((token, port, pkt));
         }
     }
 }
@@ -122,7 +120,7 @@ impl Node for DataplaneElement {
     fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
         self.stats.processed += 1;
         let mut meta = pkt.meta;
-        let mut parsed = ParsedPacket::parse(pkt.bytes, port);
+        let mut parsed = ParsedPacket::of(pkt, port);
         if parsed.layers == crate::parser::PacketLayers::Malformed {
             self.stats.malformed += 1;
             return;
@@ -137,22 +135,17 @@ impl Node for DataplaneElement {
         // to the flow without re-parsing at every hop.
         if let Some(hdr) = parsed.mmt() {
             meta.seq = hdr.sequence();
-            meta.config = Some(u64::from(hdr.config_id()));
+            meta.config = Some(hdr.config_id());
         }
-        let mut sends: Vec<(PortId, Packet)> = Vec::new();
+        let token = self.next_token;
+        let held = self.pending.len();
         if let Some(egress) = disp.egress {
             self.stats.forwarded += 1;
-            sends.push((
-                egress,
-                Packet {
-                    bytes: parsed.bytes,
-                    meta,
-                },
-            ));
+            self.emit(ctx, token, egress, parsed.into_packet(meta));
         } else if disp.dropped {
             self.stats.dropped += 1;
         }
-        for (eport, bytes) in disp.emitted {
+        for (eport, pkt) in disp.emitted {
             // Mirror copies keep the original creation time/flow/identity;
             // control messages are fresh packets born now.
             let is_mirror = disp.mirrors.contains(&eport);
@@ -171,16 +164,19 @@ impl Node for DataplaneElement {
                     ..PacketMeta::default()
                 }
             };
-            sends.push((eport, Packet { bytes, meta: pmeta }));
+            self.emit(ctx, token, eport, Packet { meta: pmeta, ..pkt });
         }
-        if !sends.is_empty() {
-            self.dispatch(ctx, sends);
+        if self.pending.len() > held {
+            self.next_token += 1;
+            ctx.set_timer(Time::from_nanos(self.pipeline.latency_ns), token);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        if let Some(sends) = self.pending.remove(&token) {
-            for (port, pkt) in sends {
+        // `<=`, not `==`: should the latency ever be lowered mid-run and a
+        // later timer overtake an earlier one, nothing is left stranded.
+        while self.pending.front().is_some_and(|(t, ..)| *t <= token) {
+            if let Some((_, port, pkt)) = self.pending.pop_front() {
                 ctx.send(port, pkt);
             }
         }

@@ -43,7 +43,7 @@ pub mod table;
 
 pub use action::Action;
 pub use element::{DataplaneElement, ElementStats};
-pub use parser::{PacketLayers, ParsedPacket};
+pub use parser::{FrameView, PacketLayers, ParsedPacket};
 pub use pipeline::{Pipeline, PipelineBuilder};
 pub use resources::{ResourceBudget, ResourceUsage};
 pub use table::{FieldValue, Key, MatchField, MatchKind, Table, TableEntry};

@@ -2,12 +2,16 @@
 //!
 //! MMT appears either directly above Ethernet (EtherType 0x88B5, inside
 //! DAQ networks — Req 1) or above IPv4 (protocol 253, on WAN segments).
-//! The parser locates the MMT header without copying; actions that grow or
-//! shrink the header rebuild the frame.
+//! The parser locates the MMT header without copying, and looks only at a
+//! packet's head: the payload may ride behind it as a shared tail
+//! ([`mmt_netsim::Tail`]) that no element reads or moves. Actions that
+//! grow or shrink the header resize that region of the head in place.
 
+use mmt_netsim::{Packet, PacketMeta, Tail};
 use mmt_wire::ethernet::{self, EtherType, Frame};
 use mmt_wire::ipv4::{self, Packet as Ipv4Packet, Protocol};
-use mmt_wire::mmt::{CoreHeader, MmtRepr};
+use mmt_wire::mmt::{CoreHeader, ExtLayout, Features, MmtRepr};
+use std::borrow::Cow;
 
 /// Which encapsulation layers were found in a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,11 +76,109 @@ impl PacketLayers {
     }
 }
 
+/// The payload of an MMT frame: whatever follows the header in the head,
+/// then the shared tail. Every payload reader goes through this; none
+/// indexes past the header itself.
+#[derive(Debug, Clone, Copy)]
+pub struct Payload<'a> {
+    head: &'a [u8],
+    tail: &'a [u8],
+}
+
+impl<'a> Payload<'a> {
+    /// Payload bytes resident in memory (a virtual tail has none).
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// Whether no payload byte is resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The first `N` bytes, copied out since they may straddle the two
+    /// parts; `None` if the payload is shorter.
+    pub fn prefix<const N: usize>(&self) -> Option<[u8; N]> {
+        let mut out = [0u8; N];
+        let mut parts = self.head.iter().chain(self.tail);
+        for slot in &mut out {
+            *slot = *parts.next()?;
+        }
+        Some(out)
+    }
+
+    /// The payload as one slice: borrowed when it lies wholly in the head
+    /// or wholly in the tail, gathered into a fresh buffer otherwise.
+    pub fn contiguous(&self) -> Cow<'a, [u8]> {
+        if self.tail.is_empty() {
+            Cow::Borrowed(self.head)
+        } else if self.head.is_empty() {
+            Cow::Borrowed(self.tail)
+        } else {
+            Cow::Owned([self.head, self.tail].concat())
+        }
+    }
+}
+
+/// A borrowed look at a packet: where its headers are, without taking it
+/// apart or copying a byte. What classifiers, monitors and anything else
+/// that only *reads* a frame use.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
+    head: &'a [u8],
+    tail: &'a Tail,
+    /// Parse result.
+    pub layers: PacketLayers,
+}
+
+impl<'a> FrameView<'a> {
+    /// Parse `pkt` in place.
+    pub fn of(pkt: &'a Packet) -> FrameView<'a> {
+        FrameView {
+            head: &pkt.bytes,
+            tail: &pkt.tail,
+            layers: classify_layers(&pkt.bytes, pkt.tail.len()),
+        }
+    }
+
+    /// The bytes from the MMT header on, if the frame carries MMT.
+    pub fn mmt_bytes(&self) -> Option<&'a [u8]> {
+        Some(&self.head[self.layers.mmt_offset()?..])
+    }
+
+    /// A checked MMT header view, if the frame carries MMT.
+    pub fn mmt(&self) -> Option<CoreHeader<&'a [u8]>> {
+        CoreHeader::new_checked(self.mmt_bytes()?).ok()
+    }
+
+    /// The parsed owned MMT header, if present and valid.
+    pub fn mmt_repr(&self) -> Option<MmtRepr> {
+        MmtRepr::parse(self.mmt_bytes()?).ok()
+    }
+
+    /// The MMT payload, if the frame carries MMT.
+    pub fn payload(&self) -> Option<Payload<'a>> {
+        let mmt = self.mmt_bytes()?;
+        // The parser has already checked the header is all there.
+        let header_len = CoreHeader::new_unchecked(mmt).header_len();
+        Some(Payload {
+            head: mmt.get(header_len..)?,
+            tail: self.tail.bytes(),
+        })
+    }
+}
+
 /// A frame plus its parse result — what one pipeline invocation sees.
-#[derive(Debug)]
+///
+/// It owns the packet's head and holds a reference to its tail: actions
+/// rewrite `bytes` in place and never touch the payload behind it, and a
+/// clone (a mirror copy) costs a head and a refcount.
+#[derive(Debug, Clone)]
 pub struct ParsedPacket {
-    /// The frame bytes (may be rewritten by actions).
+    /// The head bytes (may be rewritten by actions).
     pub bytes: Vec<u8>,
+    /// The shared payload tail riding behind the head.
+    pub tail: Tail,
     /// Parse result.
     pub layers: PacketLayers,
     /// The port the frame arrived on.
@@ -84,37 +186,74 @@ pub struct ParsedPacket {
 }
 
 impl ParsedPacket {
-    /// Parse a frame arriving on `ingress_port`.
+    /// Parse a contiguous frame arriving on `ingress_port`.
     pub fn parse(bytes: Vec<u8>, ingress_port: usize) -> ParsedPacket {
-        let layers = classify_layers(&bytes);
+        ParsedPacket::of(Packet::new(bytes), ingress_port)
+    }
+
+    /// Parse a packet arriving on `ingress_port`, keeping its tail by
+    /// reference. The metadata is `Copy`; callers that need it read it
+    /// before handing the packet over and give it back to
+    /// [`ParsedPacket::into_packet`].
+    pub fn of(pkt: Packet, ingress_port: usize) -> ParsedPacket {
+        let layers = classify_layers(&pkt.bytes, pkt.tail.len());
         ParsedPacket {
-            bytes,
+            bytes: pkt.bytes,
+            tail: pkt.tail,
             layers,
             ingress_port,
         }
     }
 
+    /// Reassemble the packet that leaves the element.
+    pub fn into_packet(self, meta: PacketMeta) -> Packet {
+        Packet {
+            bytes: self.bytes,
+            meta,
+            tail: self.tail,
+        }
+    }
+
+    /// Wire length of the frame (head plus tail).
+    pub fn wire_len(&self) -> usize {
+        self.bytes.len() + self.tail.len()
+    }
+
+    /// The borrowed view the read accessors below go through.
+    fn view(&self) -> FrameView<'_> {
+        FrameView {
+            head: &self.bytes,
+            tail: &self.tail,
+            layers: self.layers,
+        }
+    }
+
     /// Re-run the parser after an action rewrote the frame.
     pub fn reparse(&mut self) {
-        self.layers = classify_layers(&self.bytes);
+        self.layers = classify_layers(&self.bytes, self.tail.len());
     }
 
     /// A checked MMT header view, if the frame carries MMT.
     pub fn mmt(&self) -> Option<CoreHeader<&[u8]>> {
-        let off = self.layers.mmt_offset()?;
-        CoreHeader::new_checked(&self.bytes[off..]).ok()
+        self.view().mmt()
     }
 
     /// The parsed owned MMT header, if present and valid.
     pub fn mmt_repr(&self) -> Option<MmtRepr> {
-        let off = self.layers.mmt_offset()?;
-        MmtRepr::parse(&self.bytes[off..]).ok()
+        self.view().mmt_repr()
+    }
+
+    /// The MMT payload, if the frame carries MMT.
+    pub fn payload(&self) -> Option<Payload<'_>> {
+        self.view().payload()
     }
 
     /// Replace the MMT header with `new_repr`, preserving the payload and
-    /// any outer encapsulation (fixing the IPv4 length/checksum when the
-    /// header above is IPv4). This is the frame surgery a mode-transition
-    /// element performs.
+    /// any outer encapsulation (fixing the UDP/IPv4 lengths and the IPv4
+    /// checksum when present). This is the frame surgery a
+    /// mode-transition element performs, done in place: the header region
+    /// of the head grows or shrinks, any payload inlined behind it shifts
+    /// over, and the tail is not touched.
     pub fn rewrite_mmt(&mut self, new_repr: &MmtRepr) -> bool {
         let Some(mmt_off) = self.layers.mmt_offset() else {
             return false;
@@ -122,32 +261,34 @@ impl ParsedPacket {
         let Ok(old) = MmtRepr::parse(&self.bytes[mmt_off..]) else {
             return false;
         };
-        let old_hdr_len = old.header_len();
-        let payload_start = mmt_off + old_hdr_len;
-        let new_hdr_len = new_repr.header_len();
-        let mut out = Vec::with_capacity(mmt_off + new_hdr_len + self.bytes.len() - payload_start);
-        out.extend_from_slice(&self.bytes[..mmt_off]);
-        out.resize(mmt_off + new_hdr_len, 0);
-        if new_repr.emit(&mut out[mmt_off..]).is_err() {
+        let old_end = mmt_off + old.header_len();
+        let new_end = mmt_off + new_repr.header_len();
+        let old_len = self.bytes.len();
+        if new_end > old_end {
+            self.bytes.resize(old_len + (new_end - old_end), 0);
+            self.bytes.copy_within(old_end..old_len, new_end);
+        } else {
+            self.bytes.copy_within(old_end.., new_end);
+            self.bytes.truncate(old_len - (old_end - new_end));
+        }
+        if new_repr.emit(&mut self.bytes[mmt_off..new_end]).is_err() {
+            // Unreachable: the slice was sized from header_len above.
+            self.reparse();
             return false;
         }
-        out.extend_from_slice(&self.bytes[payload_start..]);
-        self.bytes = out;
         // Fix outer UDP and IPv4 lengths + checksums if present.
         if let Some(udp_off) = self.layers.udp_offset() {
-            let udp_total = self.bytes.len() - udp_off;
-            if udp_total <= usize::from(u16::MAX) {
+            if let Ok(udp_total) = u16::try_from(self.wire_len() - udp_off) {
                 let mut udp = mmt_wire::udp::Datagram::new_unchecked(&mut self.bytes[udp_off..]);
-                udp.set_len(udp_total as u16);
+                udp.set_len(udp_total);
                 // Tunnel checksum left at zero (legal for UDP over IPv4);
                 // the inner MMT header is integrity-checked end to end.
             }
         }
         if let Some(ip_off) = self.layers.ip_offset() {
-            let total = self.bytes.len() - ip_off;
-            if total <= usize::from(u16::MAX) {
+            if let Ok(total) = u16::try_from(self.wire_len() - ip_off) {
                 let mut ip = Ipv4Packet::new_unchecked(&mut self.bytes[ip_off..]);
-                ip.set_total_len(total as u16);
+                ip.set_total_len(total);
                 ip.fill_checksum();
             }
         }
@@ -156,14 +297,16 @@ impl ParsedPacket {
     }
 }
 
-fn classify_layers(bytes: &[u8]) -> PacketLayers {
-    let Ok(frame) = Frame::new_checked(bytes) else {
+/// Locate the headers in `head`, the front of a frame whose last
+/// `tail_len` wire bytes are held elsewhere.
+fn classify_layers(head: &[u8], tail_len: usize) -> PacketLayers {
+    let Ok(frame) = Frame::new_checked(head) else {
         return PacketLayers::Malformed;
     };
     match frame.ethertype() {
         EtherType::Mmt => {
             let off = ethernet::HEADER_LEN;
-            if CoreHeader::new_checked(&bytes[off..]).is_ok() {
+            if CoreHeader::new_checked(&head[off..]).is_ok() {
                 PacketLayers::EthernetMmt { mmt_offset: off }
             } else {
                 PacketLayers::Malformed
@@ -171,12 +314,12 @@ fn classify_layers(bytes: &[u8]) -> PacketLayers {
         }
         EtherType::Ipv4 => {
             let ip_off = ethernet::HEADER_LEN;
-            let Ok(ip) = Ipv4Packet::new_checked(&bytes[ip_off..]) else {
+            let Ok(ip) = Ipv4Packet::new_checked_split(&head[ip_off..], tail_len) else {
                 return PacketLayers::Malformed;
             };
             if ip.protocol() == Protocol::Mmt {
                 let mmt_off = ip_off + ip.header_len();
-                if CoreHeader::new_checked(&bytes[mmt_off..]).is_ok() {
+                if CoreHeader::new_checked(&head[mmt_off..]).is_ok() {
                     PacketLayers::EthernetIpv4Mmt {
                         ip_offset: ip_off,
                         mmt_offset: mmt_off,
@@ -187,10 +330,10 @@ fn classify_layers(bytes: &[u8]) -> PacketLayers {
             } else if ip.protocol() == Protocol::Udp {
                 // MMT-over-UDP tunnel?
                 let udp_off = ip_off + ip.header_len();
-                match mmt_wire::udp::Datagram::new_checked(&bytes[udp_off..]) {
+                match mmt_wire::udp::Datagram::new_checked_split(&head[udp_off..], tail_len) {
                     Ok(udp) if udp.dst_port() == mmt_wire::udp::MMT_TUNNEL_PORT => {
                         let mmt_off = udp_off + mmt_wire::udp::HEADER_LEN;
-                        if CoreHeader::new_checked(&bytes[mmt_off..]).is_ok() {
+                        if CoreHeader::new_checked(&head[mmt_off..]).is_ok() {
                             PacketLayers::EthernetIpv4UdpMmt {
                                 ip_offset: ip_off,
                                 udp_offset: udp_off,
@@ -210,6 +353,117 @@ fn classify_layers(bytes: &[u8]) -> PacketLayers {
     }
 }
 
+/// How a datagram is framed below its MMT header (Req 1: the protocol
+/// works both directly on Ethernet and on IP; a UDP tunnel covers networks
+/// that drop unknown IP protocols).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// MMT directly over Ethernet (DAQ-network framing).
+    Ethernet,
+    /// MMT over IPv4 (protocol 253).
+    Ipv4 {
+        /// Source address.
+        src: mmt_wire::Ipv4Address,
+        /// Destination address.
+        dst: mmt_wire::Ipv4Address,
+    },
+    /// MMT in a UDP tunnel over IPv4.
+    UdpTunnel {
+        /// Source address.
+        src: mmt_wire::Ipv4Address,
+        /// Destination address.
+        dst: mmt_wire::Ipv4Address,
+    },
+}
+
+/// Build the head of a frame — Ethernet, the outer encapsulation, MMT —
+/// whose `payload_len` payload bytes ride behind it as a packet tail. The
+/// outer length fields count the payload; no byte of it is needed here.
+///
+/// # Panics
+/// Panics if an IP-framed datagram would exceed the 16-bit length fields
+/// (as the contiguous builders always have).
+pub fn build_head(
+    eth_src: mmt_wire::EthernetAddress,
+    eth_dst: mmt_wire::EthernetAddress,
+    framing: Framing,
+    mmt: &MmtRepr,
+    payload_len: usize,
+) -> Vec<u8> {
+    // mmt-lint: allow(P1, "every emit writes into a buffer sized from the same header lengths; what is left is a frame past 64 KiB, a caller bug")
+    emit_head(eth_src, eth_dst, framing, mmt, payload_len).expect("headers fit their buffer")
+}
+
+fn emit_head(
+    eth_src: mmt_wire::EthernetAddress,
+    eth_dst: mmt_wire::EthernetAddress,
+    framing: Framing,
+    mmt: &MmtRepr,
+    payload_len: usize,
+) -> mmt_wire::Result<Vec<u8>> {
+    let mmt_len = mmt.header_len() + payload_len;
+    let (ethertype, outer_len) = match framing {
+        Framing::Ethernet => (EtherType::Mmt, 0),
+        Framing::Ipv4 { .. } => (EtherType::Ipv4, ipv4::HEADER_LEN),
+        Framing::UdpTunnel { .. } => (
+            EtherType::Ipv4,
+            ipv4::HEADER_LEN + mmt_wire::udp::HEADER_LEN,
+        ),
+    };
+    let ip_off = ethernet::HEADER_LEN;
+    let mmt_off = ip_off + outer_len;
+    // Room for every extension an element downstream may add, so a mode
+    // upgrade grows the header without reallocating the head.
+    let full_header = mmt_wire::mmt::CORE_HEADER_LEN + ExtLayout::of(Features::ALL_KNOWN).total;
+    let mut buf = Vec::with_capacity(mmt_off + full_header.max(mmt.header_len()));
+    buf.resize(mmt_off + mmt.header_len(), 0);
+    let eth = mmt_wire::ethernet::EthernetRepr {
+        dst: eth_dst,
+        src: eth_src,
+        ethertype,
+    };
+    eth.emit(&mut buf)?;
+    if let Framing::Ipv4 { src, dst } | Framing::UdpTunnel { src, dst } = framing {
+        let tunnelled = matches!(framing, Framing::UdpTunnel { .. });
+        let ip = ipv4::Ipv4Repr {
+            src,
+            dst,
+            protocol: if tunnelled {
+                Protocol::Udp
+            } else {
+                Protocol::Mmt
+            },
+            payload_len: outer_len - ipv4::HEADER_LEN + mmt_len,
+            ttl: 64,
+            dscp: 0,
+        };
+        ip.emit(&mut buf[ip_off..])?;
+        if tunnelled {
+            let udp = mmt_wire::udp::UdpRepr {
+                src_port: mmt_wire::udp::MMT_TUNNEL_PORT,
+                dst_port: mmt_wire::udp::MMT_TUNNEL_PORT,
+                payload_len: mmt_len,
+            };
+            udp.emit(&mut buf[ip_off + ipv4::HEADER_LEN..])?;
+        }
+    }
+    mmt.emit(&mut buf[mmt_off..])?;
+    Ok(buf)
+}
+
+/// A contiguous frame: the head with `payload` inlined behind it.
+fn build_frame(
+    eth_src: mmt_wire::EthernetAddress,
+    eth_dst: mmt_wire::EthernetAddress,
+    framing: Framing,
+    mmt: &MmtRepr,
+    payload: &[u8],
+) -> Vec<u8> {
+    let mut buf = build_head(eth_src, eth_dst, framing, mmt, payload.len());
+    buf.extend_from_slice(payload);
+    buf
+}
+
 /// Build an Ethernet+MMT frame (DAQ-network framing).
 pub fn build_eth_mmt_frame(
     src: mmt_wire::EthernetAddress,
@@ -217,13 +471,7 @@ pub fn build_eth_mmt_frame(
     mmt: &MmtRepr,
     payload: &[u8],
 ) -> Vec<u8> {
-    let eth = mmt_wire::ethernet::EthernetRepr {
-        dst,
-        src,
-        ethertype: EtherType::Mmt,
-    };
-    let inner = mmt.emit_with_payload(payload);
-    mmt_wire::ethernet::build_frame(&eth, &inner)
+    build_frame(src, dst, Framing::Ethernet, mmt, payload)
 }
 
 /// Build an Ethernet+IPv4+MMT frame (WAN framing).
@@ -235,24 +483,16 @@ pub fn build_ip_mmt_frame(
     mmt: &MmtRepr,
     payload: &[u8],
 ) -> Vec<u8> {
-    let inner = mmt.emit_with_payload(payload);
-    let ip = ipv4::Ipv4Repr {
-        src: ip_src,
-        dst: ip_dst,
-        protocol: Protocol::Mmt,
-        payload_len: inner.len(),
-        ttl: 64,
-        dscp: 0,
-    };
-    let mut ip_pkt = vec![0u8; ip.total_len()];
-    ip.emit(&mut ip_pkt).expect("sized above"); // mmt-lint: allow(P1, "buffer sized with total_len one line above")
-    ip_pkt[ipv4::HEADER_LEN..].copy_from_slice(&inner);
-    let eth = mmt_wire::ethernet::EthernetRepr {
-        dst: eth_dst,
-        src: eth_src,
-        ethertype: EtherType::Ipv4,
-    };
-    mmt_wire::ethernet::build_frame(&eth, &ip_pkt)
+    build_frame(
+        eth_src,
+        eth_dst,
+        Framing::Ipv4 {
+            src: ip_src,
+            dst: ip_dst,
+        },
+        mmt,
+        payload,
+    )
 }
 
 /// Build an Ethernet+IPv4+UDP-tunnel+MMT frame (for networks that drop
@@ -266,32 +506,16 @@ pub fn build_udp_tunnel_frame(
     mmt: &MmtRepr,
     payload: &[u8],
 ) -> Vec<u8> {
-    let inner = mmt.emit_with_payload(payload);
-    let udp = mmt_wire::udp::UdpRepr {
-        src_port: mmt_wire::udp::MMT_TUNNEL_PORT,
-        dst_port: mmt_wire::udp::MMT_TUNNEL_PORT,
-        payload_len: inner.len(),
-    };
-    let mut udp_pkt = vec![0u8; udp.total_len()];
-    udp.emit(&mut udp_pkt).expect("sized above"); // mmt-lint: allow(P1, "buffer sized with total_len one line above")
-    udp_pkt[mmt_wire::udp::HEADER_LEN..].copy_from_slice(&inner);
-    let ip = ipv4::Ipv4Repr {
-        src: ip_src,
-        dst: ip_dst,
-        protocol: Protocol::Udp,
-        payload_len: udp_pkt.len(),
-        ttl: 64,
-        dscp: 0,
-    };
-    let mut ip_pkt = vec![0u8; ip.total_len()];
-    ip.emit(&mut ip_pkt).expect("sized above"); // mmt-lint: allow(P1, "buffer sized with total_len one line above")
-    ip_pkt[ipv4::HEADER_LEN..].copy_from_slice(&udp_pkt);
-    let eth = mmt_wire::ethernet::EthernetRepr {
-        dst: eth_dst,
-        src: eth_src,
-        ethertype: EtherType::Ipv4,
-    };
-    mmt_wire::ethernet::build_frame(&eth, &ip_pkt)
+    build_frame(
+        eth_src,
+        eth_dst,
+        Framing::UdpTunnel {
+            src: ip_src,
+            dst: ip_dst,
+        },
+        mmt,
+        payload,
+    )
 }
 
 #[cfg(test)]

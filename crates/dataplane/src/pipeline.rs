@@ -24,8 +24,7 @@ impl Pipeline {
         for table in &mut self.tables {
             // Clone the matched action list: actions may mutate the packet,
             // which invalidates a borrow into the table.
-            let actions = table.lookup(pkt).to_vec();
-            for action in &actions {
+            for action in table.lookup(pkt) {
                 execute(action, pkt, intr, &mut self.registers, &mut disp);
                 if disp.dropped {
                     return disp;

@@ -585,7 +585,7 @@ mod tests {
             "sequence register survives the change"
         );
         // The mirror copy carries the re-stamped header too.
-        let copy = ParsedPacket::parse(d1.emitted[0].1.clone(), 0);
+        let copy = ParsedPacket::of(d1.emitted[0].1.clone(), 0);
         let rc = copy
             .layers
             .mmt_offset()

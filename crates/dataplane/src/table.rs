@@ -54,7 +54,7 @@ pub fn extract(field: MatchField, pkt: &ParsedPacket) -> u64 {
             .unwrap_or(0),
         MatchField::Ipv4Dst => match pkt.layers {
             PacketLayers::EthernetIpv4Mmt { ip_offset, .. } => {
-                mmt_wire::ipv4::Packet::new_checked(&pkt.bytes[ip_offset..])
+                mmt_wire::ipv4::Packet::new_checked_split(&pkt.bytes[ip_offset..], pkt.tail.len())
                     .map(|ip| u64::from(ip.dst_addr().to_u32()))
                     .unwrap_or(0)
             }
@@ -155,6 +155,9 @@ pub struct Table {
     pub hits: u64,
     /// Miss counter.
     pub misses: u64,
+    /// The packet's key-field values during a lookup; kept so a lookup
+    /// allocates nothing.
+    observed: Vec<u64>,
 }
 
 impl Table {
@@ -167,6 +170,7 @@ impl Table {
             default_actions: Vec::new(),
             hits: 0,
             misses: 0,
+            observed: Vec::new(),
         }
     }
 
@@ -211,7 +215,9 @@ impl Table {
     /// Look up the packet; returns the matching actions (entry or default)
     /// and records hit/miss counters.
     pub fn lookup(&mut self, pkt: &ParsedPacket) -> &[Action] {
-        let observed: Vec<u64> = self.key_fields.iter().map(|&f| extract(f, pkt)).collect();
+        let mut observed = std::mem::take(&mut self.observed);
+        observed.clear();
+        observed.extend(self.key_fields.iter().map(|&f| extract(f, pkt)));
         let mut best: Option<(i32, u32, usize)> = None;
         for (idx, entry) in self.entries.iter().enumerate() {
             let matches = entry
@@ -228,6 +234,7 @@ impl Table {
                 best = Some(candidate);
             }
         }
+        self.observed = observed;
         match best {
             Some((_, _, inv_idx)) => {
                 self.hits += 1;

@@ -11,6 +11,12 @@
 //! and produce outbound [`Packet`]s plus pending wakeups, so every
 //! routing decision is unit-testable without a socket. The poll loop in
 //! [`crate::pilot`] is the only place that touches the kernel.
+//!
+//! Inside the sending host a message is a head plus a shared payload
+//! tail (see [`Packet`]); the step onto `wire` is where the two are
+//! gathered into the contiguous datagram a socket sends — the one payload
+//! copy on the io path. Everything in `wire`, and everything arriving
+//! through `wire_in`, is contiguous.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,7 +24,7 @@ use std::collections::BinaryHeap;
 use mmt_core::buffer::{PORT_DAQ, PORT_WAN};
 use mmt_core::machine::{Input, Machine, Output};
 use mmt_core::{MmtReceiver, MmtSender, RetransmitBuffer};
-use mmt_netsim::{Packet, PacketMeta, Time, TimerToken};
+use mmt_netsim::{Packet, Time, TimerToken};
 
 /// Machine slots inside an assembly.
 const MACH_SENDER: u8 = 0;
@@ -141,12 +147,12 @@ impl SenderSide {
     /// outputs: sender port 0 ↔ buffer DAQ port stay in-memory, buffer
     /// WAN output goes to `wire`, wakeups land in the timer queue.
     fn dispatch(&mut self, now: Time, mach: u8, input: Input, wire: &mut Vec<Packet>) {
-        let mut out = Vec::new();
-        match mach {
-            MACH_SENDER => self.sender.poll(now, input, &mut out),
-            _ => self.buffer.poll(now, input, &mut out),
-        }
-        for o in out {
+        // Scratch into the machine's own outbox, as `machine::step` does.
+        // A re-entrant dispatch to the same machine finds it empty and
+        // grows its own; whichever returns last leaves its buffer behind.
+        let mut out = std::mem::take(self.machine(mach).outbox());
+        self.machine(mach).poll(now, input, &mut out);
+        for o in out.drain(..) {
             match (mach, o) {
                 (MACH_SENDER, Output::Transmit { pkt, .. }) => {
                     // Sensor egress → DTN ingress, directly.
@@ -164,10 +170,18 @@ impl SenderSide {
                     // Backpressure credits flow back to the sensor.
                     self.dispatch(now, MACH_SENDER, Input::Frame { port: 0, pkt }, wire);
                 }
-                (_, Output::Transmit { pkt, .. }) => wire.push(pkt),
+                (_, Output::Transmit { pkt, .. }) => wire.push(pkt.gather()),
                 (m, Output::WakeAt { at, token }) => self.timers.push(at, m, token),
                 (_, Output::DeliverLocal { .. }) => {}
             }
+        }
+        *self.machine(mach).outbox() = out;
+    }
+
+    fn machine(&mut self, mach: u8) -> &mut dyn Machine {
+        match mach {
+            MACH_SENDER => &mut self.sender,
+            _ => &mut self.buffer,
         }
     }
 }
@@ -190,13 +204,8 @@ impl ReceiverSide {
     /// A datagram arrived: hand it to the receiver. Outbound packets
     /// (NAKs) land in `wire`.
     pub fn wire_in(&mut self, now: Time, bytes: Vec<u8>, wire: &mut Vec<Packet>) {
-        let pkt = Packet {
-            bytes,
-            meta: PacketMeta {
-                created_at: now,
-                ..PacketMeta::default()
-            },
-        };
+        let mut pkt = Packet::new(bytes);
+        pkt.meta.created_at = now;
         self.dispatch(now, Input::Frame { port: 0, pkt }, wire);
     }
 
@@ -224,15 +233,16 @@ impl ReceiverSide {
     }
 
     fn dispatch(&mut self, now: Time, input: Input, wire: &mut Vec<Packet>) {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(self.receiver.outbox());
         self.receiver.poll(now, input, &mut out);
-        for o in out {
+        for o in out.drain(..) {
             match o {
                 Output::Transmit { pkt, .. } => wire.push(pkt),
                 Output::WakeAt { at, token } => self.timers.push(at, MACH_RECEIVER, token),
                 Output::DeliverLocal { .. } => {}
             }
         }
+        *self.receiver.outbox() = out;
     }
 }
 

@@ -20,7 +20,7 @@
 //! Everything is index-based and single-threaded; shards each own a
 //! private arena, so no synchronization is needed or present.
 
-use crate::packet::Packet;
+use crate::packet::{Packet, Tail};
 
 /// Index-based handle to an arena slot. `Copy`, 8 bytes, and safe against
 /// use-after-release: a stale ref (released, slot since reused) fails
@@ -242,16 +242,18 @@ impl PacketArena {
 
     /// Like [`PacketArena::frame`] but only `physical_len` bytes are
     /// resident: the remaining `total_len − physical_len` wire bytes ride
-    /// as the packet's *virtual tail* (see `PacketMeta::virtual_tail`).
+    /// as the packet's *virtual tail* (see [`Tail::Virtual`]).
     /// Serialization times, MTU checks, queue caps, and link stats all
     /// see `total_len`; memory sees `physical_len`. This is how a
     /// million-sensor fleet carries 8 KB frames at ~40 B resident each.
     pub fn frame_virtual(&mut self, physical_len: usize, total_len: usize, flow: u64) -> Packet {
         debug_assert!(physical_len <= total_len);
         let mut pkt = self.frame(physical_len, flow);
-        pkt.meta.virtual_tail = total_len
-            .saturating_sub(physical_len)
-            .min(u32::MAX as usize) as u32;
+        pkt.tail = Tail::Virtual(
+            total_len
+                .saturating_sub(physical_len)
+                .min(u32::MAX as usize) as u32,
+        );
         pkt
     }
 
@@ -358,7 +360,7 @@ mod tests {
         let p = a.frame_virtual(40, 8192, 3);
         assert_eq!(p.len(), 8192, "wire sees the full frame");
         assert_eq!(p.bytes.len(), 40, "memory holds only the header");
-        assert_eq!(p.meta.virtual_tail, 8152);
+        assert_eq!(p.tail, Tail::Virtual(8152));
         a.recycle(p);
         // The recycled 40-byte buffer serves the next virtual frame.
         let q = a.frame_virtual(40, 8192, 4);

@@ -84,7 +84,7 @@ pub use fault::{FaultSpec, FaultState, FaultVerdict, PeriodicOutage, RandomOutag
 pub use link::{Link, LinkId, LinkSpec, LossModel, LossState};
 pub use linkstats::LinkStatsBlock;
 pub use node::{Context, Node, NodeId, PortId, TimerToken};
-pub use packet::{Packet, PacketMeta};
+pub use packet::{Packet, PacketMeta, Tail};
 pub use profile::{SpanProfiler, Stage, StageTotals};
 pub use queue::{QueueSpec, TransmitQueue};
 pub use rng::SimRng;

@@ -805,7 +805,7 @@ impl Simulator {
                         len: pkt.len(),
                         flow: pkt.meta.flow,
                         seq: pkt.meta.seq,
-                        config: pkt.meta.config,
+                        config: pkt.meta.config.map(u64::from),
                     });
                     self.nodes[idx].local.push((self.now, pkt));
                 }
@@ -840,7 +840,7 @@ impl Simulator {
                 len: pkt.len(),
                 flow: pkt.meta.flow,
                 seq: pkt.meta.seq,
-                config: pkt.meta.config,
+                config: pkt.meta.config.map(u64::from),
             });
             return;
         }
@@ -857,7 +857,7 @@ impl Simulator {
                 len,
                 flow: meta.flow,
                 seq: meta.seq,
-                config: meta.config,
+                config: meta.config.map(u64::from),
             });
             return;
         }
@@ -872,7 +872,7 @@ impl Simulator {
                 len,
                 flow: meta.flow,
                 seq: meta.seq,
-                config: meta.config,
+                config: meta.config.map(u64::from),
             });
         }
         if let Some(p) = &mut self.profiler {
@@ -933,7 +933,7 @@ impl Simulator {
             len,
             flow: meta.flow,
             seq: meta.seq,
-            config: meta.config,
+            config: meta.config.map(u64::from),
         };
         if lost {
             link.stats.corruption_losses += 1;
@@ -946,7 +946,7 @@ impl Simulator {
                 len,
                 flow: meta.flow,
                 seq: meta.seq,
-                config: meta.config,
+                config: meta.config.map(u64::from),
             });
         } else {
             match verdict {
@@ -1071,7 +1071,7 @@ impl Simulator {
                         len: pkt.len(),
                         flow: pkt.meta.flow,
                         seq: pkt.meta.seq,
-                        config: pkt.meta.config,
+                        config: pkt.meta.config.map(u64::from),
                     });
                 }
                 self.call_node(node, |n, ctx| n.on_packet(ctx, port, pkt));

@@ -16,7 +16,7 @@
 
 use super::util::Sink;
 use mmt_dataplane::classify;
-use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
+use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
 use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Packet, QueueSpec, Simulator, Time};
 use mmt_wire::mmt::{ExperimentId, MmtRepr};
 use mmt_wire::EthernetAddress;
@@ -52,7 +52,7 @@ fn count_kind(sim: &Simulator, node: NodeId, want_aged: bool) -> u64 {
     sim.local_deliveries(node)
         .iter()
         .filter(|(_, pkt)| {
-            ParsedPacket::parse(pkt.bytes.clone(), 0)
+            FrameView::of(pkt)
                 .mmt_repr()
                 .and_then(|r| r.age())
                 .map(|a| a.aged)
@@ -217,7 +217,7 @@ pub fn run_priority(strict_priority: bool, seed: u64) -> PriorityResult {
     let mut worst = Time::ZERO;
     let mut alerts = 0u64;
     for (t, pkt) in sim.local_deliveries(dst) {
-        let parsed = ParsedPacket::parse(pkt.bytes.clone(), 0);
+        let parsed = FrameView::of(pkt);
         if parsed.mmt_repr().map(|r| r.experiment.experiment()) == Some(5) {
             alerts += 1;
             worst = worst.max(*t);

@@ -18,7 +18,7 @@
 use super::util::Sink;
 use mmt_daq::storage::ContainerWriter;
 use mmt_daq::supernova::BurstDetector;
-use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
+use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
 use mmt_netsim::{Bandwidth, Context, LinkSpec, Node, Packet, PortId, Simulator, Time, TimerToken};
 use mmt_wire::daq::{DuneSubHeader, SubHeader, TriggerRecord};
 use mmt_wire::mmt::{ExperimentId, MmtRepr};
@@ -141,15 +141,10 @@ impl StorageGateway {
 
 impl Node for StorageGateway {
     fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-        let parsed = ParsedPacket::parse(pkt.bytes, 0);
-        let Some(off) = parsed.layers.mmt_offset() else {
+        let Some(payload) = FrameView::of(&pkt).payload() else {
             return;
         };
-        let Some(repr) = parsed.mmt_repr() else {
-            return;
-        };
-        let payload = &parsed.bytes[off + repr.header_len()..];
-        match TriggerRecord::decode(payload) {
+        match TriggerRecord::decode(&payload.contiguous()) {
             Ok(record) => {
                 self.records_in += 1;
                 if self.detected_at.is_none() {
@@ -205,11 +200,9 @@ impl Node for InPathAlertMonitor {
             ctx.send(0, pkt);
             return;
         }
-        // Inspect, then forward unchanged.
-        let parsed = ParsedPacket::parse(pkt.bytes.clone(), 0);
-        if let (Some(off), Some(repr)) = (parsed.layers.mmt_offset(), parsed.mmt_repr()) {
-            let payload = &parsed.bytes[off + repr.header_len()..];
-            if TriggerRecord::decode(payload).is_ok() {
+        // Inspect in place, then forward unchanged.
+        if let Some(payload) = FrameView::of(&pkt).payload() {
+            if TriggerRecord::decode(&payload.contiguous()).is_ok() {
                 self.observed += 1;
                 if self.detected_at.is_none() {
                     if let Some(t) = self.detector.observe(ctx.now()) {
@@ -372,6 +365,57 @@ mod tests {
             (Time::from_millis(69)..=Time::from_millis(71)).contains(&saved),
             "saved {saved}"
         );
+    }
+
+    #[test]
+    fn transcoding_a_forwarded_payload_leaves_the_buffered_copy_intact() {
+        use mmt_core::RetransmitStore;
+        use mmt_dataplane::parser::{build_head, Framing};
+        use mmt_netsim::Tail;
+
+        // A record riding as a shared tail, retained upstream while the
+        // forwarded copy goes on to an in-path transcoder.
+        let record = TriggerRecord {
+            run: 1,
+            event: 9,
+            timestamp_ns: 5,
+            sub: SubHeader::Dune(DuneSubHeader {
+                crate_no: 1,
+                slot: 1,
+                link: 0,
+                first_channel: 0,
+                last_channel: 63,
+            }),
+            payload: vec![0xC4; 256],
+        };
+        let encoded = record.encode().unwrap();
+        let repr = MmtRepr::data(ExperimentId::new(DUNE_EXP, 0)).with_sequence(0);
+        let mut pkt = Packet::new(build_head(
+            EthernetAddress([2, 0, 0, 0, 0, 1]),
+            EthernetAddress([2, 0, 0, 0, 0, 2]),
+            Framing::Ethernet,
+            &repr,
+            encoded.len(),
+        ));
+        pkt.tail = Tail::build(encoded.len(), |t| t.copy_from_slice(&encoded));
+        let mut store = RetransmitStore::new(1 << 20);
+        assert!(store.retain(0, pkt.clone()).stored);
+
+        // The transcoder rewrites the payload of the copy it forwards:
+        // the write copies the shared bytes first.
+        let mut forwarded = pkt;
+        for byte in forwarded.tail.to_mut() {
+            *byte ^= 0xFF;
+        }
+        let transcoded = FrameView::of(&forwarded).payload().unwrap().contiguous();
+        assert_ne!(&transcoded[..], &encoded[..]);
+        assert!(TriggerRecord::decode(&transcoded).is_err());
+
+        // What a NAK would be served from still decodes as first sent.
+        let held = store.get(0).unwrap();
+        assert!(!held.tail.shares_with(&forwarded.tail));
+        let payload = FrameView::of(held).payload().unwrap().contiguous();
+        assert_eq!(TriggerRecord::decode(&payload).unwrap(), record);
     }
 
     #[test]

@@ -85,8 +85,7 @@ pub fn run(slices: u8, messages_per_slice: usize, seed: u64) -> SliceResult {
     let mut cross = 0u64;
     for (s, &r) in receivers.iter().enumerate() {
         for (_, pkt) in sim.local_deliveries(r) {
-            let parsed = mmt_dataplane::parser::ParsedPacket::parse(pkt.bytes.clone(), 0);
-            let slice = parsed
+            let slice = mmt_dataplane::parser::FrameView::of(pkt)
                 .mmt_repr()
                 .map(|m| m.experiment.slice())
                 .unwrap_or(255);

@@ -78,12 +78,21 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
     /// Wrap a buffer, validating version, header length and total length.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
+        Packet::new_checked_split(buffer, 0)
+    }
+
+    /// [`Packet::new_checked`] for a packet whose last `absent` bytes are
+    /// held outside `buffer` (a payload carried by reference): the whole
+    /// header must be in the buffer, and the total length may run up to
+    /// `absent` bytes past its end. [`Packet::payload`] of such a view
+    /// would read past the buffer; header accessors are all it is for.
+    pub fn new_checked_split(buffer: T, absent: usize) -> Result<Packet<T>> {
         let packet = Packet { buffer };
-        packet.check()?;
+        packet.check(absent)?;
         Ok(packet)
     }
 
-    fn check(&self) -> Result<()> {
+    fn check(&self, absent: usize) -> Result<()> {
         let buf = self.buffer.as_ref();
         check_len(buf, HEADER_LEN)?;
         if self.version() != 4 {
@@ -98,7 +107,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
         if total < ihl {
             return Err(Error::Malformed("total length below header length"));
         }
-        check_len(buf, total)?;
+        check_len(buf, total.saturating_sub(absent))?;
         Ok(())
     }
 
@@ -264,7 +273,7 @@ pub struct Ipv4Repr {
 impl Ipv4Repr {
     /// Parse a packet into an owned representation, verifying the checksum.
     pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Result<Ipv4Repr> {
-        packet.check()?;
+        packet.check(0)?;
         if !packet.verify_checksum() {
             return Err(Error::BadChecksum);
         }

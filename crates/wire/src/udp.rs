@@ -38,19 +38,28 @@ impl<T: AsRef<[u8]>> Datagram<T> {
 
     /// Wrap a buffer, validating header and length fields.
     pub fn new_checked(buffer: T) -> Result<Datagram<T>> {
+        Datagram::new_checked_split(buffer, 0)
+    }
+
+    /// [`Datagram::new_checked`] for a datagram whose last `absent` bytes
+    /// are held outside `buffer` (a payload carried by reference): the
+    /// header must be in the buffer, and the length field may run up to
+    /// `absent` bytes past its end. [`Datagram::payload`] of such a view
+    /// would read past the buffer; header accessors are all it is for.
+    pub fn new_checked_split(buffer: T, absent: usize) -> Result<Datagram<T>> {
         let dgram = Datagram { buffer };
-        dgram.check()?;
+        dgram.check(absent)?;
         Ok(dgram)
     }
 
-    fn check(&self) -> Result<()> {
+    fn check(&self, absent: usize) -> Result<()> {
         let buf = self.buffer.as_ref();
         check_len(buf, HEADER_LEN)?;
         let len = self.len() as usize;
         if len < HEADER_LEN {
             return Err(Error::Malformed("UDP length below header length"));
         }
-        check_len(buf, len)?;
+        check_len(buf, len.saturating_sub(absent))?;
         Ok(())
     }
 
@@ -148,7 +157,7 @@ pub struct UdpRepr {
 impl UdpRepr {
     /// Parse a datagram into an owned representation.
     pub fn parse<T: AsRef<[u8]>>(dgram: &Datagram<T>) -> Result<UdpRepr> {
-        dgram.check()?;
+        dgram.check(0)?;
         Ok(UdpRepr {
             src_port: dgram.src_port(),
             dst_port: dgram.dst_port(),
