@@ -258,7 +258,9 @@ impl ParsedPacket {
         let Some(mmt_off) = self.layers.mmt_offset() else {
             return false;
         };
-        let Ok(old) = MmtRepr::parse(&self.bytes[mmt_off..]) else {
+        // Only the old header's length is needed. The parser validated these
+        // bytes, but `bytes` is public, so the length is checked again.
+        let Ok(old) = CoreHeader::new_checked(&self.bytes[mmt_off..]) else {
             return false;
         };
         let old_end = mmt_off + old.header_len();
@@ -401,7 +403,8 @@ fn emit_head(
     mmt: &MmtRepr,
     payload_len: usize,
 ) -> mmt_wire::Result<Vec<u8>> {
-    let mmt_len = mmt.header_len() + payload_len;
+    let header_len = mmt.header_len();
+    let mmt_len = header_len + payload_len;
     let (ethertype, outer_len) = match framing {
         Framing::Ethernet => (EtherType::Mmt, 0),
         Framing::Ipv4 { .. } => (EtherType::Ipv4, ipv4::HEADER_LEN),
@@ -414,9 +417,10 @@ fn emit_head(
     let mmt_off = ip_off + outer_len;
     // Room for every extension an element downstream may add, so a mode
     // upgrade grows the header without reallocating the head.
-    let full_header = mmt_wire::mmt::CORE_HEADER_LEN + ExtLayout::of(Features::ALL_KNOWN).total;
-    let mut buf = Vec::with_capacity(mmt_off + full_header.max(mmt.header_len()));
-    buf.resize(mmt_off + mmt.header_len(), 0);
+    const FULL_HEADER_LEN: usize =
+        mmt_wire::mmt::CORE_HEADER_LEN + ExtLayout::of(Features::ALL_KNOWN).total;
+    let mut buf = Vec::with_capacity(mmt_off + FULL_HEADER_LEN);
+    buf.resize(mmt_off + header_len, 0);
     let eth = mmt_wire::ethernet::EthernetRepr {
         dst: eth_dst,
         src: eth_src,

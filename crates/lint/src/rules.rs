@@ -26,6 +26,8 @@ pub const HOT_MODULES: &[&str] = &[
     "netsim/src/wheel.rs",
     "netsim/src/arena.rs",
     "wire/src/mmt/repr.rs",
+    "wire/src/mmt/ext.rs",
+    "wire/src/mmt/header.rs",
     "netsim/src/shard.rs",
 ];
 

@@ -169,6 +169,18 @@ fn a1_fixture_exact_diagnostics() {
     assert_has(&out, "3 violation(s), 1 escape(s)");
 }
 
+/// The MMT layout and view modules are hot by path, like the rest of the
+/// codec: an unmarked function that allocates there fires A1, and
+/// `// mmt-lint: cold` opts one out.
+#[test]
+fn a1_covers_the_codec_modules_by_path() {
+    let (code, out, _) = lint(&["--assume-crate", "wire", "tests/fixtures/a1mod"]);
+    assert_eq!(code, 1);
+    assert_has(&out, "tests/fixtures/a1mod/wire/src/mmt/ext.rs:4: [A1]");
+    assert_has(&out, "tests/fixtures/a1mod/wire/src/mmt/header.rs:4: [A1]");
+    assert_has(&out, "2 file(s) scanned, 2 violation(s)");
+}
+
 #[test]
 fn w1_fixture_exact_diagnostics() {
     let (code, out, _) = lint(&["--assume-crate", "core", "tests/fixtures/w1"]);

@@ -90,6 +90,8 @@ pub struct FailoverResult {
     pub goodput_bps: f64,
     /// When the stream completed (virtual time), if it did.
     pub completed_at: Option<Time>,
+    /// Simulator events the arm processed.
+    pub events: u64,
 }
 
 fn config(p: &FailoverParams) -> PilotConfig {
@@ -137,6 +139,7 @@ fn result(
             .map(|t| t.saturating_sub(p.crash_at)),
         goodput_bps: r.goodput_bps,
         completed_at: r.completed_at,
+        events: pilot.sim.events_processed(),
     }
 }
 
@@ -184,6 +187,7 @@ mod tests {
             "losses must come from retry exhaustion against the dead primary"
         );
         assert!(!stat.rehomed);
+        assert!(stat.events > stat.delivered, "several events per message");
 
         let (adap, controller) = run_adaptive(&p);
         assert!(adap.complete, "re-homed recovery must finish the stream");
@@ -193,6 +197,7 @@ mod tests {
         assert!(adap.standby_served > 0);
         assert_eq!(controller.stats().rehomes, 1, "re-home exactly once");
         assert!(adap.transitions >= 1);
+        assert!(adap.events > adap.delivered);
         let lat = adap.recovery_latency.expect("completed after the crash");
         assert!(lat > Time::ZERO && lat < Time::from_secs(5), "{lat}");
     }

@@ -208,11 +208,13 @@ impl Node for Sensor {
             return;
         }
         let repr = self.header.with_sequence(self.next_stamp);
-        let total = repr.header_len() + self.payload_bytes;
+        let header_len = repr.header_len();
+        let total = header_len + self.payload_bytes;
         let mut pkt = self.arena.borrow_mut().frame(total, self.flow);
         // Infallible: the buffer was sized from header_len one line up.
-        if repr.encode_into(&mut pkt.bytes).is_err() {
-            debug_assert!(false, "frame buffer sized from header_len");
+        let payload_at = repr.encode_into(&mut pkt.bytes);
+        debug_assert_eq!(payload_at, Ok(header_len));
+        if payload_at.is_err() {
             return;
         }
         pkt.meta.seq = Some(self.next_stamp);
@@ -291,8 +293,9 @@ impl Node for SensorFleet {
                 .borrow_mut()
                 .frame_virtual(header_len, total, self.base_flow | i as u64);
         // Infallible: the buffer was sized from header_len one line up.
-        if repr.encode_into(&mut pkt.bytes).is_err() {
-            debug_assert!(false, "frame buffer sized from header_len");
+        let payload_at = repr.encode_into(&mut pkt.bytes);
+        debug_assert_eq!(payload_at, Ok(header_len));
+        if payload_at.is_err() {
             return;
         }
         pkt.meta.seq = Some(seq);
@@ -337,10 +340,10 @@ struct Dtn {
 impl Node for Dtn {
     fn on_packet(&mut self, ctx: &mut Context<'_>, _port: PortId, pkt: Packet) {
         match MmtRepr::decode_from(&pkt.bytes) {
-            Ok((header, _payload)) => {
+            Ok((header, payload)) => {
                 debug_assert_eq!(header.sequence(), pkt.meta.seq);
                 self.delivered += 1;
-                self.bytes += pkt.len().saturating_sub(header.header_len()) as u64;
+                self.bytes += (payload.len() + pkt.tail.len()) as u64;
                 self.latency
                     .record(ctx.now().saturating_sub(pkt.meta.created_at));
                 if let Some(table) = &self.table {

@@ -20,22 +20,22 @@
 use super::features::Features;
 use crate::Ipv4Address;
 
-/// Extension sizes, in feature-bit order. `None` = flag-only feature.
-const SLOTS: [(Features, usize); 10] = [
-    (Features::SEQUENCE, 8),
-    (Features::RETRANSMIT, 6),
-    (Features::TIMELINESS, 12),
-    (Features::AGE, 8),
-    (Features::PACING, 4),
-    (Features::BACKPRESSURE, 4),
-    (Features::DUPLICATED, 0),
-    (Features::ENCRYPTED, 0),
-    (Features::ACK_NAK, 0),
-    (Features::PRIORITY, 4),
-];
+// Slot sizes, each named once; the table in the module doc says what
+// each slot holds.
+const SEQUENCE_LEN: usize = 8;
+const RETRANSMIT_LEN: usize = 6;
+const TIMELINESS_LEN: usize = 12;
+const AGE_LEN: usize = 8;
+const PACING_LEN: usize = 4;
+const BACKPRESSURE_LEN: usize = 4;
+const PRIORITY_LEN: usize = 4;
 
 /// Byte offsets (relative to the end of the core header) of each present
 /// extension, computed from a feature set.
+///
+/// The layout is a pure function of the seven size-carrying feature bits,
+/// as cheap to derive as a P4 parser's constant-time lookup: a header
+/// operation derives it once, and no structure stores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExtLayout {
     /// Offset of the sequence-number slot, if present.
@@ -56,31 +56,45 @@ pub struct ExtLayout {
     pub total: usize,
 }
 
-impl ExtLayout {
-    /// Compute the layout implied by `features`.
-    pub fn of(features: Features) -> ExtLayout {
-        let mut layout = ExtLayout::default();
-        let mut off = 0usize;
-        for (bit, size) in SLOTS {
-            if !features.contains(bit) {
-                continue;
-            }
-            match bit {
-                b if b == Features::SEQUENCE => layout.sequence = Some(off),
-                b if b == Features::RETRANSMIT => layout.retransmit = Some(off),
-                b if b == Features::TIMELINESS => layout.timeliness = Some(off),
-                b if b == Features::AGE => layout.age = Some(off),
-                b if b == Features::PACING => layout.pacing = Some(off),
-                b if b == Features::BACKPRESSURE => layout.backpressure = Some(off),
-                b if b == Features::PRIORITY => layout.priority = Some(off),
-                _ => {}
-            }
-            off += size;
-        }
-        layout.total = off;
-        layout
+/// One step of the prefix sum: the slot of `bit` sits at `off` if the
+/// feature is active, and the next slot starts `len` bytes further on.
+#[inline]
+const fn slot(features: Features, bit: Features, off: usize, len: usize) -> (Option<usize>, usize) {
+    if features.contains(bit) {
+        (Some(off), off + len)
+    } else {
+        (None, off)
     }
 }
+
+impl ExtLayout {
+    /// Compute the layout implied by `features`: a prefix sum over the
+    /// slot sizes in feature-bit order, with no loop and no table.
+    #[inline]
+    pub const fn of(features: Features) -> ExtLayout {
+        let (sequence, off) = slot(features, Features::SEQUENCE, 0, SEQUENCE_LEN);
+        let (retransmit, off) = slot(features, Features::RETRANSMIT, off, RETRANSMIT_LEN);
+        let (timeliness, off) = slot(features, Features::TIMELINESS, off, TIMELINESS_LEN);
+        let (age, off) = slot(features, Features::AGE, off, AGE_LEN);
+        let (pacing, off) = slot(features, Features::PACING, off, PACING_LEN);
+        let (backpressure, off) = slot(features, Features::BACKPRESSURE, off, BACKPRESSURE_LEN);
+        let (priority, total) = slot(features, Features::PRIORITY, off, PRIORITY_LEN);
+        ExtLayout {
+            sequence,
+            retransmit,
+            timeliness,
+            age,
+            pacing,
+            backpressure,
+            priority,
+            total,
+        }
+    }
+}
+
+// The layout of any feature set is a compile-time constant; this stops
+// compiling if `of` ever goes back to walking a runtime table.
+const _: ExtLayout = ExtLayout::of(Features::ALL_KNOWN);
 
 /// The retransmission-source extension: where to send a NAK to recover lost
 /// packets. "If the mode supports retransmission then there is a field that

@@ -4,11 +4,8 @@ use super::ext::{AgeExt, ExtLayout, RetransmitExt, TimelinessExt};
 use super::features::Features;
 use super::ExperimentId;
 use crate::error::check_len;
-use crate::field::{read_u16, write_u16};
-use crate::field::{
-    read_u24, read_u32, read_u56, read_u64, write_u24, write_u32, write_u56, write_u64,
-};
-use crate::{Ipv4Address, Result};
+use crate::field::{read_u24, read_u32, read_u64, write_u24, write_u32, write_u64};
+use crate::Result;
 
 /// Length of the fixed core header: config id (1) + config data (3) +
 /// experiment id (4).
@@ -52,8 +49,7 @@ impl<T: AsRef<[u8]>> CoreHeader<T> {
     fn check(&self) -> Result<()> {
         let buf = self.buffer.as_ref();
         check_len(buf, CORE_HEADER_LEN)?;
-        check_len(buf, CORE_HEADER_LEN + self.layout().total)?;
-        Ok(())
+        check_len(buf, self.header_len())
     }
 
     /// Consume the view, returning the underlying buffer.
@@ -91,6 +87,7 @@ impl<T: AsRef<[u8]>> CoreHeader<T> {
     }
 
     /// The extension layout implied by the feature bits.
+    #[inline]
     pub fn layout(&self) -> ExtLayout {
         ExtLayout::of(self.features())
     }
@@ -105,65 +102,51 @@ impl<T: AsRef<[u8]>> CoreHeader<T> {
         &self.buffer.as_ref()[self.header_len()..]
     }
 
-    fn ext_off(&self, slot: Option<usize>) -> Option<usize> {
-        slot.map(|o| field::EXT + o)
+    /// Read one extension: derive the layout, `pick` the slot, and decode
+    /// it at its offset in the buffer.
+    #[inline]
+    fn ext<V>(
+        &self,
+        pick: impl FnOnce(&ExtLayout) -> Option<usize>,
+        read: impl FnOnce(&[u8], usize) -> V,
+    ) -> Option<V> {
+        let off = field::EXT + pick(&self.layout())?;
+        Some(read(self.buffer.as_ref(), off))
     }
 
     /// Sequence number, if the `SEQUENCE` feature is active.
     pub fn sequence(&self) -> Option<u64> {
-        self.ext_off(self.layout().sequence)
-            .map(|o| read_u64(self.buffer.as_ref(), o))
+        self.ext(|l| l.sequence, read_u64)
     }
 
     /// Retransmission source, if the `RETRANSMIT` feature is active.
     pub fn retransmit(&self) -> Option<RetransmitExt> {
-        self.ext_off(self.layout().retransmit).map(|o| {
-            let buf = self.buffer.as_ref();
-            RetransmitExt {
-                source: Ipv4Address::from_bytes(&buf[o..o + 4]),
-                port: read_u16(buf, o + 4),
-            }
-        })
+        self.ext(|l| l.retransmit, slot::read_retransmit)
     }
 
     /// Timeliness configuration, if the `TIMELINESS` feature is active.
     pub fn timeliness(&self) -> Option<TimelinessExt> {
-        self.ext_off(self.layout().timeliness).map(|o| {
-            let buf = self.buffer.as_ref();
-            TimelinessExt {
-                deadline_ns: read_u64(buf, o),
-                notify: Ipv4Address::from_bytes(&buf[o + 8..o + 12]),
-            }
-        })
+        self.ext(|l| l.timeliness, slot::read_timeliness)
     }
 
     /// Age state, if the `AGE` feature is active.
     pub fn age(&self) -> Option<AgeExt> {
-        self.ext_off(self.layout().age).map(|o| {
-            let buf = self.buffer.as_ref();
-            AgeExt {
-                age_ns: read_u56(buf, o),
-                aged: buf[o + 7] & 0x01 != 0,
-            }
-        })
+        self.ext(|l| l.age, slot::read_age)
     }
 
     /// Pacing rate in Mbit/s, if the `PACING` feature is active.
     pub fn pacing_mbps(&self) -> Option<u32> {
-        self.ext_off(self.layout().pacing)
-            .map(|o| read_u32(self.buffer.as_ref(), o))
+        self.ext(|l| l.pacing, read_u32)
     }
 
     /// Granted backpressure window, if the `BACKPRESSURE` feature is active.
     pub fn backpressure_window(&self) -> Option<u32> {
-        self.ext_off(self.layout().backpressure)
-            .map(|o| read_u32(self.buffer.as_ref(), o))
+        self.ext(|l| l.backpressure, read_u32)
     }
 
     /// Priority class, if the `PRIORITY` feature is active.
     pub fn priority_class(&self) -> Option<u8> {
-        self.ext_off(self.layout().priority)
-            .map(|o| self.buffer.as_ref()[o])
+        self.ext(|l| l.priority, slot::read_priority)
     }
 }
 
@@ -197,54 +180,40 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> CoreHeader<T> {
         write_u32(self.buffer.as_mut(), field::EXPERIMENT.start, id.raw());
     }
 
+    /// Write one extension: derive the layout, `pick` the slot, and encode
+    /// `value` at its offset in the buffer. `false` if the slot is absent.
+    #[inline]
+    fn set_ext<V>(
+        &mut self,
+        pick: impl FnOnce(&ExtLayout) -> Option<usize>,
+        write: impl FnOnce(&mut [u8], usize, V),
+        value: V,
+    ) -> bool {
+        let Some(off) = pick(&self.layout()) else {
+            return false;
+        };
+        write(self.buffer.as_mut(), field::EXT + off, value);
+        true
+    }
+
     /// Write the sequence number. Returns `false` if the slot is absent.
     pub fn set_sequence(&mut self, seq: u64) -> bool {
-        match self.ext_off(self.layout().sequence) {
-            Some(o) => {
-                write_u64(self.buffer.as_mut(), o, seq);
-                true
-            }
-            None => false,
-        }
+        self.set_ext(|l| l.sequence, write_u64, seq)
     }
 
     /// Write the retransmission source. Returns `false` if absent.
     pub fn set_retransmit(&mut self, ext: RetransmitExt) -> bool {
-        match self.ext_off(self.layout().retransmit) {
-            Some(o) => {
-                let buf = self.buffer.as_mut();
-                buf[o..o + 4].copy_from_slice(ext.source.as_bytes());
-                write_u16(buf, o + 4, ext.port);
-                true
-            }
-            None => false,
-        }
+        self.set_ext(|l| l.retransmit, slot::write_retransmit, ext)
     }
 
     /// Write the timeliness configuration. Returns `false` if absent.
     pub fn set_timeliness(&mut self, ext: TimelinessExt) -> bool {
-        match self.ext_off(self.layout().timeliness) {
-            Some(o) => {
-                let buf = self.buffer.as_mut();
-                write_u64(buf, o, ext.deadline_ns);
-                buf[o + 8..o + 12].copy_from_slice(ext.notify.as_bytes());
-                true
-            }
-            None => false,
-        }
+        self.set_ext(|l| l.timeliness, slot::write_timeliness, ext)
     }
 
     /// Write the age state. Returns `false` if absent.
     pub fn set_age(&mut self, ext: AgeExt) -> bool {
-        match self.ext_off(self.layout().age) {
-            Some(o) => {
-                let buf = self.buffer.as_mut();
-                write_u56(buf, o, ext.age_ns.min(AgeExt::MAX_AGE_NS));
-                buf[o + 7] = (buf[o + 7] & !0x01) | u8::from(ext.aged);
-                true
-            }
-            None => false,
-        }
+        self.set_ext(|l| l.age, slot::write_age, ext)
     }
 
     /// The in-place age update a network element performs (§5.4): add
@@ -252,50 +221,29 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> CoreHeader<T> {
     /// `max_age_ns`. Returns the updated state, or `None` if the feature is
     /// inactive.
     pub fn update_age(&mut self, delta_ns: u64, max_age_ns: u64) -> Option<AgeExt> {
-        let current = self.age()?;
-        let mut next = current.aged_by(delta_ns);
+        let off = field::EXT + self.layout().age?;
+        let buf = self.buffer.as_mut();
+        let mut next = slot::read_age(buf, off).aged_by(delta_ns);
         if next.age_ns > max_age_ns {
             next.aged = true;
         }
-        self.set_age(next);
+        slot::write_age(buf, off, next);
         Some(next)
     }
 
     /// Write the pacing rate. Returns `false` if absent.
     pub fn set_pacing_mbps(&mut self, rate: u32) -> bool {
-        match self.ext_off(self.layout().pacing) {
-            Some(o) => {
-                write_u32(self.buffer.as_mut(), o, rate);
-                true
-            }
-            None => false,
-        }
+        self.set_ext(|l| l.pacing, write_u32, rate)
     }
 
     /// Write the backpressure window. Returns `false` if absent.
     pub fn set_backpressure_window(&mut self, window: u32) -> bool {
-        match self.ext_off(self.layout().backpressure) {
-            Some(o) => {
-                write_u32(self.buffer.as_mut(), o, window);
-                true
-            }
-            None => false,
-        }
+        self.set_ext(|l| l.backpressure, write_u32, window)
     }
 
     /// Write the priority class. Returns `false` if absent.
     pub fn set_priority_class(&mut self, class: u8) -> bool {
-        match self.ext_off(self.layout().priority) {
-            Some(o) => {
-                let buf = self.buffer.as_mut();
-                buf[o] = class;
-                buf[o + 1] = 0;
-                buf[o + 2] = 0;
-                buf[o + 3] = 0;
-                true
-            }
-            None => false,
-        }
+        self.set_ext(|l| l.priority, slot::write_priority, class)
     }
 
     /// Mutable payload access.
@@ -305,10 +253,75 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> CoreHeader<T> {
     }
 }
 
+/// The byte format of each structured extension slot at a known offset,
+/// written down once for the view above and for [`super::MmtRepr`]'s
+/// single-pass codec. Plain-integer slots use [`crate::field`] directly.
+pub(super) mod slot {
+    use super::{AgeExt, RetransmitExt, TimelinessExt};
+    use crate::field::{read_u16, read_u56, read_u64, write_u16, write_u56, write_u64};
+    use crate::Ipv4Address;
+
+    #[inline]
+    pub fn read_retransmit(buf: &[u8], o: usize) -> RetransmitExt {
+        RetransmitExt {
+            source: Ipv4Address::from_bytes(&buf[o..o + 4]),
+            port: read_u16(buf, o + 4),
+        }
+    }
+
+    #[inline]
+    pub fn write_retransmit(buf: &mut [u8], o: usize, ext: RetransmitExt) {
+        buf[o..o + 4].copy_from_slice(ext.source.as_bytes());
+        write_u16(buf, o + 4, ext.port);
+    }
+
+    #[inline]
+    pub fn read_timeliness(buf: &[u8], o: usize) -> TimelinessExt {
+        TimelinessExt {
+            deadline_ns: read_u64(buf, o),
+            notify: Ipv4Address::from_bytes(&buf[o + 8..o + 12]),
+        }
+    }
+
+    #[inline]
+    pub fn write_timeliness(buf: &mut [u8], o: usize, ext: TimelinessExt) {
+        write_u64(buf, o, ext.deadline_ns);
+        buf[o + 8..o + 12].copy_from_slice(ext.notify.as_bytes());
+    }
+
+    #[inline]
+    pub fn read_age(buf: &[u8], o: usize) -> AgeExt {
+        AgeExt {
+            age_ns: read_u56(buf, o),
+            aged: buf[o + 7] & 0x01 != 0,
+        }
+    }
+
+    /// Saturates the age at the 56-bit maximum and keeps the flag byte's
+    /// other bits.
+    #[inline]
+    pub fn write_age(buf: &mut [u8], o: usize, ext: AgeExt) {
+        write_u56(buf, o, ext.age_ns.min(AgeExt::MAX_AGE_NS));
+        buf[o + 7] = (buf[o + 7] & !0x01) | u8::from(ext.aged);
+    }
+
+    #[inline]
+    pub fn read_priority(buf: &[u8], o: usize) -> u8 {
+        buf[o]
+    }
+
+    /// Zeroes the three reserved bytes after the class.
+    #[inline]
+    pub fn write_priority(buf: &mut [u8], o: usize, class: u8) {
+        buf[o..o + 4].copy_from_slice(&[class, 0, 0, 0]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::{MmtRepr, CONFIG_DATA_V0};
     use super::*;
+    use crate::Ipv4Address;
 
     fn wan_packet() -> Vec<u8> {
         let repr = MmtRepr::data(ExperimentId::new(2, 1))

@@ -4,9 +4,10 @@
 
 use super::ext::{AgeExt, ExtLayout, RetransmitExt, TimelinessExt};
 use super::features::Features;
-use super::header::{CoreHeader, CORE_HEADER_LEN};
+use super::header::{slot, CoreHeader, CORE_HEADER_LEN};
 use super::{ExperimentId, CONFIG_CONTROL_V0, CONFIG_DATA_V0};
-use crate::error::check_emit_len;
+use crate::error::{check_emit_len, check_len};
+use crate::field::{read_u32, read_u64, write_u32, write_u64};
 use crate::{Error, Ipv4Address, Result};
 
 /// Owned, structured form of an MMT header.
@@ -217,25 +218,44 @@ impl MmtRepr {
 
     /// Parse a header (and its extensions) from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<MmtRepr> {
-        let hdr = CoreHeader::new_checked(buf)?;
+        Self::parse_len(buf).map(|(repr, _)| repr)
+    }
+
+    /// The one decoder: the header and the length it occupies, in a single
+    /// pass over one layout. Checks run in a fixed order that callers can
+    /// rely on: core length, extension length (both `Truncated`), reserved
+    /// feature bits (`Malformed`), configuration id (`UnknownVersion`).
+    fn parse_len(buf: &[u8]) -> Result<(MmtRepr, usize)> {
+        check_len(buf, CORE_HEADER_LEN)?;
+        let hdr = CoreHeader::new_unchecked(buf);
         match hdr.config_id() {
             CONFIG_DATA_V0 => {
-                // Strict feature validation for end hosts.
+                // The lenient set sizes the header, as it does for a
+                // forwarding element; end hosts then validate strictly.
+                let layout = hdr.layout();
+                let len = CORE_HEADER_LEN + layout.total;
+                check_len(buf, len)?;
                 let features = Features::from_bits(hdr.config_data())?;
-                let mut repr = MmtRepr::data(hdr.experiment());
-                repr.features = features;
-                repr.sequence = hdr.sequence();
-                repr.retransmit = hdr.retransmit();
-                repr.timeliness = hdr.timeliness();
-                repr.age = hdr.age();
-                repr.pacing_mbps = hdr.pacing_mbps();
-                repr.backpressure_window = hdr.backpressure_window();
-                repr.priority_class = hdr.priority_class();
-                Ok(repr)
+                let ext = &buf[CORE_HEADER_LEN..len];
+                let repr = MmtRepr {
+                    config_id: CONFIG_DATA_V0,
+                    features,
+                    experiment: hdr.experiment(),
+                    sequence: layout.sequence.map(|o| read_u64(ext, o)),
+                    retransmit: layout.retransmit.map(|o| slot::read_retransmit(ext, o)),
+                    timeliness: layout.timeliness.map(|o| slot::read_timeliness(ext, o)),
+                    age: layout.age.map(|o| slot::read_age(ext, o)),
+                    pacing_mbps: layout.pacing.map(|o| read_u32(ext, o)),
+                    backpressure_window: layout.backpressure.map(|o| read_u32(ext, o)),
+                    priority_class: layout.priority.map(|o| slot::read_priority(ext, o)),
+                    control_type_raw: None,
+                };
+                Ok((repr, len))
             }
             CONFIG_CONTROL_V0 => {
                 let control_type = (hdr.config_data() & 0xff) as u8;
-                Ok(MmtRepr::control(hdr.experiment(), control_type))
+                let repr = MmtRepr::control(hdr.experiment(), control_type);
+                Ok((repr, CORE_HEADER_LEN))
             }
             other => Err(Error::UnknownVersion(other)),
         }
@@ -243,40 +263,7 @@ impl MmtRepr {
 
     /// Emit the header into the front of `buf`.
     pub fn emit(&self, buf: &mut [u8]) -> Result<()> {
-        let len = self.header_len();
-        check_emit_len(buf, len)?;
-        buf[..len].fill(0);
-        let mut hdr = CoreHeader::new_unchecked(buf);
-        hdr.set_config_id(self.config_id);
-        match self.config_id {
-            CONFIG_CONTROL_V0 => {
-                hdr.set_config_data(u32::from(self.control_type_raw.unwrap_or(0)));
-            }
-            _ => hdr.set_config_data(self.features.bits()),
-        }
-        hdr.set_experiment(self.experiment);
-        if let Some(seq) = self.sequence {
-            hdr.set_sequence(seq);
-        }
-        if let Some(r) = self.retransmit {
-            hdr.set_retransmit(r);
-        }
-        if let Some(t) = self.timeliness {
-            hdr.set_timeliness(t);
-        }
-        if let Some(a) = self.age {
-            hdr.set_age(a);
-        }
-        if let Some(p) = self.pacing_mbps {
-            hdr.set_pacing_mbps(p);
-        }
-        if let Some(w) = self.backpressure_window {
-            hdr.set_backpressure_window(w);
-        }
-        if let Some(c) = self.priority_class {
-            hdr.set_priority_class(c);
-        }
-        Ok(())
+        self.encode_into(buf).map(|_| ())
     }
 
     /// Zero-copy emit: write the header into the front of a
@@ -288,8 +275,47 @@ impl MmtRepr {
     /// Returns [`Error::BufferTooSmall`] (never panics) when `buf`
     /// cannot hold the header.
     pub fn encode_into(&self, buf: &mut [u8]) -> Result<usize> {
-        self.emit(buf)?;
-        Ok(self.header_len())
+        let layout = ExtLayout::of(self.features);
+        let len = CORE_HEADER_LEN + layout.total;
+        check_emit_len(buf, len)?;
+        let (core, ext) = buf[..len].split_at_mut(CORE_HEADER_LEN);
+        let config_data = match self.config_id {
+            CONFIG_CONTROL_V0 => u32::from(self.control_type_raw.unwrap_or(0)),
+            _ => self.features.bits(),
+        };
+        let mut hdr = CoreHeader::new_unchecked(core);
+        hdr.set_config_id(self.config_id);
+        hdr.set_config_data(config_data);
+        hdr.set_experiment(self.experiment);
+        // A slot whose value is missing, and every reserved byte, is zero.
+        ext.fill(0);
+        // A view reads extension slots only under the data configuration
+        // id, so only a data header has them written.
+        if self.config_id != CONFIG_DATA_V0 {
+            return Ok(len);
+        }
+        if let (Some(o), Some(seq)) = (layout.sequence, self.sequence) {
+            write_u64(ext, o, seq);
+        }
+        if let (Some(o), Some(r)) = (layout.retransmit, self.retransmit) {
+            slot::write_retransmit(ext, o, r);
+        }
+        if let (Some(o), Some(t)) = (layout.timeliness, self.timeliness) {
+            slot::write_timeliness(ext, o, t);
+        }
+        if let (Some(o), Some(a)) = (layout.age, self.age) {
+            slot::write_age(ext, o, a);
+        }
+        if let (Some(o), Some(p)) = (layout.pacing, self.pacing_mbps) {
+            write_u32(ext, o, p);
+        }
+        if let (Some(o), Some(w)) = (layout.backpressure, self.backpressure_window) {
+            write_u32(ext, o, w);
+        }
+        if let (Some(o), Some(c)) = (layout.priority, self.priority_class) {
+            slot::write_priority(ext, o, c);
+        }
+        Ok(len)
     }
 
     /// Zero-copy parse: read the header from the front of `buf` and
@@ -297,8 +323,8 @@ impl MmtRepr {
     /// allocation; malformed or truncated input returns `Err` exactly
     /// like [`MmtRepr::parse`].
     pub fn decode_from(buf: &[u8]) -> Result<(MmtRepr, &[u8])> {
-        let repr = MmtRepr::parse(buf)?;
-        Ok((repr, &buf[repr.header_len()..]))
+        let (repr, len) = Self::parse_len(buf)?;
+        Ok((repr, &buf[len..]))
     }
 
     /// Emit header + payload into a fresh buffer.

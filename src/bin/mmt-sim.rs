@@ -544,7 +544,7 @@ fn cmd_failover(flags: HashMap<String, String>) {
     for r in failover::run_all(&p) {
         println!(
             "{:<10} complete {:<5} delivered {:<6} lost {:<4} exhausted {:<4} rehomed {:<5} \
-             standby-served {:<5} transitions {:<3} recovery {}",
+             standby-served {:<5} transitions {:<3} recovery {:<10} events {}",
             r.name,
             r.complete,
             r.delivered,
@@ -556,6 +556,7 @@ fn cmd_failover(flags: HashMap<String, String>) {
             r.recovery_latency
                 .map(|t| t.to_string())
                 .unwrap_or_else(|| "-".into()),
+            r.events,
         );
     }
 }
