@@ -1552,6 +1552,84 @@ mod tests {
     }
 
     #[test]
+    fn control_and_data_events_at_one_timestamp_dispatch_in_push_order() {
+        use crate::wheel::{HORIZON_TICKS, SLOTS, SLOT_NS};
+
+        /// Logs every callback; a crashed node logs nothing, so a crash
+        /// or restart dispatched out of push order changes the log.
+        #[derive(Default)]
+        struct Recorder(Vec<&'static str>);
+        impl Node for Recorder {
+            fn on_packet(&mut self, _: &mut Context<'_>, _: PortId, _: Packet) {
+                self.0.push("arrive");
+            }
+            fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {
+                self.0.push("timer");
+            }
+            fn on_crash(&mut self) {
+                self.0.push("crash");
+            }
+            fn on_restart(&mut self, _: &mut Context<'_>) {
+                self.0.push("restart");
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+
+        type Push = fn(&mut Simulator, NodeId, Time);
+        let arrive: Push = |sim, n, at| sim.inject(at, n, 0, Packet::new(vec![0u8; 64]));
+        let timer: Push = |sim, n, at| sim.schedule_timer(at, n, 7);
+        let crash: Push = |sim, n, at| sim.schedule_crash(n, at, None);
+        // Down from 100 ns, back up at `at`: the restart shares the
+        // timestamp with whatever the permutation pushes after it.
+        let restart: Push = |sim, n, at| sim.schedule_crash(n, Time::from_nanos(100), Some(at));
+
+        let permutations: [(&[Push], &[&str], u64); 3] = [
+            (
+                &[restart, arrive, timer, crash],
+                &["crash", "restart", "arrive", "timer", "crash"],
+                0,
+            ),
+            (
+                &[restart, timer, arrive, crash],
+                &["crash", "restart", "timer", "arrive", "crash"],
+                0,
+            ),
+            // Crash pushed ahead of the data events: both are swallowed
+            // (the arrival counted, the timer silently).
+            (
+                &[restart, crash, arrive, timer],
+                &["crash", "restart", "crash"],
+                1,
+            ),
+        ];
+        // Inside one level-0 slot, across a level cascade, and out of
+        // the overflow list beyond the wheel horizon.
+        for at_ns in [500, SLOTS as u64 * SLOT_NS + 5, HORIZON_TICKS * SLOT_NS + 5] {
+            let at = Time::from_nanos(at_ns);
+            for (pushes, expected, swallowed) in permutations {
+                let mut sim = Simulator::new(1);
+                let n = sim.add_node("n", Box::new(Recorder::default()));
+                for push in pushes {
+                    push(&mut sim, n, at);
+                }
+                sim.run();
+                assert_eq!(
+                    sim.node_as::<Recorder>(n).unwrap().0,
+                    expected,
+                    "events at {at_ns} ns left push order"
+                );
+                assert_eq!(sim.crashed_drops(n), swallowed, "at {at_ns} ns");
+                assert_eq!(sim.now(), at);
+            }
+        }
+    }
+
+    #[test]
     fn mode_change_recorded_in_trace() {
         let mut sim = Simulator::new(1);
         sim.enable_trace();
