@@ -617,9 +617,9 @@ fn e14(opts: &Opts) {
 
     // The high-K ladder: one row per fleet size at a fixed shard count.
     // Deterministic quantities only — the memory columns of the
-    // EXPERIMENTS.md ladder table come from `mmt-sim bench --sensors K`
-    // (peak_rss_per_flow_bytes in BENCH_scale.json), which must run in a
-    // fresh process because VmHWM is monotone.
+    // EXPERIMENTS.md ladder table come from one `mmt-sim fleet --sensors K`
+    // per cell (peak_rss_per_flow_bytes), each a fresh process because
+    // VmHWM is monotone.
     let cells: &[usize] = if opts.quick {
         &[1_000]
     } else {
@@ -627,7 +627,7 @@ fn e14(opts: &Opts) {
     };
     let ladder = scale::ladder(cells, 4, 1);
     let mut t = TextTable::new(
-        "E14 — high-K ladder (4 shards; per-flow RSS regenerated by mmt-sim bench)",
+        "E14 — high-K ladder (4 shards; per-flow RSS regenerated by mmt-sim fleet)",
         &[
             "sensors",
             "shards",

@@ -2,9 +2,8 @@
 //!
 //! The `tables` binary (`cargo run -p mmt-bench --release --bin tables`)
 //! re-runs every experiment in DESIGN.md's per-experiment index and prints
-//! the rows/series the paper's evaluation reports; the `microbench` bench
-//! (`cargo bench -p mmt-bench`) measures the software packet-processing
-//! costs (M1) with a self-contained harness.
+//! the rows/series the paper's evaluation reports. Host-time measurement
+//! is not here: the repo benchmark lives in `benchmark/`.
 //!
 //! This library hosts the small shared pieces: an aligned-text table
 //! printer and JSON result records (serialized with `mmt-telemetry`'s
@@ -12,8 +11,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod scale;
 
 use mmt_telemetry::json::{self, JsonObject};
 use std::io::Write;

@@ -69,7 +69,6 @@ mod link;
 pub mod linkstats;
 mod node;
 mod packet;
-pub mod profile;
 mod queue;
 mod rng;
 pub mod shard;
@@ -85,7 +84,6 @@ pub use link::{Link, LinkId, LinkSpec, LossModel, LossState};
 pub use linkstats::LinkStatsBlock;
 pub use node::{Context, Node, NodeId, PortId, TimerToken};
 pub use packet::{Packet, PacketMeta, Tail};
-pub use profile::{SpanProfiler, Stage, StageTotals};
 pub use queue::{QueueSpec, TransmitQueue};
 pub use rng::SimRng;
 pub use shard::{GroupResult, ShardLoad, ShardReport, ShardedSim};

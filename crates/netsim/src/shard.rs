@@ -20,14 +20,13 @@
 //! for 1, 2, 4, … shards and identical to a serial loop over the groups.
 //!
 //! Threads only change *wall-clock* time, which is exactly the quantity
-//! the bench layer measures (wall-clock never enters this crate; the
+//! `benchmark/` measures (wall-clock never enters this crate; the
 //! determinism lint bans it here).
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 
 use crate::linkstats::LinkStatsBlock;
-use crate::profile::SpanProfiler;
 use crate::rng::SimRng;
 use mmt_telemetry::{MetricRegistry, SeriesRow, TraceRecord};
 
@@ -141,13 +140,10 @@ pub struct GroupResult {
     /// JSONL is byte-identical across shard/worker counts — the
     /// streaming analogue of `MetricRegistry::absorb`.
     pub series: Vec<SeriesRow>,
-    /// The group's span profile (zeroed unless profiling is enabled);
-    /// merged by commutative addition.
-    pub profile: SpanProfiler,
 }
 
 /// Deterministic per-shard load summary (virtual work, not wall time —
-/// wall time belongs to the bench layer).
+/// wall time belongs to `benchmark/`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardLoad {
     /// Groups the shard executed.
@@ -174,13 +170,11 @@ pub struct ShardReport {
     pub shard_loads: Vec<ShardLoad>,
     /// Per-group series rows concatenated in ascending group order.
     pub series: Vec<SeriesRow>,
-    /// Span profiles summed across groups (order-independent).
-    pub profile: SpanProfiler,
 }
 
 impl ShardReport {
     /// Each shard's share of total events, in `[0, 1]` (the utilization
-    /// proxy the bench reports; 1/N everywhere means perfect balance).
+    /// proxy E14 reports; 1/N everywhere means perfect balance).
     pub fn shard_utilization(&self) -> Vec<f64> {
         let total = self.events.max(1) as f64;
         self.shard_loads
@@ -320,7 +314,6 @@ struct MergeAcc {
     packets: u64,
     shard_loads: Vec<ShardLoad>,
     series: Vec<SeriesRow>,
-    profile: SpanProfiler,
     /// Next group id the fold is waiting for.
     next: usize,
     /// Groups that finished ahead of `next`, keyed by group id.
@@ -338,7 +331,6 @@ impl MergeAcc {
             packets: 0,
             shard_loads: vec![ShardLoad::default(); shards],
             series: Vec::new(),
-            profile: SpanProfiler::new(),
             next: 0,
             pending: BTreeMap::new(),
         }
@@ -370,7 +362,6 @@ impl MergeAcc {
         self.events += result.events;
         self.packets += result.packets;
         self.series.append(&mut result.series);
-        self.profile.merge(&result.profile);
         if let Some(load) = self.shard_loads.get_mut(shard) {
             load.groups += 1;
             load.events += result.events;
@@ -394,7 +385,6 @@ impl MergeAcc {
             packets: self.packets,
             shard_loads: self.shard_loads,
             series: self.series,
-            profile: self.profile,
         }
     }
 }
@@ -451,7 +441,6 @@ mod tests {
             events: 0,
             packets: 0,
             series: Vec::new(),
-            profile: SpanProfiler::new(),
         }
     }
 
@@ -503,7 +492,6 @@ mod tests {
             events: 10 + g as u64,
             packets: 1,
             series: Vec::new(),
-            profile: SpanProfiler::new(),
         });
         assert_eq!(report.shard_loads.len(), 4);
         assert_eq!(report.shard_loads.iter().map(|l| l.groups).sum::<u64>(), 10);
@@ -522,14 +510,12 @@ mod tests {
     }
 
     #[test]
-    fn series_and_profile_merge_ignores_worker_layout() {
+    fn series_merge_ignores_worker_layout() {
         let run = |workers| {
             let report = ShardedSim::new(5, 4)
                 .with_workers(workers)
                 .run(8, |g, _seed| {
                     let g_s = g.to_string();
-                    let mut profile = SpanProfiler::new();
-                    profile.add(crate::profile::Stage::Encode, g as u64, 1);
                     GroupResult {
                         registry: MetricRegistry::new(),
                         links: LinkStatsBlock::new(),
@@ -542,23 +528,16 @@ mod tests {
                             &[("group", g_s.as_str())],
                             g as u64,
                         )],
-                        profile,
                     }
                 });
-            (
-                mmt_telemetry::series::to_jsonl(&report.series),
-                report.profile,
-            )
+            mmt_telemetry::series::to_jsonl(&report.series)
         };
-        let (s1, p1) = run(1);
+        let s1 = run(1);
         for w in [2, 4, 8] {
-            let (s, p) = run(w);
-            assert_eq!(s1, s, "{w}-worker series must merge byte-identically");
-            assert_eq!(p1, p, "{w}-worker profile must merge identically");
+            assert_eq!(s1, run(w), "{w}-worker series must merge byte-identically");
         }
         let first = s1.lines().next().unwrap_or("");
         assert!(first.contains("\"group\":\"0\""), "ascending group order");
-        assert_eq!(p1.get(crate::profile::Stage::Encode).events, 28);
     }
 
     #[test]

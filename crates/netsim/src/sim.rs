@@ -1,15 +1,11 @@
 //! The simulator event loop.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-
 use mmt_telemetry::SeriesRow;
 
 use crate::fault::FaultVerdict;
 use crate::link::{Link, LinkId, LinkSpec, LinkStats};
 use crate::node::{Action, Context, Node, NodeId, PortId, TimerToken};
 use crate::packet::Packet;
-use crate::profile::{SpanProfiler, Stage};
 use crate::rng::SimRng;
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent, TraceKind};
@@ -25,103 +21,12 @@ enum EventKind {
     },
     /// A link transmitter finished serializing; it may start the next packet.
     TxComplete { link: usize },
-    /// A node timer fires; `armed_at` feeds the span profiler's
-    /// timer-dispatch attribution (arm→fire delay).
-    Timer {
-        node: usize,
-        token: TimerToken,
-        armed_at: Time,
-    },
+    /// A node timer fires.
+    Timer { node: usize, token: TimerToken },
     /// A scheduled node crash takes effect.
     NodeCrash { node: usize },
     /// A crashed node comes back up.
     NodeRestart { node: usize },
-}
-
-struct Event {
-    at: Time,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The pluggable event queue. The timing wheel is the default engine;
-/// the binary heap it replaced stays behind
-/// [`Simulator::with_heap_scheduler`] as a differential-testing escape
-/// hatch for one release (see `tests/scheduler_equivalence.rs`), after
-/// which it will be removed.
-///
-/// Both engines implement the same ordering contract — pop strictly by
-/// `(timestamp, push order)` — so every simulation is byte-identical
-/// under either.
-enum EventQueue {
-    /// Hierarchical timing wheel: O(1) schedule, amortized O(1) pop,
-    /// same-slot events batch-drained into one dispatch buffer.
-    Wheel(TimerWheel<EventKind>),
-    /// The legacy `BinaryHeap` engine: O(log n) per operation.
-    Heap {
-        heap: BinaryHeap<Reverse<Event>>,
-        seq: u64,
-    },
-}
-
-impl EventQueue {
-    fn push(&mut self, at: Time, kind: EventKind) {
-        match self {
-            EventQueue::Wheel(wheel) => {
-                wheel.schedule(at.as_nanos(), kind);
-            }
-            EventQueue::Heap { heap, seq } => {
-                let s = *seq;
-                *seq = seq.wrapping_add(1);
-                heap.push(Reverse(Event { at, seq: s, kind }));
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, EventKind)> {
-        match self {
-            EventQueue::Wheel(wheel) => wheel.pop().map(|(at, kind)| (Time::from_nanos(at), kind)),
-            EventQueue::Heap { heap, .. } => heap.pop().map(|Reverse(e)| (e.at, e.kind)),
-        }
-    }
-
-    fn peek_at(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(wheel) => wheel.peek().map(|(at, _)| Time::from_nanos(at)),
-            EventQueue::Heap { heap, .. } => heap.peek().map(|Reverse(e)| e.at),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Wheel(wheel) => wheel.is_empty(),
-            EventQueue::Heap { heap, .. } => heap.is_empty(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            EventQueue::Wheel(_) => "wheel",
-            EventQueue::Heap { .. } => "heap",
-        }
-    }
 }
 
 struct NodeEntry {
@@ -159,26 +64,16 @@ struct SeriesState {
     rows: Vec<SeriesRow>,
 }
 
-/// The hot-path span profiler state (enabled via
-/// [`Simulator::enable_profiler`]).
-struct ProfilerState {
-    spans: SpanProfiler,
-    /// Enqueue time per `(link, packet id)` for queue-residency
-    /// attribution. A re-enqueued id on the same link (retransmit copy
-    /// still resident) overwrites the entry — the residency of the
-    /// older copy is dropped, a documented approximation.
-    enqueued_at: BTreeMap<(u64, u64), Time>,
-}
-
 /// The discrete-event network simulator.
 ///
 /// Deterministic given its seed and the order of construction: nodes and
-/// links are identified by insertion order, event ties are broken by a
-/// global sequence number.
+/// links are identified by insertion order, and events sharing a timestamp
+/// dispatch in the order they were pushed (the [`TimerWheel`]'s ordering
+/// contract, held by `tests/wheel_properties.rs`).
 pub struct Simulator {
     now: Time,
     next_packet_id: u64,
-    events: EventQueue,
+    events: TimerWheel<EventKind>,
     nodes: Vec<NodeEntry>,
     links: Vec<Link>,
     rng: SimRng,
@@ -187,7 +82,6 @@ pub struct Simulator {
     actions: Vec<Action>,
     events_processed: u64,
     series: Option<SeriesState>,
-    profiler: Option<ProfilerState>,
 }
 
 impl Simulator {
@@ -196,7 +90,7 @@ impl Simulator {
         Simulator {
             now: Time::ZERO,
             next_packet_id: 1,
-            events: EventQueue::Wheel(TimerWheel::new()),
+            events: TimerWheel::new(),
             nodes: Vec::new(),
             links: Vec::new(),
             rng: SimRng::new(seed),
@@ -205,35 +99,7 @@ impl Simulator {
             actions: Vec::new(),
             events_processed: 0,
             series: None,
-            profiler: None,
         }
-    }
-
-    /// Run on the legacy `BinaryHeap` event queue instead of the timing
-    /// wheel. Observationally identical (same pop order, digests, and
-    /// telemetry bytes — pinned by `tests/scheduler_equivalence.rs`),
-    /// just slower; kept for one release as a differential-testing
-    /// escape hatch, then the heap engine will be removed.
-    ///
-    /// # Panics
-    /// Panics if events have already been scheduled.
-    #[must_use]
-    pub fn with_heap_scheduler(mut self) -> Simulator {
-        assert!(
-            self.events.is_empty() && !self.started,
-            "scheduler must be chosen before any event is scheduled"
-        );
-        self.events = EventQueue::Heap {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        };
-        self
-    }
-
-    /// Name of the active event-queue engine (`"wheel"` or `"heap"`),
-    /// recorded in bench artifacts.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.events.name()
     }
 
     /// Enable the periodic time-series sampler: one batch of rows per
@@ -308,30 +174,6 @@ impl Simulator {
         if let Some(s) = &mut self.series {
             s.next_k = k;
             s.rows.append(&mut rows);
-        }
-    }
-
-    /// Enable the hot-path span profiler (virtual-time + event-count
-    /// attribution per [`Stage`]; see [`Simulator::profiler`]).
-    pub fn enable_profiler(&mut self) {
-        self.profiler = Some(ProfilerState {
-            spans: SpanProfiler::new(),
-            enqueued_at: BTreeMap::new(),
-        });
-    }
-
-    /// The accumulated span profile, if profiling is enabled.
-    pub fn profiler(&self) -> Option<&SpanProfiler> {
-        self.profiler.as_ref().map(|p| &p.spans)
-    }
-
-    /// Fold externally-measured work into the span profile (no-op when
-    /// profiling is disabled). The simulator core only sees queue, link,
-    /// and timer work; protocol layers attribute encode/decode,
-    /// retransmit-serve, and mode-control work through this.
-    pub fn profile_add(&mut self, stage: Stage, events: u64, vtime_ns: u64) {
-        if let Some(p) = &mut self.profiler {
-            p.spans.add(stage, events, vtime_ns);
         }
     }
 
@@ -662,13 +504,11 @@ impl Simulator {
     /// Schedule a timer for a node from outside a callback.
     pub fn schedule_timer(&mut self, at: Time, node: NodeId, token: TimerToken) {
         assert!(at >= self.now, "cannot schedule into the past");
-        let armed_at = self.now;
         self.push_event(
             at,
             EventKind::Timer {
                 node: node.0,
                 token,
-                armed_at,
             },
         );
     }
@@ -750,7 +590,7 @@ impl Simulator {
     }
 
     fn push_event(&mut self, at: Time, kind: EventKind) {
-        self.events.push(at, kind);
+        self.events.schedule(at.as_nanos(), kind);
     }
 
     fn ensure_started(&mut self) {
@@ -785,15 +625,7 @@ impl Simulator {
                 Action::Send { port, pkt } => self.handle_send(idx, port, pkt),
                 Action::Timer { delay, token } => {
                     let at = self.now + delay;
-                    let armed_at = self.now;
-                    self.push_event(
-                        at,
-                        EventKind::Timer {
-                            node: idx,
-                            token,
-                            armed_at,
-                        },
-                    );
+                    self.push_event(at, EventKind::Timer { node: idx, token });
                 }
                 Action::DeliverLocal { pkt } => {
                     self.trace.record(TraceEvent {
@@ -875,10 +707,6 @@ impl Simulator {
                 config: meta.config.map(u64::from),
             });
         }
-        if let Some(p) = &mut self.profiler {
-            p.spans.add(Stage::QueueOps, 1, 0);
-            p.enqueued_at.insert((link_idx as u64, meta.id), self.now);
-        }
         if !self.links[link_idx].busy {
             self.start_tx(link_idx);
         }
@@ -891,14 +719,6 @@ impl Simulator {
             return;
         };
         link.busy = true;
-        if let Some(p) = &mut self.profiler {
-            let key = (link_idx as u64, pkt.meta.id);
-            let residency = match p.enqueued_at.remove(&key) {
-                Some(t0) => self.now.as_nanos().saturating_sub(t0.as_nanos()),
-                None => 0,
-            };
-            p.spans.add(Stage::QueueOps, 1, residency);
-        }
         let tx = link.spec.bandwidth.tx_time(pkt.len());
         link.stats.busy_ns += tx.as_nanos();
         link.stats.tx_packets += 1;
@@ -967,15 +787,6 @@ impl Simulator {
                     if reordered {
                         link.stats.reordered += 1;
                     }
-                    if let Some(p) = &mut self.profiler {
-                        let base = (arrive_at + extra_delay)
-                            .as_nanos()
-                            .saturating_sub(self.now.as_nanos());
-                        let copies = 1 + u64::from(duplicate_after.is_some());
-                        let lag_ns = duplicate_after.map_or(0, |l| l.as_nanos());
-                        p.spans
-                            .add(Stage::LinkDelivery, copies, base * copies + lag_ns);
-                    }
                     if let Some(lag) = duplicate_after {
                         link.stats.delivered_packets += 1;
                         link.stats.dup_injected += 1;
@@ -1013,20 +824,9 @@ impl Simulator {
         entry.crashes += 1;
         entry.behavior.on_crash();
         let mut flushed = 0u64;
-        for (link_idx, link) in self.links.iter_mut().enumerate() {
-            if link.src_node != idx {
-                continue;
-            }
-            while let Some(pkt) = link.queue.dequeue() {
+        for link in self.links.iter_mut().filter(|l| l.src_node == idx) {
+            while link.queue.dequeue().is_some() {
                 flushed += 1;
-                if let Some(p) = &mut self.profiler {
-                    let key = (link_idx as u64, pkt.meta.id);
-                    let residency = match p.enqueued_at.remove(&key) {
-                        Some(t0) => self.now.as_nanos().saturating_sub(t0.as_nanos()),
-                        None => 0,
-                    };
-                    p.spans.add(Stage::QueueOps, 1, residency);
-                }
             }
         }
         self.nodes[idx].crashed_drops += flushed;
@@ -1049,6 +849,7 @@ impl Simulator {
         let Some((at, kind)) = self.events.pop() else {
             return false;
         };
+        let at = Time::from_nanos(at);
         debug_assert!(at >= self.now, "time went backwards");
         self.sample_series_until(at);
         self.now = at;
@@ -1080,18 +881,10 @@ impl Simulator {
                 self.links[link].busy = false;
                 self.start_tx(link);
             }
-            EventKind::Timer {
-                node,
-                token,
-                armed_at,
-            } => {
+            EventKind::Timer { node, token } => {
                 if self.nodes[node].crashed {
                     // Timers armed before the crash die with the process.
                     return true;
-                }
-                if let Some(p) = &mut self.profiler {
-                    let delay = self.now.as_nanos().saturating_sub(armed_at.as_nanos());
-                    p.spans.add(Stage::TimerDispatch, 1, delay);
                 }
                 self.call_node(node, |n, ctx| n.on_timer(ctx, token));
             }
@@ -1126,8 +919,8 @@ impl Simulator {
     /// `deadline` are processed) or the queue drains.
     pub fn run_until(&mut self, deadline: Time) {
         self.ensure_started();
-        while let Some(head_at) = self.events.peek_at() {
-            if head_at > deadline {
+        while let Some((head_at, _)) = self.events.peek() {
+            if Time::from_nanos(head_at) > deadline {
                 self.sample_series_until(deadline);
                 self.now = deadline;
                 break;
@@ -1412,6 +1205,7 @@ mod tests {
         assert!(sim.node_as_mut::<Sink>(a).is_some());
         let drained = sim.take_local_deliveries(a);
         assert!(drained.is_empty());
+        assert!(sim.take_series().is_empty(), "series disabled → empty");
     }
 
     /// Sink that tracks the crash/restart hooks and drops a counter on
@@ -1696,44 +1490,6 @@ mod tests {
             .map(|r| r.t_ns)
             .collect();
         assert_eq!(ts, vec![0, 10_000, 20_000], "boundaries ≤ deadline");
-    }
-
-    #[test]
-    fn profiler_attributes_queue_link_and_timer_stages() {
-        use crate::profile::Stage;
-        let mut sim = Simulator::new(9);
-        sim.enable_profiler();
-        let src = sim.add_node("src", Box::new(Burst { n: 3, size: 1500 }));
-        let dst = sim.add_node("dst", Box::new(Sink));
-        sim.add_oneway(src, 0, dst, 0, gbit_link(1));
-        let t = sim.add_node("t", Box::new(Sink));
-        sim.schedule_timer(Time::from_millis(7), t, 1);
-        sim.run();
-        sim.profile_add(Stage::Decode, 3, 42);
-        let p = sim.profiler().unwrap().clone();
-        // 3 enqueues + 3 dequeues.
-        assert_eq!(p.get(Stage::QueueOps).events, 6);
-        // Packets 2 and 3 wait 12 and 24 µs in the queue.
-        assert_eq!(p.get(Stage::QueueOps).vtime_ns, 36_000);
-        assert_eq!(p.get(Stage::LinkDelivery).events, 3);
-        // Each delivery is 12 µs serialization + 1 ms propagation.
-        assert_eq!(p.get(Stage::LinkDelivery).vtime_ns, 3 * 1_012_000);
-        assert_eq!(p.get(Stage::TimerDispatch).events, 1);
-        assert_eq!(p.get(Stage::TimerDispatch).vtime_ns, 7_000_000);
-        assert_eq!(p.get(Stage::Decode).events, 3, "profile_add folds in");
-        assert_eq!(sim.profiler().unwrap().total_events(), 13);
-    }
-
-    #[test]
-    fn profiler_disabled_is_free_and_add_is_noop() {
-        let mut sim = Simulator::new(9);
-        let src = sim.add_node("src", Box::new(Burst { n: 3, size: 1500 }));
-        let dst = sim.add_node("dst", Box::new(Sink));
-        sim.add_oneway(src, 0, dst, 0, gbit_link(1));
-        sim.run();
-        sim.profile_add(crate::profile::Stage::Decode, 1, 1);
-        assert!(sim.profiler().is_none());
-        assert!(sim.take_series().is_empty(), "series disabled → empty");
     }
 
     #[test]

@@ -8,10 +8,8 @@ use mmt_telemetry::QuantileSketch;
 /// and out-of-range `q` is clamped, matching
 /// [`LatencyHistogram::quantile`].
 ///
-/// This is the sort-once building block for sweep aggregation: callers
-/// that need several quantiles of the same sample set sort once (or take
-/// [`LatencyHistogram::sorted_samples`]) and query this repeatedly,
-/// instead of paying a hidden re-sort per call on cloned sample vectors.
+/// This is the exact reference model the sketch's error bound is checked
+/// against (`tests/sketch_properties.rs`).
 pub fn quantile_sorted(sorted: &[u64], q: f64) -> Option<u64> {
     if sorted.is_empty() {
         return None;
@@ -23,28 +21,13 @@ pub fn quantile_sorted(sorted: &[u64], q: f64) -> Option<u64> {
     sorted.get(rank.min(sorted.len() - 1)).copied()
 }
 
-/// Median over an already-sorted slice (see [`quantile_sorted`]).
-pub fn median_sorted(sorted: &[u64]) -> Option<u64> {
-    // mmt-lint: allow(F1, "exactly-representable quantile constant passed to report-side selection")
-    quantile_sorted(sorted, 0.5)
-}
-
-/// A batch of quantiles over one already-sorted slice; the cheap way to
-/// fill a table row (min/median/p99/max and friends) with a single sort.
-pub fn quantiles_sorted(sorted: &[u64], qs: &[f64]) -> Vec<Option<u64>> {
-    qs.iter().map(|&q| quantile_sorted(sorted, q)).collect()
-}
-
-/// A latency recorder with quantile queries, sketch-backed by default.
+/// A latency recorder with quantile queries, backed by a sketch.
 ///
 /// The hot path (per-flow recorders in fleet-scale runs) must not grow
-/// with the sample count, so the default mode keeps **only** a
-/// fixed-memory [`QuantileSketch`]: `count`, `sum`, `min`, `max`, and
-/// `stddev` stay exact while quantiles carry the sketch's documented
-/// bound (`v ≤ estimate ≤ v + v/32`, exact below 32 ns). Construct with
-/// [`LatencyHistogram::exact`] to additionally retain every sample, which
-/// restores exact nearest-rank quantiles — the fallback tests and
-/// honesty measurements use.
+/// with the sample count, so the histogram keeps **only** a fixed-memory
+/// [`QuantileSketch`]: `count`, `sum`, `min`, `max`, and `stddev` are
+/// exact while quantiles carry the sketch's documented bound
+/// (`v ≤ estimate ≤ v + v/32`, exact below 32 ns).
 ///
 /// Quantiles use the **nearest-rank** definition: for `n` samples the
 /// `q`-quantile is the sample at sorted index `round((n − 1) · q)`. So
@@ -55,9 +38,6 @@ pub fn quantiles_sorted(sorted: &[u64], qs: &[f64]) -> Vec<Option<u64>> {
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     sketch: QuantileSketch,
-    /// `Some` only in exact mode; grows with the sample count.
-    samples_ns: Option<Vec<u64>>,
-    sorted: bool,
 }
 
 impl Default for LatencyHistogram {
@@ -67,40 +47,16 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty sketch-backed histogram (fixed memory; the hot-path
-    /// default).
+    /// An empty histogram (fixed memory).
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
             sketch: QuantileSketch::new(),
-            samples_ns: None,
-            sorted: true,
         }
-    }
-
-    /// An empty histogram that *also* retains every sample for exact
-    /// nearest-rank quantiles (tests, honesty comparisons; memory grows
-    /// with the sample count).
-    pub fn exact() -> LatencyHistogram {
-        LatencyHistogram {
-            sketch: QuantileSketch::new(),
-            samples_ns: Some(Vec::new()),
-            sorted: true,
-        }
-    }
-
-    /// Whether exact samples are retained (quantiles are then exact).
-    pub fn is_exact(&self) -> bool {
-        self.samples_ns.is_some()
     }
 
     /// Record a latency.
     pub fn record(&mut self, latency: Time) {
-        let ns = latency.as_nanos();
-        self.sketch.record(ns);
-        if let Some(samples) = &mut self.samples_ns {
-            samples.push(ns);
-            self.sorted = false;
-        }
+        self.sketch.record(latency.as_nanos());
     }
 
     /// Number of samples.
@@ -118,43 +74,17 @@ impl LatencyHistogram {
         &self.sketch
     }
 
-    /// Exact sum of all recorded latencies in nanoseconds (saturating) —
-    /// the span profiler's virtual-time attribution for decode stages.
+    /// Exact sum of all recorded latencies in nanoseconds (saturating).
     pub fn sum_ns(&self) -> u64 {
         self.sketch.sum().min(u128::from(u64::MAX)) as u64
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            if let Some(samples) = &mut self.samples_ns {
-                samples.sort_unstable();
-            }
-            self.sorted = true;
-        }
-    }
-
-    /// The retained sorted samples — **exact mode only**; the sketch-backed
-    /// default returns an empty slice because the hot path no longer
-    /// caches sample vectors. Exact-mode sweep aggregation should take
-    /// this once and fan out through [`quantile_sorted`].
-    pub fn sorted_samples(&mut self) -> &[u64] {
-        self.ensure_sorted();
-        self.samples_ns.as_deref().unwrap_or(&[])
-    }
-
     /// The `q`-quantile (0.0–1.0) by nearest-rank, or `None` if empty:
-    /// exact when samples are retained, otherwise the sketch estimate
-    /// (upper-biased by at most 1/32). NaN `q` degrades to 0 (faulted
-    /// telemetry can compute `q` from poisoned ratios) and out-of-range
-    /// `q` is clamped.
+    /// the sketch estimate, upper-biased by at most 1/32. NaN `q`
+    /// degrades to 0 (faulted telemetry can compute `q` from poisoned
+    /// ratios) and out-of-range `q` is clamped.
     pub fn quantile(&mut self, q: f64) -> Option<Time> {
-        if self.samples_ns.is_some() {
-            self.ensure_sorted();
-            let sorted = self.samples_ns.as_deref().unwrap_or(&[]);
-            quantile_sorted(sorted, q).map(Time::from_nanos)
-        } else {
-            self.sketch.quantile(q).map(Time::from_nanos)
-        }
+        self.sketch.quantile(q).map(Time::from_nanos)
     }
 
     /// Median latency.
@@ -176,44 +106,30 @@ impl LatencyHistogram {
         self.quantile(0.999)
     }
 
-    /// Mean latency (exact in both modes).
+    /// Mean latency (exact).
     pub fn mean(&self) -> Option<Time> {
         self.sketch.mean().map(Time::from_nanos)
     }
 
-    /// Minimum (exact in both modes).
+    /// Minimum (exact).
     pub fn min(&self) -> Option<Time> {
         self.sketch.min().map(Time::from_nanos)
     }
 
-    /// Maximum (exact in both modes).
+    /// Maximum (exact).
     pub fn max(&self) -> Option<Time> {
         self.sketch.max().map(Time::from_nanos)
     }
 
-    /// Population standard deviation in nanoseconds (exact in both
-    /// modes; 0.0 with fewer than two samples).
+    /// Population standard deviation in nanoseconds (exact; 0.0 with
+    /// fewer than two samples).
     pub fn stddev_ns(&self) -> f64 {
         self.sketch.stddev()
     }
 
-    /// Merge another histogram into this one. Sketches always merge
-    /// (commutatively); retained samples survive only when **both**
-    /// sides are exact — merging a sketch-only histogram in degrades
-    /// the result to sketch mode, since the samples cannot be
-    /// reconstructed.
+    /// Merge another histogram into this one (commutative).
     pub fn merge(&mut self, other: &LatencyHistogram) {
         self.sketch.merge(&other.sketch);
-        match (&mut self.samples_ns, &other.samples_ns) {
-            (Some(mine), Some(theirs)) => {
-                mine.extend_from_slice(theirs);
-                self.sorted = false;
-            }
-            _ => {
-                self.samples_ns = None;
-                self.sorted = true;
-            }
-        }
     }
 }
 
@@ -271,21 +187,30 @@ impl OnlineStats {
 mod tests {
     use super::*;
 
+    /// `est` is the sketch's answer for an exact nearest-rank `v`.
+    fn within_sketch_bound(est: u64, v: u64) -> bool {
+        est >= v && est <= v + v / 32
+    }
+
     #[test]
     fn histogram_quantiles() {
-        let mut h = LatencyHistogram::exact();
+        let mut h = LatencyHistogram::new();
         assert!(h.is_empty());
-        assert!(h.is_exact());
         assert_eq!(h.quantile(0.5), None);
-        for ms in 1..=100u64 {
-            h.record(Time::from_millis(ms));
+        let sorted: Vec<u64> = (1..=100u64).map(|ms| ms * 1_000_000).collect();
+        for &ns in &sorted {
+            h.record(Time::from_nanos(ns));
         }
         assert_eq!(h.count(), 100);
-        // Nearest-rank on an even count lands on the upper middle sample.
-        assert_eq!(h.median().unwrap().as_millis(), 51);
+        // Nearest-rank on an even count lands on the upper middle sample
+        // (51 ms); p99 on sample 99. The sketch answers within its bound.
+        for q in [0.5, 0.99] {
+            let exact = quantile_sorted(&sorted, q).unwrap();
+            let est = h.quantile(q).unwrap().as_nanos();
+            assert!(within_sketch_bound(est, exact), "q={q}: {est} vs {exact}");
+        }
         assert_eq!(h.quantile(0.0).unwrap().as_millis(), 1);
         assert_eq!(h.quantile(1.0).unwrap().as_millis(), 100);
-        assert_eq!(h.quantile(0.99).unwrap().as_millis(), 99);
         assert_eq!(h.min().unwrap().as_millis(), 1);
         assert_eq!(h.max().unwrap().as_millis(), 100);
         assert_eq!(h.mean().unwrap().as_micros(), 50_500);
@@ -343,30 +268,25 @@ mod tests {
 
     #[test]
     fn p999_separates_tail() {
-        let mut h = LatencyHistogram::exact();
+        let mut h = LatencyHistogram::new();
         for v in 1..=10_000u64 {
             h.record(Time::from_nanos(v));
         }
         // Nearest rank: round(9999·0.99) = 9899 → sample 9900, and
         // round(9999·0.999) = 9989 → sample 9990.
-        assert_eq!(h.p99().unwrap().as_nanos(), 9_900);
-        assert_eq!(h.p999().unwrap().as_nanos(), 9_990);
+        let (p99, p999) = (h.p99().unwrap().as_nanos(), h.p999().unwrap().as_nanos());
+        assert!(within_sketch_bound(p99, 9_900), "{p99}");
+        assert!(within_sketch_bound(p999, 9_990), "{p999}");
+        assert!(p999 > p99);
     }
 
     #[test]
-    fn sketch_mode_keeps_no_samples() {
+    fn aggregates_stay_exact() {
         let mut h = LatencyHistogram::new();
         for v in 1..=10_000u64 {
             h.record(Time::from_nanos(v));
         }
-        assert!(!h.is_exact());
         assert_eq!(h.count(), 10_000);
-        assert_eq!(
-            h.sorted_samples(),
-            &[] as &[u64],
-            "hot-path mode must not retain sample vectors"
-        );
-        // Exact aggregates survive in sketch mode.
         assert_eq!(h.min().unwrap().as_nanos(), 1);
         assert_eq!(h.max().unwrap().as_nanos(), 10_000);
         assert_eq!(h.mean().unwrap().as_nanos(), 5_000);
@@ -374,46 +294,21 @@ mod tests {
     }
 
     #[test]
-    fn sketch_mode_quantiles_hold_documented_bound() {
-        let mut sk = LatencyHistogram::new();
-        let mut ex = LatencyHistogram::exact();
-        for v in 1..=10_000u64 {
-            let t = Time::from_nanos(v * 977); // spread across octaves
-            sk.record(t);
-            ex.record(t);
+    fn quantiles_hold_documented_bound() {
+        let mut h = LatencyHistogram::new();
+        let sorted: Vec<u64> = (1..=10_000u64).map(|v| v * 977).collect(); // spread across octaves
+        for &ns in &sorted {
+            h.record(Time::from_nanos(ns));
         }
         for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            let exact = ex.quantile(q).unwrap().as_nanos();
-            let est = sk.quantile(q).unwrap().as_nanos();
+            let exact = quantile_sorted(&sorted, q).unwrap();
+            let est = h.quantile(q).unwrap().as_nanos();
             assert!(
-                est >= exact && est <= exact + exact / 32,
+                within_sketch_bound(est, exact),
                 "q={q}: est {est} outside [{exact}, {}]",
                 exact + exact / 32
             );
         }
-    }
-
-    #[test]
-    fn merge_degrades_to_sketch_when_either_side_lacks_samples() {
-        let mut a = LatencyHistogram::exact();
-        let mut b = LatencyHistogram::new();
-        a.record(Time::from_nanos(10));
-        b.record(Time::from_nanos(20));
-        a.merge(&b);
-        assert!(
-            !a.is_exact(),
-            "samples cannot be reconstructed from a sketch"
-        );
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max().unwrap().as_nanos(), 20);
-
-        let mut c = LatencyHistogram::exact();
-        let mut d = LatencyHistogram::exact();
-        c.record(Time::from_nanos(1));
-        d.record(Time::from_nanos(2));
-        c.merge(&d);
-        assert!(c.is_exact(), "exact + exact stays exact");
-        assert_eq!(c.sorted_samples(), &[1, 2]);
     }
 
     #[test]
@@ -438,37 +333,21 @@ mod tests {
     }
 
     #[test]
-    fn sorted_slice_helpers_match_histogram() {
-        let mut h = LatencyHistogram::exact();
-        for v in [40u64, 10, 30, 20, 50] {
-            h.record(Time::from_nanos(v));
+    fn quantile_sorted_uses_nearest_rank() {
+        let sorted = [10u64, 20, 30, 40, 50];
+        for (q, expected) in [
+            (0.0, 10),
+            (0.25, 20),
+            (0.5, 30),
+            (0.9, 50),
+            (1.0, 50),
+            (f64::NAN, 10),
+            (-3.0, 10),
+            (9.0, 50),
+        ] {
+            assert_eq!(quantile_sorted(&sorted, q), Some(expected), "q={q}");
         }
-        let sorted: Vec<u64> = h.sorted_samples().to_vec();
-        assert_eq!(sorted, vec![10, 20, 30, 40, 50]);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0, f64::NAN, -3.0, 9.0] {
-            assert_eq!(
-                quantile_sorted(&sorted, q),
-                h.quantile(q).map(|t| t.as_nanos()),
-                "free helper and histogram must agree at q={q}"
-            );
-        }
-        assert_eq!(median_sorted(&sorted), Some(30));
-        assert_eq!(
-            quantiles_sorted(&sorted, &[0.0, 0.5, 1.0]),
-            vec![Some(10), Some(30), Some(50)]
-        );
         assert_eq!(quantile_sorted(&[], 0.5), None);
-        assert_eq!(median_sorted(&[]), None);
-    }
-
-    #[test]
-    fn sorted_samples_caches_between_queries() {
-        let mut h = LatencyHistogram::exact();
-        h.record(Time::from_nanos(2));
-        h.record(Time::from_nanos(1));
-        assert_eq!(h.sorted_samples(), &[1, 2]);
-        h.record(Time::from_nanos(0));
-        assert_eq!(h.sorted_samples(), &[0, 1, 2], "re-sorts after a record");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Hierarchical timing wheel — the simulator's O(1) event queue.
 //!
-//! The `BinaryHeap` scheduler this replaces pays `O(log n)` per push/pop
-//! and, worse, moves whole `Event` structs (which carry packets) through
-//! every sift step. The wheel stores each event **once** in a slab and
-//! routes a tiny `(index, generation)` pair through the wheel structure,
-//! so scheduling and cancellation are O(1) and a pop is an amortized
-//! O(1) `Vec::pop`.
+//! A binary heap pays `O(log n)` per push/pop and, worse, moves whole
+//! events (which carry packets) through every sift step. The wheel
+//! stores each event **once** in a slab and routes a tiny
+//! `(index, generation)` pair through the wheel structure, so scheduling
+//! and cancellation are O(1) and a pop is an amortized O(1) `Vec::pop`.
 //!
 //! ## Structure
 //!
@@ -32,9 +31,8 @@
 //!
 //! [`TimerWheel::pop`] yields events in exactly the order a min-heap
 //! over `(time, insertion sequence)` would: ties at one timestamp break
-//! by schedule order (FIFO). The differential suite in
-//! `tests/scheduler_equivalence.rs` and the property tests in
-//! `tests/wheel_properties.rs` pin this equivalence.
+//! by schedule order (FIFO). The property tests in
+//! `tests/wheel_properties.rs` pin this against exactly that model.
 //!
 //! ## Cancellation
 //!
@@ -149,6 +147,7 @@ impl<T> TimerWheel<T> {
     /// Schedule `value` at absolute time `at` (nanoseconds). Any `at` is
     /// accepted — times at or before the last popped event merge into
     /// the ready buffer and pop next in `(at, seq)` order.
+    #[inline] // called once per event, straight from the simulator's loop
     pub fn schedule(&mut self, at: u64, value: T) -> WheelToken {
         let seq = self.seq;
         self.seq = self.seq.wrapping_add(1);
@@ -246,6 +245,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Pop the globally minimum `(at, seq)` event.
+    #[inline] // called once per event, straight from the simulator's loop
     pub fn pop(&mut self) -> Option<(u64, T)> {
         loop {
             if self.ready.is_empty() {

@@ -3,8 +3,8 @@
 //! Demonstrates the two halves of the scale story at once: the sharded
 //! runner produces *byte-identical* telemetry and trace digests at every
 //! shard count (the determinism column), while spreading the event-loop
-//! work across threads (the balance column). Wall-clock speedup is
-//! measured by `mmt-bench`/`mmt-sim bench`, which own the clock; this
+//! work across threads (the balance column). Wall-clock time is
+//! measured by `benchmark/` (`fleet-clean`), which owns the clock; this
 //! experiment reports only deterministic quantities.
 
 use crate::manyflow::{self, ManyFlowConfig};
@@ -69,7 +69,7 @@ pub fn full(seed: u64) -> Vec<E14Row> {
 /// The high-K ladder: one row per fleet size in `sensors`, all at a fixed
 /// shard count. The struct-of-arrays flow core plus virtual payload tails
 /// make K = 1 000 000 feasible in one process; memory figures belong to
-/// `mmt-bench` (this experiment reports only deterministic quantities).
+/// `mmt-sim fleet` (this experiment reports only deterministic quantities).
 pub fn ladder(sensors: &[usize], shards: usize, seed: u64) -> Vec<E14Row> {
     sensors
         .iter()

@@ -12,8 +12,7 @@ use mmt_dataplane::programs::{self, BorderConfig};
 use mmt_dataplane::{DataplaneElement, ElementStats};
 use mmt_netsim::stats::LatencyHistogram;
 use mmt_netsim::{
-    Bandwidth, FaultSpec, LinkId, LinkSpec, LossModel, NodeId, Packet, Simulator, SpanProfiler,
-    Stage, Time,
+    Bandwidth, FaultSpec, LinkId, LinkSpec, LossModel, NodeId, Packet, Simulator, Time,
 };
 use mmt_wire::mmt::{ControlRepr, ExperimentId, Features, MmtRepr, ModeChangeRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
@@ -69,17 +68,6 @@ pub struct PilotConfig {
     pub restart_at: Option<Time>,
     /// Simulation seed.
     pub seed: u64,
-    /// Run on the legacy binary-heap event queue instead of the timing
-    /// wheel (differential testing only; see
-    /// [`mmt_netsim::Simulator::with_heap_scheduler`]).
-    pub heap_scheduler: bool,
-    /// House the pilot stream's adaptive state (mode word, deadline,
-    /// occupancy, retransmit-source slot) in a [`FlowTable`] row instead
-    /// of only inside the boxed controller. Behaviour-neutral: the
-    /// controller's word is parked in the table between control
-    /// intervals and thawed before each observation, so every decision
-    /// is byte-identical either way. Off only for differential testing.
-    pub flow_table: bool,
 }
 
 impl PilotConfig {
@@ -109,8 +97,6 @@ impl PilotConfig {
             crash_at: Time::ZERO,
             restart_at: None,
             seed: 7,
-            heap_scheduler: false,
-            flow_table: true,
         }
     }
 }
@@ -157,15 +143,14 @@ pub struct Pilot {
     /// DTN 1's WAN-facing egress link (dtn1 → tofino) — where drops land
     /// when the sensor overcommits the WAN (experiment E7).
     pub dtn1_egress: LinkId,
-    /// Dense per-flow state for the pilot stream (`None` when
-    /// `PilotConfig::flow_table` is off): the mode word is parked here
-    /// between control intervals, the deadline column holds the mode-2
-    /// budget, occupancy mirrors the retransmit buffer, and the
-    /// retransmit-source slot records which buffer (0 = primary DTN 1,
-    /// 1 = standby) currently serves NAKs.
-    pub flow_table: Option<FlowTable>,
+    /// Dense per-flow state for the pilot stream: the mode word is
+    /// parked here between control intervals, the deadline column holds
+    /// the mode-2 budget, occupancy mirrors the retransmit buffer, and
+    /// the retransmit-source slot records which buffer (0 = primary
+    /// DTN 1, 1 = standby) currently serves NAKs.
+    pub flow_table: FlowTable,
     /// The pilot stream's row in [`Pilot::flow_table`].
-    pub stream_flow: Option<FlowId>,
+    pub stream_flow: FlowId,
     config: PilotConfig,
 }
 
@@ -182,9 +167,6 @@ impl Pilot {
     /// Build the Fig. 4 chain.
     pub fn build(config: PilotConfig) -> Pilot {
         let mut sim = Simulator::new(config.seed);
-        if config.heap_scheduler {
-            sim = sim.with_heap_scheduler();
-        }
 
         // --- nodes ---
         let mut sender_cfg = SenderConfig::regular(
@@ -328,19 +310,14 @@ impl Pilot {
         }
 
         // --- flow-state row ---
-        let (flow_table, stream_flow) = if config.flow_table {
-            let mut table = FlowTable::with_capacity(1);
-            let id = table.alloc();
-            if let Some(id) = id {
-                table.set_deadline_ns(id, config.deadline_budget.as_nanos());
-                // Slot 0 = the primary retransmit buffer (DTN 1); a
-                // re-home flips this to 1 (the standby).
-                table.set_retx_slot(id, 0);
-            }
-            (Some(table), id)
-        } else {
-            (None, None)
-        };
+        let mut flow_table = FlowTable::with_capacity(1);
+        let stream_flow = flow_table
+            .alloc()
+            .expect("an empty table has room for one flow"); // mmt-lint: allow(P1, "alloc only fails when the 2^32 id space is exhausted; this table was created one line up")
+        flow_table.set_deadline_ns(stream_flow, config.deadline_budget.as_nanos());
+        // Slot 0 = the primary retransmit buffer (DTN 1); a re-home flips
+        // this to 1 (the standby).
+        flow_table.set_retx_slot(stream_flow, 0);
 
         Pilot {
             sim,
@@ -386,9 +363,8 @@ impl Pilot {
         let mut applied = 0u64;
         // Seed the flow row from the incoming controller so the first
         // thaw below hands back exactly the state the caller passed in.
-        if let (Some(table), Some(id)) = (&mut self.flow_table, self.stream_flow) {
-            table.set_mode_word(id, controller.word());
-        }
+        let id = self.stream_flow;
+        self.flow_table.set_mode_word(id, controller.word());
         while self.sim.now() < horizon {
             let t = (self.sim.now() + interval).min(horizon);
             self.sim.run_until(t);
@@ -414,29 +390,21 @@ impl Pilot {
             // Thaw the parked mode word, decide, park it again — the
             // storage round-trip a flow-table-resident fleet performs per
             // control interval. The word written back is the word read
-            // plus this observation, so decisions are byte-identical to
-            // the controller-resident path.
-            if let (Some(table), Some(id)) = (&mut self.flow_table, self.stream_flow) {
-                if let Some(word) = table.mode_word(id) {
-                    controller.load_word(word);
-                }
+            // plus this observation.
+            if let Some(word) = self.flow_table.mode_word(id) {
+                controller.load_word(word);
             }
             let transitions = controller.observe(&sample);
-            if let (Some(table), Some(id)) = (&mut self.flow_table, self.stream_flow) {
-                table.set_mode_word(id, controller.word());
-                table.set_occupancy(id, occupancy.min(u64::from(u32::MAX)) as u32);
-                if transitions
-                    .iter()
-                    .any(|t| matches!(t, ModeTransition::ReHome { .. }))
-                {
-                    // The stream's NAK service moved to the standby.
-                    table.set_retx_slot(id, 1);
-                }
+            self.flow_table.set_mode_word(id, controller.word());
+            self.flow_table
+                .set_occupancy(id, occupancy.min(u64::from(u32::MAX)) as u32);
+            if transitions
+                .iter()
+                .any(|t| matches!(t, ModeTransition::ReHome { .. }))
+            {
+                // The stream's NAK service moved to the standby.
+                self.flow_table.set_retx_slot(id, 1);
             }
-            // Each closed-loop observation is one mode-control decision;
-            // the control channel is out-of-band, so its virtual-time
-            // cost in the model is zero.
-            self.sim.profile_add(Stage::ModeControl, 1, 0);
             if !transitions.is_empty() {
                 applied += transitions.len() as u64;
                 self.apply_transitions(&transitions, controller);
@@ -561,37 +529,6 @@ impl Pilot {
     /// Drain the sampled series rows accumulated so far.
     pub fn take_series(&mut self) -> Vec<mmt_telemetry::SeriesRow> {
         self.sim.take_series()
-    }
-
-    /// Enable the hot-path span profiler on the underlying simulator.
-    pub fn enable_profiler(&mut self) {
-        self.sim.enable_profiler();
-    }
-
-    /// The accumulated span profile with the protocol-layer stages the
-    /// simulator cannot see folded in (`None` unless profiling is
-    /// enabled): encode = sender emissions (instantaneous in virtual
-    /// time), decode = receiver deliveries with the summed end-to-end
-    /// latency as virtual time, retransmit-serve = buffer re-sends with
-    /// the holdoff window as per-serve virtual time.
-    pub fn profile(&self) -> Option<SpanProfiler> {
-        let mut p = self.sim.profiler()?.clone();
-        let report = self.report();
-        p.add(Stage::Encode, report.sender.sent, 0);
-        p.add(
-            Stage::Decode,
-            report.receiver.delivered,
-            report.latency.sum_ns(),
-        );
-        p.add(
-            Stage::RetransmitServe,
-            report.buffer.retransmitted,
-            report
-                .buffer
-                .retransmitted
-                .saturating_mul(self.config.retx_holdoff.as_nanos()),
-        );
-        Some(p)
     }
 
     /// Render a flight-recorder dump of the retained trace ring: a
@@ -831,41 +768,45 @@ mod tests {
     }
 
     #[test]
-    fn flow_table_row_is_behavior_neutral_and_mirrors_the_controller() {
+    fn flow_table_row_mirrors_the_controller() {
         use mmt_core::controller::ControllerConfig;
         let mut cfg = PilotConfig::default_run();
         cfg.message_count = 300;
         cfg.wan_loss = LossModel::Random(0.05); // push the loss EWMA around
-        let run = |cfg: PilotConfig| {
-            let mut pilot = Pilot::build(cfg);
-            let mut controller = ModeController::new(ControllerConfig::default());
-            let applied =
-                pilot.run_adaptive(Time::from_secs(5), Time::from_millis(5), &mut controller);
-            (pilot, controller, applied)
-        };
-        let (with, c_with, applied_with) = run(cfg.clone());
-        let (without, c_without, applied_without) = run({
-            let mut c = cfg.clone();
-            c.flow_table = false;
-            c
-        });
-        // Behaviour-neutral: same decisions, same simulation, same
-        // telemetry, byte for byte.
-        assert_eq!(applied_with, applied_without);
-        assert_eq!(c_with.word(), c_without.word());
-        assert_eq!(*c_with.stats(), *c_without.stats());
-        assert_eq!(with.sim.events_processed(), without.sim.events_processed());
-        assert_eq!(
-            mmt_telemetry::prometheus::render(&with.metrics()),
-            mmt_telemetry::prometheus::render(&without.metrics())
+        let mut pilot = Pilot::build(cfg.clone());
+        let mut controller = ModeController::new(ControllerConfig::default());
+        pilot.run_adaptive(Time::from_secs(5), Time::from_millis(5), &mut controller);
+        assert_ne!(
+            controller.word().loss_ewma_ppm(),
+            0,
+            "the run must move the controller off its initial word"
         );
-        // The table row mirrors the controller and the stream config.
-        let table = with.flow_table.as_ref().expect("flow table on by default");
-        let id = with.stream_flow.expect("stream row allocated");
-        assert_eq!(table.mode_word(id), Some(c_with.word()));
+        let (table, id) = (&pilot.flow_table, pilot.stream_flow);
+        assert_eq!(table.mode_word(id), Some(controller.word()));
         assert_eq!(table.deadline_ns(id), Some(cfg.deadline_budget.as_nanos()));
+        let stored = pilot.node::<RetransmitBuffer>(pilot.dtn1).stored_bytes();
+        assert_eq!(table.occupancy(id), Some(stored as u32));
         assert_eq!(table.retx_slot(id), Some(0), "no re-home: still primary");
-        assert!(without.flow_table.is_none());
+    }
+
+    #[test]
+    fn rehome_flips_the_flow_table_retx_slot() {
+        let mut cfg = PilotConfig::default_run();
+        cfg.message_count = 300;
+        cfg.wan_loss = LossModel::Random(1e-2);
+        cfg.standby = true;
+        cfg.crash_node = Some("dtn1".to_string());
+        cfg.crash_at = Time::from_millis(4);
+        let mut pilot = Pilot::build(cfg);
+        let mut controller = ModeController::new(crate::experiments::failover::controller_config());
+        pilot.run_adaptive(Time::from_secs(5), Time::from_millis(5), &mut controller);
+        assert!(controller.word().rehomed(), "dead primary must re-home");
+        assert_eq!(pilot.flow_table.retx_slot(pilot.stream_flow), Some(1));
+        assert_eq!(
+            pilot.report().receiver_retransmit_source,
+            Some((addrs::STANDBY, STANDBY_NAK_PORT)),
+            "the table's slot mirrors where the receiver now NAKs"
+        );
     }
 
     #[test]

@@ -16,9 +16,9 @@
 
 use mmt::netsim::{Bandwidth, FaultSpec, LossModel, PeriodicOutage, Time};
 use mmt::pilot::experiments::{failover, fct, hol};
+use mmt::pilot::manyflow::{self, ManyFlowConfig};
 use mmt::pilot::{Pilot, PilotConfig};
 use mmt::protocol::ModeController;
-use mmt_bench::scale::{self, ScaleBenchConfig};
 use std::collections::HashMap;
 
 fn usage() -> ! {
@@ -58,23 +58,9 @@ fn usage() -> ! {
          \x20 hol     E2 head-of-line compare   [--loss P] [--rtt-ms N] [--messages N] [--seed N]\n\
          \x20 failover E13 crash failover      [--loss P] [--messages N] [--seed N]\n\
          \x20         [--crash-at MS] [--restart-at MS]\n\
-         \x20 bench   many-flow scale bench    [--sensors K] [--packets N] [--seed N]\n\
-         \x20         [--shards LIST]           comma-separated shard counts (default 1,2,4;\n\
-         \x20                                   first entry is the speedup baseline)\n\
-         \x20         [--quick 0|1]             CI smoke shape (K=256, 4 packets/sensor)\n\
-         \x20         [--scheduler heap|wheel]  restrict the event-scheduler sweep to one\n\
-         \x20                                   implementation (default: both, with digest\n\
-         \x20                                   equality enforced across them)\n\
-         \x20         [--profile 0|1]           hot-path span profiler override (default:\n\
-         \x20                                   on for the full shape, off for --quick 1);\n\
-         \x20                                   when on, exits 1 if link_delivery attributes\n\
-         \x20                                   zero events (dead-profile smoke)\n\
-         \x20         [--budget FILE]           per-flow RSS budget file; exits 1 if any\n\
-         \x20                                   measured peak_rss_per_flow_bytes exceeds its\n\
-         \x20                                   budgeted cell by more than 10%\n\
-         \x20         [--out FILE]              JSON report path (default BENCH_scale.json)\n\
-         \x20         memory ladder runs first (ascending K; explicit --sensors K measures\n\
-         \x20         K/10 and K) and records peak_rss_per_flow_bytes per cell\n\
+         \x20 fleet   one E14 fleet in this process [--sensors K] [--packets N] [--seed N]\n\
+         \x20         prints packets, events, digest, peak_rss_kb and\n\
+         \x20         peak_rss_per_flow_bytes (CI gates the last against BENCH_budget.json)\n\
          \x20 io-pilot sender→DTN→receiver over real UDP sockets (sans-io core,\n\
          \x20         real time). Default: both endpoints in-process over loopback.\n\
          \x20         [--listen ADDR]           run only the receiving half, bound to ADDR\n\
@@ -101,7 +87,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parse `--key value` pairs, accepting only the flags `cmd` knows: a
+/// misspelt or retired flag must not silently run the default shape.
+fn parse_flags(cmd: &str, known: &[&str], args: &[String]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -110,11 +98,66 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("bad flag syntax near {:?}", args[i]);
             usage();
         }
+        if !known.contains(&key.as_str()) {
+            eprintln!("unknown flag --{key} for {cmd}");
+            std::process::exit(2);
+        }
         flags.insert(key, args[i + 1].clone());
         i += 2;
     }
     flags
 }
+
+const PILOT_FLAGS: &[&str] = &[
+    "rtt-ms",
+    "loss",
+    "messages",
+    "gbps",
+    "deadline-ms",
+    "seed",
+    "metrics-out",
+    "trace-out",
+    "trace-format",
+    "trace-cap",
+    "series-out",
+    "series-interval-us",
+    "flight-out",
+    "flight-cap",
+    "reorder",
+    "reorder-delay-us",
+    "dup",
+    "dup-delay-us",
+    "jitter-us",
+    "flap-period-ms",
+    "flap-down-ms",
+    "nak-loss",
+    "crash-node",
+    "crash-at",
+    "restart-at",
+    "adapt",
+];
+const FCT_FLAGS: &[&str] = &["loss", "mb", "rtt1-ms", "rtt2-ms", "gbps", "seed"];
+const HOL_FLAGS: &[&str] = &["loss", "rtt-ms", "messages", "seed"];
+const FAILOVER_FLAGS: &[&str] = &["loss", "messages", "seed", "crash-at", "restart-at"];
+const FLEET_FLAGS: &[&str] = &["sensors", "packets", "seed"];
+const IO_PILOT_FLAGS: &[&str] = &[
+    "listen",
+    "connect",
+    "messages",
+    "len",
+    "gap-us",
+    "loss",
+    "dup",
+    "delay-us",
+    "seed",
+    "rto-min-us",
+    "rto-max-us",
+    "nak-retries",
+    "deadline-us",
+    "metrics-out",
+    "flight-out",
+    "flight-cap",
+];
 
 fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
     match flags.get(key) {
@@ -561,151 +604,47 @@ fn cmd_failover(flags: HashMap<String, String>) {
     }
 }
 
-fn cmd_bench(flags: HashMap<String, String>) {
-    let quick = match flags.get("quick").map(String::as_str) {
-        None | Some("0") => false,
-        Some("1") => true,
-        Some(other) => {
-            eprintln!("--quick must be 0 or 1, got {other}");
-            std::process::exit(2);
-        }
+/// Peak resident set size in kB from `/proc/self/status` (`VmHWM`);
+/// 0 when the file or field is unavailable (non-Linux).
+fn peak_rss_kb() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
     };
-    // --profile is an override, not the source of truth: absent, the
-    // shape's default stands (full profiles so BENCH_scale.json always
-    // attributes stages; quick stays cheap for CI smoke).
-    let profile = match flags.get("profile").map(String::as_str) {
-        None => None,
-        Some("0") => Some(false),
-        Some("1") => Some(true),
-        Some(other) => {
-            eprintln!("--profile must be 0 or 1, got {other}");
-            std::process::exit(2);
-        }
-    };
-    let mut cfg = if quick {
-        ScaleBenchConfig::quick()
-    } else {
-        ScaleBenchConfig::full()
-    };
-    if let Some(p) = profile {
-        cfg.profile = p;
-    }
-    cfg.sensors = get(&flags, "sensors", cfg.sensors);
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// One E14-shaped fleet in this fresh process, so `VmHWM` is the
+/// high-water mark of "process baseline + a K-flow fleet" and nothing
+/// else: the per-flow figure includes the baseline amortized over K
+/// (pessimistic, never flattering).
+fn cmd_fleet(flags: HashMap<String, String>) {
+    let mut cfg = ManyFlowConfig::fleet(
+        get(&flags, "sensors", 10_000usize),
+        1,
+        get(&flags, "seed", 1u64),
+    );
     cfg.packets_per_sensor = get(&flags, "packets", cfg.packets_per_sensor);
-    cfg.seed = get(&flags, "seed", cfg.seed);
     if cfg.sensors == 0 || cfg.packets_per_sensor == 0 {
         eprintln!("--sensors and --packets must be ≥ 1");
         std::process::exit(2);
     }
-    if flags.contains_key("sensors") {
-        // An explicit fleet size retargets the memory ladder too: a rung
-        // one decade down plus the target K.
-        let k = cfg.sensors;
-        cfg = cfg.with_memory_sensors(vec![(k / 10).max(1), k]);
-    }
-    match flags.get("scheduler").map(String::as_str) {
-        None => {}
-        Some(s @ ("heap" | "wheel")) => cfg = cfg.with_scheduler(s),
-        Some(other) => {
-            eprintln!("--scheduler must be heap or wheel, got {other}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(raw) = flags.get("shards") {
-        let parsed: Result<Vec<usize>, _> = raw.split(',').map(str::parse).collect();
-        match parsed {
-            Ok(list) if !list.is_empty() && list.iter().all(|&s| s >= 1) => {
-                cfg.shard_counts = list;
-            }
-            _ => {
-                eprintln!("--shards must be a comma-separated list of counts ≥ 1, got {raw}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
     println!(
-        "scale bench: {} sensors × {} packets, shards {:?}, schedulers {:?}, seed {}",
-        cfg.sensors, cfg.packets_per_sensor, cfg.shard_counts, cfg.schedulers, cfg.seed
+        "fleet: {} sensors × {} packets into {} DTNs, seed {}",
+        cfg.sensors, cfg.packets_per_sensor, cfg.dtns, cfg.seed
     );
-    let result = scale::run(&cfg);
-    for r in &result.rows {
-        println!(
-            "{:<5} shards {:<3} wall {:>9.3} ms  {:>12.0} pkt/s  {:>12.0} ev/s  speedup {:>5.2}x  \
-             digest {:016x}  util {:?}",
-            r.scheduler,
-            r.shards,
-            r.wall_ns as f64 / 1e6,
-            r.packets_per_sec,
-            r.events_per_sec,
-            r.speedup,
-            r.digest,
-            r.shard_utilization
-                .iter()
-                .map(|u| (u * 100.0).round() / 100.0)
-                .collect::<Vec<f64>>(),
-        );
-    }
-    for cell in &result.memory {
-        println!(
-            "memory K={:<8} peak RSS {:>9} kB  peak_rss_per_flow_bytes {}",
-            cell.sensors, cell.peak_rss_kb, cell.peak_rss_per_flow_bytes
-        );
-    }
-    if cfg.profile {
-        println!("hot-path span profile (baseline run):");
-        let mut link_delivery_events = 0u64;
-        for (stage, events, vtime_ns) in result.profile.rows() {
-            println!("  {stage:<18} events {events:>10}  vtime {vtime_ns:>14} ns");
-            if stage == "link_delivery" {
-                link_delivery_events = events;
-            }
-        }
-        if link_delivery_events == 0 {
-            eprintln!(
-                "PROFILE SMOKE FAILURE: link_delivery attributed 0 events — stage \
-                 attribution is dead (every delivered packet must cross a link)"
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = flags.get("budget") {
-        match std::fs::read_to_string(path) {
-            Ok(text) => match scale::check_budget(&result.memory, &text) {
-                Ok(()) => println!("per-flow RSS within budget ({path})"),
-                Err(e) => {
-                    eprintln!("PER-FLOW RSS BUDGET EXCEEDED: {e}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("could not read budget file {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let report = manyflow::run(&cfg);
+    let rss_kb = peak_rss_kb();
+    println!("packets {}", report.shard.packets);
+    println!("events {}", report.shard.events);
+    println!("digest {:016x}", report.shard.trace_digest);
+    println!("peak_rss_kb {rss_kb}");
     println!(
-        "peak RSS {} kB; {} host core(s) (worker threads clamp to min(shards, cores))",
-        result.peak_rss_kb, result.host_cores
-    );
-    println!(
-        "latency-sample RSS honesty: sketch {} kB, exact {} kB, delta {} kB",
-        result.peak_rss_sketch_kb, result.peak_rss_exact_kb, result.rss_delta_kb
-    );
-    if !result.deterministic() {
-        eprintln!("DETERMINISM VIOLATION: digests diverged across shard counts or schedulers");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out, result.to_json() + "\n") {
-        eprintln!("could not write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "deterministic across shard counts and schedulers; best speedup {:.2}x; report written to {out}",
-        result.best_speedup()
+        "peak_rss_per_flow_bytes {}",
+        rss_kb.saturating_mul(1024) / cfg.sensors as u64
     );
 }
 
@@ -888,14 +827,15 @@ fn cmd_io_pilot(flags: HashMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let flags = parse_flags(&args[1..]);
-    match cmd.as_str() {
-        "pilot" => cmd_pilot(flags),
-        "fct" => cmd_fct(flags),
-        "hol" => cmd_hol(flags),
-        "failover" => cmd_failover(flags),
-        "bench" => cmd_bench(flags),
-        "io-pilot" => cmd_io_pilot(flags),
+    type Command = fn(HashMap<String, String>);
+    let (known, run): (&[&str], Command) = match cmd.as_str() {
+        "pilot" => (PILOT_FLAGS, cmd_pilot),
+        "fct" => (FCT_FLAGS, cmd_fct),
+        "hol" => (HOL_FLAGS, cmd_hol),
+        "failover" => (FAILOVER_FLAGS, cmd_failover),
+        "fleet" => (FLEET_FLAGS, cmd_fleet),
+        "io-pilot" => (IO_PILOT_FLAGS, cmd_io_pilot),
         _ => usage(),
-    }
+    };
+    run(parse_flags(cmd, known, &args[1..]));
 }

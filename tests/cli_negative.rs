@@ -317,41 +317,74 @@ fn flight_out_with_missing_parent_dir_rejected() {
 }
 
 #[test]
-fn bench_bad_profile_value_rejected() {
+fn misspelt_pilot_flag_rejected() {
+    // Used to run the default 2 000-message shape and exit 0.
     assert_clean_usage_error(
-        &["bench", "--quick", "1", "--profile", "2"],
-        "--profile must be 0 or 1",
+        &["pilot", "--mesages", "10"],
+        "unknown flag --mesages for pilot",
     );
 }
 
 #[test]
-fn bench_zero_shard_count_rejected() {
-    assert_clean_usage_error(&["bench", "--shards", "0"], "--shards");
+fn fleet_scheduler_flag_rejected() {
+    assert_clean_usage_error(
+        &["fleet", "--scheduler", "heap"],
+        "unknown flag --scheduler for fleet",
+    );
 }
 
 #[test]
-fn bench_non_numeric_shard_list_rejected() {
-    assert_clean_usage_error(&["bench", "--shards", "1,x"], "--shards");
+fn fleet_profile_flag_rejected() {
+    assert_clean_usage_error(
+        &["fleet", "--profile", "1"],
+        "unknown flag --profile for fleet",
+    );
 }
 
 #[test]
-fn bench_zero_sensors_rejected() {
-    assert_clean_usage_error(&["bench", "--sensors", "0"], "--sensors and --packets");
+fn retired_bench_command_prints_usage() {
+    assert_clean_usage_error(&["bench", "--quick", "1"], "usage: mmt-sim");
 }
 
 #[test]
-fn bench_zero_packets_rejected() {
-    assert_clean_usage_error(&["bench", "--packets", "0"], "--sensors and --packets");
+fn fleet_zero_sensors_rejected() {
+    assert_clean_usage_error(&["fleet", "--sensors", "0"], "--sensors and --packets");
 }
 
 #[test]
-fn bench_bad_quick_value_rejected() {
-    assert_clean_usage_error(&["bench", "--quick", "2"], "--quick must be 0 or 1");
+fn fleet_zero_packets_rejected() {
+    assert_clean_usage_error(&["fleet", "--packets", "0"], "--sensors and --packets");
 }
 
 #[test]
-fn bench_non_numeric_sensors_rejected() {
-    assert_clean_usage_error(&["bench", "--sensors", "abc"], "could not parse --sensors");
+fn fleet_non_numeric_sensors_rejected() {
+    assert_clean_usage_error(&["fleet", "--sensors", "abc"], "could not parse --sensors");
+}
+
+/// Sanity: a small fleet runs through the binary, exits 0 and prints the
+/// cells the CI memory gate reads.
+#[test]
+fn fleet_runs_clean_and_prints_the_rss_cell() {
+    let out = mmt_sim(&["fleet", "--sensors", "64", "--packets", "2", "--seed", "3"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "fleet run failed\nstderr: {}",
+        stderr_of(&out)
+    );
+    assert!(stdout.contains("\npackets 128\n"), "stdout: {stdout}");
+    for key in [
+        "events ",
+        "digest ",
+        "peak_rss_kb ",
+        "peak_rss_per_flow_bytes ",
+    ] {
+        assert!(
+            stdout.lines().any(|l| l.starts_with(key)),
+            "missing {key:?} in stdout: {stdout}"
+        );
+    }
 }
 
 #[test]
@@ -435,12 +468,4 @@ fn io_pilot_lossy_loopback_runs_clean() {
         stderr_of(&out)
     );
     assert!(stdout.contains("delivered 100/100"), "stdout: {stdout}");
-}
-
-#[test]
-fn bench_unknown_scheduler_rejected() {
-    assert_clean_usage_error(
-        &["bench", "--scheduler", "fifo"],
-        "--scheduler must be heap or wheel",
-    );
 }

@@ -3,19 +3,17 @@
 //! the `Fnv64` of one byte stream (Prometheus text, trace, series JSONL),
 //! so any change to event order, RNG draws, flow state or telemetry
 //! shows up here as a changed row — with no second engine, layout or
-//! histogram kept alive to compare against.
-//!
-//! In this commit each row is also reproduced through every reference
-//! twin (heap scheduler, boxed sensors, `flow_table = false`), proving
-//! the table is what both members of each pair emit before either is
-//! removed.
+//! histogram kept alive to compare against. (The commit that introduced
+//! this table reproduced every row through the binary-heap scheduler,
+//! the boxed-per-sensor fleet layout and the pilot without its
+//! flow-table row, then those twins were deleted.)
 //!
 //! Regenerate (only for an intended behaviour change) with
 //! `cargo test --release --test golden_digests -- --ignored --nocapture`
 //! and paste the printed rows over the tables below.
 
 use mmt::netsim::shard::digest_str;
-use mmt::netsim::{FaultSpec, LossModel, PeriodicOutage, ShardedSim, Time};
+use mmt::netsim::{FaultSpec, LossModel, PeriodicOutage, Time};
 use mmt::pilot::experiments::failover;
 use mmt::pilot::manyflow::{self, ManyFlowConfig};
 use mmt::pilot::{Pilot, PilotConfig};
@@ -146,94 +144,54 @@ fn pilot_row(cfg: PilotConfig, adaptive: bool) -> Row {
     ]
 }
 
-/// One `ManyFlowConfig::quick` fleet run with the series sampler on.
-fn fleet_row(cfg: &ManyFlowConfig, workers: usize) -> Row {
-    let sharded = ShardedSim::new(cfg.seed, cfg.shards).with_workers(workers);
-    let report = sharded.run(cfg.dtns, |g, gs| manyflow::run_group(cfg, g, gs));
+/// One `ManyFlowConfig::quick` fleet run with the series sampler on
+/// (serial; `sharded_determinism` holds every shard × worker layout to
+/// the serial bytes).
+fn fleet_row(seed: u64) -> Row {
+    let cfg = ManyFlowConfig::quick(seed).with_series(Time::from_micros(100));
+    let report = manyflow::run(&cfg).shard;
     [
-        cfg.seed,
+        seed,
         digest_str(&prometheus::render(&report.registry)),
         report.trace_digest,
         digest_str(&series::to_jsonl(&report.series)),
     ]
 }
 
-fn quick_fleet(seed: u64) -> ManyFlowConfig {
-    ManyFlowConfig::quick(seed).with_series(Time::from_micros(100))
-}
-
-/// Every twin of a pilot config: wheel/heap × flow table on/off.
-fn pilot_twins(cfg: &PilotConfig) -> Vec<(String, PilotConfig)> {
-    let mut out = Vec::new();
-    for heap in [false, true] {
-        for flow_table in [true, false] {
-            let mut c = cfg.clone();
-            c.heap_scheduler = heap;
-            c.flow_table = flow_table;
-            out.push((format!("heap={heap} flow_table={flow_table}"), c));
-        }
-    }
-    out
-}
-
-fn check_pilot(name: &str, table: &[Row; 8], shape: fn(u64) -> PilotConfig, adaptive: bool) {
+fn check(name: &str, table: &[Row; 8], row: impl Fn(u64) -> Row) {
     for (seed, pinned) in SEEDS.zip(table) {
-        for (twin, cfg) in pilot_twins(&shape(seed)) {
-            assert_eq!(
-                pilot_row(cfg, adaptive),
-                *pinned,
-                "{name} seed {seed} ({twin}): [seed, prometheus, trace, series] left the pinned row"
-            );
-        }
+        assert_eq!(
+            row(seed),
+            *pinned,
+            "{name} seed {seed}: [seed, prometheus, trace, series] left the pinned row"
+        );
     }
 }
 
 #[test]
 fn default_pilot_matches_pinned_digests() {
-    check_pilot("default pilot", &DEFAULT_PILOT, default_pilot, false);
+    check("default pilot", &DEFAULT_PILOT, |seed| {
+        pilot_row(default_pilot(seed), false)
+    });
 }
 
 #[test]
 fn faulted_pilot_matches_pinned_digests() {
-    check_pilot("faulted pilot", &FAULTED_PILOT, faulted_pilot, false);
+    check("faulted pilot", &FAULTED_PILOT, |seed| {
+        pilot_row(faulted_pilot(seed), false)
+    });
 }
 
 #[test]
 fn crash_adaptive_pilot_matches_pinned_digests() {
-    check_pilot(
-        "crash adaptive pilot",
-        &CRASH_ADAPTIVE_PILOT,
-        crash_pilot,
-        true,
-    );
+    check("crash adaptive pilot", &CRASH_ADAPTIVE_PILOT, |seed| {
+        pilot_row(crash_pilot(seed), true)
+    });
 }
 
 #[test]
 fn quick_fleet_matches_pinned_digests() {
-    for (seed, pinned) in SEEDS.zip(&QUICK_FLEET) {
-        for shards in [1usize, 2, 4] {
-            for workers in [1usize, 2, 4] {
-                for heap in [false, true] {
-                    for aos in [false, true] {
-                        let mut cfg = quick_fleet(seed).with_shards(shards);
-                        if heap {
-                            cfg = cfg.with_heap_scheduler();
-                        }
-                        if aos {
-                            cfg = cfg.with_aos_sensors();
-                        }
-                        assert_eq!(
-                            fleet_row(&cfg, workers),
-                            *pinned,
-                            "quick fleet seed {seed} ({shards} shards, {workers} workers, \
-                             heap={heap} aos={aos}): [seed, prometheus, trace, series] left \
-                             the pinned row"
-                        );
-                    }
-                }
-            }
-        }
-    }
+    check("quick fleet", &QUICK_FLEET, fleet_row);
 }
 
 fn print_table(name: &str, rows: impl Iterator<Item = Row>) {
@@ -253,8 +211,5 @@ fn print_golden_tables() {
     print_table("DEFAULT_PILOT", pilot(default_pilot, false));
     print_table("FAULTED_PILOT", pilot(faulted_pilot, false));
     print_table("CRASH_ADAPTIVE_PILOT", pilot(crash_pilot, true));
-    print_table(
-        "QUICK_FLEET",
-        SEEDS.map(|seed| fleet_row(&quick_fleet(seed), 1)),
-    );
+    print_table("QUICK_FLEET", SEEDS.map(fleet_row));
 }
