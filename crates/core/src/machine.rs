@@ -111,3 +111,82 @@ pub fn step<M: Machine + ?Sized>(m: &mut M, ctx: &mut Context<'_>, input: Input)
     replay(&mut out, ctx);
     *m.outbox() = out;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmt_netsim::{Node, Simulator};
+
+    /// A hand-written simulator node.
+    struct Plain;
+    impl Node for Plain {
+        fn on_packet(&mut self, _: &mut Context<'_>, _: PortId, _: Packet) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A machine that answers every frame by asking for a wake-up at an
+    /// instant already gone, and notes when each wake-up arrives.
+    #[derive(Default)]
+    struct LateWaker {
+        fired_at: Vec<Time>,
+        outbox: Vec<Output>,
+    }
+    impl Machine for LateWaker {
+        fn poll(&mut self, now: Time, input: Input, out: &mut Vec<Output>) {
+            match input {
+                Input::Frame { .. } => out.push(Output::WakeAt {
+                    at: Time::from_micros(1),
+                    token: 7,
+                }),
+                Input::Timer { token: 7 } => self.fired_at.push(now),
+                _ => {}
+            }
+        }
+        fn outbox(&mut self) -> &mut Vec<Output> {
+            &mut self.outbox
+        }
+    }
+    impl Node for LateWaker {
+        fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
+            step(self, ctx, Input::Frame { port, pkt });
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+            step(self, ctx, Input::Timer { token });
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn node_as_finds_the_registered_type_for_nodes_and_machines() {
+        let mut sim = Simulator::new(1);
+        let plain = sim.add_node("plain", Box::new(Plain));
+        let machine = sim.add_node("machine", Box::new(LateWaker::default()));
+        assert!(sim.node_as::<Plain>(plain).is_some());
+        assert!(sim.node_as::<LateWaker>(plain).is_none());
+        assert!(sim.node_as::<LateWaker>(machine).is_some());
+        assert!(sim.node_as::<Plain>(machine).is_none());
+        assert!(sim.node_as_mut::<LateWaker>(machine).is_some());
+        assert!(sim.node_as_mut::<Plain>(machine).is_none());
+    }
+
+    #[test]
+    fn a_wake_up_in_the_past_fires_at_the_current_instant() {
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node("late", Box::new(LateWaker::default()));
+        let at = Time::from_micros(10);
+        sim.inject(at, n, 0, Packet::new(vec![0]));
+        sim.run();
+        assert_eq!(sim.node_as::<LateWaker>(n).unwrap().fired_at, vec![at]);
+        assert_eq!(sim.now(), at);
+    }
+}

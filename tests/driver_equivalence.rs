@@ -8,7 +8,10 @@
 //! over the core-level delivery log — `(msg_index, seq)` pairs in arrival
 //! order — not over any time-stamped telemetry.
 
-use mmt::io::{run_loopback, IoPilotConfig};
+use std::io::ErrorKind;
+use std::net::UdpSocket;
+
+use mmt::io::{run_connect, run_listen, run_loopback, IoError, IoPilotConfig, IoPilotReport};
 use mmt::netsim::{Bandwidth, LinkSpec, Simulator, Time};
 use mmt::protocol::buffer::{PORT_DAQ, PORT_WAN};
 use mmt::protocol::{MmtReceiver, MmtSender, ReceiverConfig, RetransmitBuffer, SenderConfig};
@@ -134,4 +137,78 @@ fn io_driver_runs_are_reproducible_at_the_delivery_level() {
     let b = run_loopback(&io_config()).expect("second run");
     assert_eq!(a.delivery_digest, b.delivery_digest);
     assert_eq!(a.delivered, b.delivered);
+}
+
+/// A loopback UDP address nothing is bound to (the probe socket is
+/// dropped before the address is handed out).
+fn free_loopback_addr() -> String {
+    let probe = UdpSocket::bind(("127.0.0.1", 0)).expect("bind probe socket");
+    probe.local_addr().expect("probe address").to_string()
+}
+
+/// Run the two halves the way two processes would: `run_listen` on its
+/// own thread, `run_connect` once the listen socket is bound. A second
+/// bind of the address failing is how the bind is observed, since
+/// `run_listen` owns its socket; a listen bind that collides with such a
+/// probe is simply tried again.
+fn run_split(cfg: &IoPilotConfig) -> (IoPilotReport, IoPilotReport) {
+    let addr = free_loopback_addr();
+    std::thread::scope(|s| {
+        let listen = s.spawn(|| loop {
+            match run_listen(cfg, &addr) {
+                Err(IoError::Socket(e)) if e.kind() == ErrorKind::AddrInUse => {}
+                other => break other,
+            }
+        });
+        while UdpSocket::bind(addr.as_str()).is_ok() {
+            assert!(!listen.is_finished(), "listen side ended before binding");
+            std::thread::yield_now();
+        }
+        let connect = run_connect(cfg, &addr).expect("connect side");
+        let listen = listen.join().expect("listen thread").expect("listen side");
+        (listen, connect)
+    })
+}
+
+#[test]
+fn listen_and_connect_halves_deliver_the_loopback_and_sim_sequence() {
+    let cfg = io_config();
+    let (listen, connect) = run_split(&cfg);
+    assert!(listen.completed, "listen side must complete: {listen:?}");
+    assert!(listen.exactly_once());
+    assert_eq!(listen.duplicates, 0);
+    assert_eq!(listen.naks_sent, 0, "lossless loopback needs no recovery");
+    assert!(connect.completed, "connect side must finish its schedule");
+    assert_eq!(connect.sent, MESSAGES);
+    assert_eq!((connect.delivered, connect.delivery_digest), (0, 0));
+
+    let loopback = run_loopback(&cfg).expect("io loopback run");
+    assert_eq!(listen.delivery_digest, loopback.delivery_digest);
+    assert_eq!(listen.delivery_digest, run_sim().digest);
+}
+
+#[test]
+fn listen_and_connect_halves_recover_seeded_loss_exactly_once() {
+    // Arrival order under loss depends on when each NAK round lands, so
+    // this pins delivery and recovery, not the order-sensitive digest.
+    let mut cfg = io_config();
+    cfg.loss = 0.05;
+    cfg.rto_min = Time::from_millis(2);
+    let (listen, connect) = run_split(&cfg);
+    assert!(listen.completed, "lossy run must complete: {listen:?}");
+    assert!(listen.exactly_once());
+    assert_eq!(listen.delivered, MESSAGES);
+    assert!(connect.faults.dropped > 0, "the injector dropped something");
+    assert!(listen.recovered > 0, "recovery went through the NAK path");
+    assert!(connect.completed);
+}
+
+#[test]
+fn listen_side_without_a_peer_reports_no_peer() {
+    let mut cfg = io_config();
+    cfg.deadline = Time::from_millis(50);
+    match run_listen(&cfg, &free_loopback_addr()) {
+        Err(IoError::NoPeer) => {}
+        other => panic!("expected NoPeer, got {other:?}"),
+    }
 }
