@@ -16,13 +16,13 @@
 //!    sender (§5.1), realizing hop-by-hop flow control without TCP-style
 //!    congestion control (the §5.3 hypothesis exercised by experiment E7).
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use crate::store::{RetransmitStore, Served};
 use mmt_dataplane::action::Intrinsics;
 use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
 use mmt_dataplane::pipeline::Pipeline;
 use mmt_dataplane::programs::{self, BorderConfig};
-use mmt_netsim::{Context, Node, Packet, PacketMeta, PortId, Time, TimerToken};
+use mmt_netsim::{Packet, PacketMeta, PortId, Time, TimerToken};
 use mmt_wire::mmt::{BackpressureRepr, ControlRepr, ExperimentId, MmtRepr, ModeChangeRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 
@@ -84,7 +84,6 @@ pub struct RetransmitBuffer {
     /// Bumped on every crash so credit timers armed before the crash are
     /// recognisably stale after restart (no double credit chains).
     credit_epoch: u64,
-    outbox: Vec<Output>,
     /// Counters.
     pub stats: RetransmitBufferStats,
 }
@@ -108,7 +107,6 @@ impl RetransmitBuffer {
             credit,
             retx_holdoff: Time::ZERO,
             credit_epoch: 0,
-            outbox: Vec::new(),
             stats: RetransmitBufferStats::default(),
         }
     }
@@ -316,20 +314,22 @@ impl RetransmitBuffer {
         from_port: PortId,
     ) {
         self.stats.naks_received += 1;
-        for range in &nak.ranges {
-            for seq in range.first..=range.last {
-                match self.store.serve(seq, now, self.retx_holdoff) {
+        let stats = &mut self.stats;
+        for &range in &nak.ranges {
+            self.store
+                .serve(range, now, self.retx_holdoff, |answer| match answer {
                     Served::Hit(pkt) => {
                         out.push(Output::Transmit {
                             port: from_port,
                             pkt: pkt.clone(),
                         });
-                        self.stats.retransmitted += 1;
+                        stats.retransmitted += 1;
                     }
-                    Served::HeldOff => self.stats.retx_suppressed += 1,
-                    Served::Miss => self.stats.nak_misses += 1,
-                }
-            }
+                    Served::HeldOff => stats.retx_suppressed += 1,
+                    Served::Missing(gap) => {
+                        stats.nak_misses = stats.nak_misses.saturating_add(gap.len());
+                    }
+                });
         }
     }
 
@@ -469,60 +469,13 @@ impl Machine for RetransmitBuffer {
         // starts exactly one fresh chain.
         self.credit_epoch += 1;
     }
-
-    fn outbox(&mut self) -> &mut Vec<Output> {
-        &mut self.outbox
-    }
-}
-
-impl Node for RetransmitBuffer {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        machine::step(self, ctx, Input::Start);
-    }
-
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        machine::step(self, ctx, Input::Timer { token });
-    }
-
-    fn on_crash(&mut self) {
-        Machine::crash(self);
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        machine::step(self, ctx, Input::Restart);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_netsim::{Bandwidth, LinkSpec, Simulator};
+    use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Sink};
     use mmt_wire::mmt::{Features, NakRange, NakRepr};
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

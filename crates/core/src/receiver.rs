@@ -6,10 +6,10 @@
 //! gap never blocks later messages (the head-of-line contrast with TCP in
 //! §4.1).
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use crate::seqtrack::SeqTracker;
 use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
-use mmt_netsim::{Context, Node, Packet, PortId, Time, TimerToken};
+use mmt_netsim::{Packet, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr, NakRange, NakRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 use std::collections::BTreeMap;
@@ -133,7 +133,6 @@ pub struct MmtReceiver {
     /// When the most recent sequenced packet arrived.
     last_arrival: Time,
     nak_timer_armed: bool,
-    outbox: Vec<Output>,
     /// Delivered messages, in arrival order.
     log: Vec<ReceivedMessage>,
     /// Distinct message indices delivered.
@@ -156,7 +155,6 @@ impl MmtReceiver {
             retransmit_source: None,
             last_arrival: Time::ZERO,
             nak_timer_armed: false,
-            outbox: Vec::new(),
             log: Vec::new(),
             distinct: std::collections::BTreeSet::new(),
             stats: ReceiverStats::default(),
@@ -522,48 +520,13 @@ impl Machine for MmtReceiver {
             Input::Start | Input::Timer { .. } | Input::Restart => {}
         }
     }
-
-    fn outbox(&mut self) -> &mut Vec<Output> {
-        &mut self.outbox
-    }
-}
-
-impl Node for MmtReceiver {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        machine::step(self, ctx, Input::Timer { token });
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmt_dataplane::parser::ParsedPacket;
-    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator};
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
+    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

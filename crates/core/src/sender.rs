@@ -8,9 +8,9 @@
 //! arrives (§5.1: "if an element ③ receives signals of downstream
 //! congestion or loss, it can relay a back-pressure signal to the sender").
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use mmt_dataplane::parser::{build_head, FrameView};
-use mmt_netsim::{Context, Node, Packet, PortId, Tail, Time, TimerToken};
+use mmt_netsim::{Packet, Tail, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr};
 use mmt_wire::EthernetAddress;
 
@@ -81,7 +81,6 @@ pub struct MmtSender {
     /// Messages-in-flight credits granted by backpressure (None = no
     /// governor active).
     credits: Option<u64>,
-    outbox: Vec<Output>,
     /// Counters.
     pub stats: SenderStats,
 }
@@ -98,7 +97,6 @@ impl MmtSender {
             config,
             next: 0,
             credits: None,
-            outbox: Vec::new(),
             stats: SenderStats::default(),
         }
     }
@@ -225,54 +223,15 @@ impl Machine for MmtSender {
             Input::Restart => {}
         }
     }
-
-    fn outbox(&mut self) -> &mut Vec<Output> {
-        &mut self.outbox
-    }
-}
-
-impl Node for MmtSender {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        machine::step(self, ctx, Input::Start);
-    }
-
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        machine::step(self, ctx, Input::Timer { token });
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmt_dataplane::parser::build_eth_mmt_frame;
-    use mmt_netsim::{Bandwidth, LinkSpec, Simulator};
+    use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Sink};
     use mmt_wire::mmt::BackpressureRepr;
     use mmt_wire::Ipv4Address;
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn backpressure_frame(experiment: ExperimentId, window: u32) -> Vec<u8> {
         let ctrl = ControlRepr::Backpressure(BackpressureRepr {

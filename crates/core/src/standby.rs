@@ -12,10 +12,10 @@
 //! receiver where recovery now lives. Sequences it cannot serve continue
 //! upstream — the primary, if alive, still gets a chance.
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use crate::store::{RetransmitStore, Served};
 use mmt_dataplane::parser::{FrameView, ParsedPacket};
-use mmt_netsim::{Context, Node, Packet, PortId, Time};
+use mmt_netsim::{Packet, PortId, Time};
 use mmt_wire::mmt::{ControlRepr, ModeChangeRepr};
 use mmt_wire::Ipv4Address;
 
@@ -51,7 +51,6 @@ pub struct StandbyBuffer {
     active: bool,
     /// Minimum spacing between serves of the same sequence.
     retx_holdoff: Time,
-    outbox: Vec<Output>,
     /// Counters.
     pub stats: StandbyBufferStats,
 }
@@ -66,7 +65,6 @@ impl StandbyBuffer {
             store: RetransmitStore::new(capacity_bytes),
             active: false,
             retx_holdoff: Time::ZERO,
-            outbox: Vec::new(),
             stats: StandbyBufferStats::default(),
         }
     }
@@ -170,19 +168,20 @@ impl StandbyBuffer {
         }
     }
 
-    /// Serve what we can of an upstream NAK; returns the ranges still
-    /// missing (to be re-NAKed upstream).
+    /// Serve what we can of an upstream NAK; returns whether any requested
+    /// sequence is still missing (so the NAK must go on upstream).
     fn serve_nak(
         &mut self,
         now: Time,
         out: &mut Vec<Output>,
         nak: &mmt_wire::mmt::NakRepr,
         from_port: PortId,
-    ) -> Vec<mmt_wire::mmt::NakRange> {
-        let mut missing = Vec::new();
-        for range in &nak.ranges {
-            for seq in range.first..=range.last {
-                match self.store.serve(seq, now, self.retx_holdoff) {
+    ) -> bool {
+        let mut missing = false;
+        let (stats, own) = (&mut self.stats, (self.own_addr, self.own_port));
+        for &range in &nak.ranges {
+            self.store
+                .serve(range, now, self.retx_holdoff, |answer| match answer {
                     Served::Hit(pkt) => {
                         // Re-stamp the RETRANSMIT extension: the recovered
                         // copy teaches the receiver that NAKs now resolve
@@ -192,26 +191,22 @@ impl StandbyBuffer {
                         let meta = pkt.meta;
                         let mut parsed = ParsedPacket::of(pkt.clone(), PORT_UP);
                         let Some(repr) = parsed.mmt_repr() else {
-                            self.stats.misses += 1;
-                            continue;
+                            stats.misses += 1;
+                            return;
                         };
-                        parsed.rewrite_mmt(&repr.with_retransmit(self.own_addr, self.own_port));
+                        parsed.rewrite_mmt(&repr.with_retransmit(own.0, own.1));
                         out.push(Output::Transmit {
                             port: from_port,
                             pkt: parsed.into_packet(meta),
                         });
-                        self.stats.served += 1;
+                        stats.served += 1;
                     }
                     Served::HeldOff => {}
-                    Served::Miss => {
-                        self.stats.misses += 1;
-                        missing.push(mmt_wire::mmt::NakRange {
-                            first: seq,
-                            last: seq,
-                        });
+                    Served::Missing(gap) => {
+                        stats.misses = stats.misses.saturating_add(gap.len());
+                        missing = true;
                     }
-                }
-            }
+                });
         }
         missing
     }
@@ -233,8 +228,7 @@ impl StandbyBuffer {
                     out.push(Output::Transmit { port: PORT_UP, pkt });
                     return;
                 }
-                let missing = self.serve_nak(now, out, &nak, PORT_DOWN);
-                if !missing.is_empty() {
+                if self.serve_nak(now, out, &nak, PORT_DOWN) {
                     // Whatever we could not serve still deserves a shot at
                     // the primary: pass the original NAK on upstream (the
                     // primary's store dedups by holdoff; sequences we
@@ -288,50 +282,15 @@ impl Machine for StandbyBuffer {
         self.store.clear();
         self.active = false;
     }
-
-    fn outbox(&mut self) -> &mut Vec<Output> {
-        &mut self.outbox
-    }
-}
-
-impl Node for StandbyBuffer {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn on_crash(&mut self) {
-        Machine::crash(self);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmt_dataplane::parser::build_eth_mmt_frame;
-    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator};
+    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
     use mmt_wire::mmt::{ExperimentId, Features, MmtRepr, NakRange, NakRepr};
     use mmt_wire::EthernetAddress;
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

@@ -15,6 +15,7 @@
 //! little of a packet is resident.
 
 use mmt_netsim::{Packet, Time};
+use mmt_wire::mmt::NakRange;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::VecDeque;
 
@@ -35,15 +36,16 @@ pub struct Retained {
     pub evicted: u64,
 }
 
-/// The answer to one NAKed sequence.
+/// One piece of the answer to a NAKed range.
 #[derive(Debug)]
 pub enum Served<'a> {
     /// Held: re-send (a clone of) this packet.
     Hit(&'a Packet),
     /// Held, but served less than the holdoff ago; suppressed.
     HeldOff,
-    /// Not held (never stored, or evicted since).
-    Miss,
+    /// A maximal run of requested sequences that are not held (never
+    /// stored, or evicted since); [`NakRange::len`] counts them.
+    Missing(NakRange),
 }
 
 /// A byte-bounded, sequence-keyed window of packets.
@@ -113,22 +115,49 @@ impl RetransmitStore {
         self.entries.get(&seq).map(|held| &held.pkt)
     }
 
-    /// Look `seq` up to answer a NAK at `now`. With a nonzero `holdoff`,
-    /// a sequence served less than `holdoff` ago is [`Served::HeldOff`];
+    /// Answer the NAKed `range` at `now`, in ascending sequence order:
+    /// one [`Served::Hit`] or [`Served::HeldOff`] per held sequence and
+    /// one [`Served::Missing`] per gap between them. With a nonzero
+    /// `holdoff`, a sequence served less than `holdoff` ago is held off;
     /// a hit records `now` as the sequence's last service.
-    pub fn serve(&mut self, seq: u64, now: Time, holdoff: Time) -> Served<'_> {
-        let Some(held) = self.entries.get_mut(&seq) else {
-            return Served::Miss;
-        };
-        if holdoff > Time::ZERO
-            && held
-                .last_served
-                .is_some_and(|last| now.saturating_sub(last) < holdoff)
-        {
-            return Served::HeldOff;
+    ///
+    /// The bounds arrived from the network, so only the *held* keys
+    /// inside them are walked: work and memory per range are bounded by
+    /// what the store holds, never by the numeric width asked for.
+    pub fn serve(
+        &mut self,
+        range: NakRange,
+        now: Time,
+        holdoff: Time,
+        mut answer: impl FnMut(Served<'_>),
+    ) {
+        let NakRange { first, last } = range;
+        if first > last {
+            return;
         }
-        held.last_served = Some(now);
-        Served::Hit(&held.pkt)
+        // The next requested sequence not yet answered; `None` once the
+        // walk has passed `u64::MAX`.
+        let mut next = Some(first);
+        for (&seq, held) in self.entries.range_mut(first..=last) {
+            if let Some(first) = next.filter(|&n| n < seq) {
+                let last = seq.saturating_sub(1); // seq > first >= 0
+                answer(Served::Missing(NakRange { first, last }));
+            }
+            next = seq.checked_add(1);
+            let held_off = holdoff > Time::ZERO
+                && held
+                    .last_served
+                    .is_some_and(|at| now.saturating_sub(at) < holdoff);
+            if held_off {
+                answer(Served::HeldOff);
+            } else {
+                held.last_served = Some(now);
+                answer(Served::Hit(&held.pkt));
+            }
+        }
+        if let Some(first) = next.filter(|&n| n <= last) {
+            answer(Served::Missing(NakRange { first, last }));
+        }
     }
 
     /// Drop everything held — every head and every payload reference —
@@ -170,6 +199,27 @@ mod tests {
     use super::*;
     use mmt_netsim::Tail;
 
+    /// What `serve` answered for `first..=last`, with hits shown by the
+    /// wire length of the packet served.
+    #[derive(Debug, PartialEq)]
+    enum Got {
+        Hit(usize),
+        HeldOff,
+        Missing(u64, u64),
+    }
+
+    fn serve(s: &mut RetransmitStore, first: u64, last: u64, now: Time, hold: Time) -> Vec<Got> {
+        let mut got = Vec::new();
+        s.serve(NakRange { first, last }, now, hold, |a| {
+            got.push(match a {
+                Served::Hit(p) => Got::Hit(p.len()),
+                Served::HeldOff => Got::HeldOff,
+                Served::Missing(r) => Got::Missing(r.first, r.last),
+            })
+        });
+        got
+    }
+
     fn pkt(head: usize, tail: usize) -> Packet {
         let mut p = Packet::new(vec![0xAB; head]);
         if tail > 0 {
@@ -210,7 +260,10 @@ mod tests {
         );
         assert_eq!(s.seqs().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(s.bytes(), 300);
-        assert!(matches!(s.serve(9, Time::ZERO, Time::ZERO), Served::Miss));
+        assert_eq!(
+            serve(&mut s, 9, 9, Time::ZERO, Time::ZERO),
+            [Got::Missing(9, 9)]
+        );
     }
 
     #[test]
@@ -227,21 +280,75 @@ mod tests {
         let mut s = RetransmitStore::new(1_000);
         s.retain(1, pkt(100, 0));
         let hold = Time::from_millis(2);
-        assert!(matches!(s.serve(1, Time::ZERO, hold), Served::Hit(_)));
-        assert!(matches!(
-            s.serve(1, Time::from_millis(1), hold),
-            Served::HeldOff
-        ));
-        assert!(matches!(
-            s.serve(1, Time::from_millis(3), hold),
-            Served::Hit(_)
-        ));
+        assert_eq!(serve(&mut s, 1, 1, Time::ZERO, hold), [Got::Hit(100)]);
+        assert_eq!(
+            serve(&mut s, 1, 1, Time::from_millis(1), hold),
+            [Got::HeldOff]
+        );
+        assert_eq!(
+            serve(&mut s, 1, 1, Time::from_millis(3), hold),
+            [Got::Hit(100)]
+        );
         // Zero holdoff serves every time.
-        assert!(matches!(
-            s.serve(1, Time::from_millis(3), Time::ZERO),
-            Served::Hit(_)
-        ));
-        assert!(matches!(s.serve(2, Time::ZERO, hold), Served::Miss));
+        assert_eq!(
+            serve(&mut s, 1, 1, Time::from_millis(3), Time::ZERO),
+            [Got::Hit(100)]
+        );
+        assert_eq!(serve(&mut s, 2, 2, Time::ZERO, hold), [Got::Missing(2, 2)]);
+    }
+
+    #[test]
+    fn a_range_is_answered_in_order_with_compact_gaps() {
+        let mut s = RetransmitStore::new(1 << 20);
+        for seq in [3, 4, 7] {
+            s.retain(seq, pkt(10 + seq as usize, 0));
+        }
+        assert_eq!(
+            serve(&mut s, 1, 9, Time::ZERO, Time::ZERO),
+            [
+                Got::Missing(1, 2),
+                Got::Hit(13),
+                Got::Hit(14),
+                Got::Missing(5, 6),
+                Got::Hit(17),
+                Got::Missing(8, 9),
+            ]
+        );
+        // Bounds that are themselves held leave no gap at either end;
+        // an inverted range asks for nothing.
+        assert_eq!(
+            serve(&mut s, 4, 7, Time::ZERO, Time::ZERO),
+            [Got::Hit(14), Got::Missing(5, 6), Got::Hit(17)]
+        );
+        assert_eq!(serve(&mut s, 9, 1, Time::ZERO, Time::ZERO), []);
+    }
+
+    #[test]
+    fn a_full_width_range_costs_what_is_held_not_what_is_asked() {
+        // Regression: the NAK paths used to count from `first` to `last`
+        // one sequence at a time, so this range never returned.
+        let mut s = RetransmitStore::new(1 << 20);
+        assert_eq!(
+            serve(&mut s, 0, u64::MAX, Time::ZERO, Time::ZERO),
+            [Got::Missing(0, u64::MAX)]
+        );
+        for seq in [0, 5, u64::MAX] {
+            s.retain(seq, pkt(100, 0));
+        }
+        assert_eq!(
+            serve(&mut s, 0, u64::MAX, Time::ZERO, Time::ZERO),
+            [
+                Got::Hit(100),
+                Got::Missing(1, 4),
+                Got::Hit(100),
+                Got::Missing(6, u64::MAX - 1),
+                Got::Hit(100),
+            ]
+        );
+        assert_eq!(
+            serve(&mut s, u64::MAX - 1, u64::MAX, Time::ZERO, Time::ZERO),
+            [Got::Missing(u64::MAX - 1, u64::MAX - 1), Got::Hit(100)]
+        );
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! from downstream are served locally; sequences it no longer holds are
 //! re-NAKed upstream toward the previous buffer.
 
-use crate::machine::{self, Input, Machine, Output};
-use crate::store::RetransmitStore;
+use crate::machine::{Input, Machine, Output};
+use crate::store::{RetransmitStore, Served};
 use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
-use mmt_netsim::{Context, Node, Packet, PortId, Time};
+use mmt_netsim::{Packet, PortId, Time};
 use mmt_wire::mmt::{ControlRepr, CoreHeader, MmtRepr, NakRange, NakRepr, RetransmitExt};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 
@@ -52,7 +52,6 @@ pub struct TransitBuffer {
     /// the "source-only retransmission" ablation of experiment E1.
     pub repoint: bool,
     store: RetransmitStore,
-    outbox: Vec<Output>,
     /// Counters.
     pub stats: TransitBufferStats,
 }
@@ -65,7 +64,6 @@ impl TransitBuffer {
             own_port,
             repoint: true,
             store: RetransmitStore::new(capacity_bytes),
-            outbox: Vec::new(),
             stats: TransitBufferStats::default(),
         }
     }
@@ -85,39 +83,45 @@ impl TransitBuffer {
 
     fn handle_nak(
         &mut self,
+        now: Time,
         out: &mut Vec<Output>,
         nak: NakRepr,
         experiment: mmt_wire::mmt::ExperimentId,
     ) {
         self.stats.naks_received += 1;
-        let mut unserved: Vec<u64> = Vec::new();
-        for range in &nak.ranges {
-            for seq in range.first..=range.last {
-                match self.store.get(seq) {
-                    Some(pkt) => {
+        // What is not held, as the store's compact gaps, to re-NAK upstream.
+        let mut ranges: Vec<NakRange> = Vec::new();
+        let stats = &mut self.stats;
+        for &range in &nak.ranges {
+            // No holdoff here: every NAK for a held sequence is served.
+            self.store
+                .serve(range, now, Time::ZERO, |answer| match answer {
+                    Served::Hit(pkt) => {
                         out.push(Output::Transmit {
                             port: PORT_DOWN,
                             pkt: pkt.clone(),
                         });
-                        self.stats.served += 1;
+                        stats.served += 1;
                     }
-                    None => unserved.push(seq),
-                }
-            }
+                    Served::HeldOff => {}
+                    Served::Missing(gap) => {
+                        stats.renaked = stats.renaked.saturating_add(gap.len());
+                        ranges.push(gap);
+                    }
+                });
         }
-        if unserved.is_empty() {
+        if ranges.is_empty() {
             return;
         }
-        // Re-NAK the remainder upstream as compact ranges.
-        self.stats.renaked += unserved.len() as u64;
-        unserved.sort_unstable();
-        let mut ranges: Vec<NakRange> = Vec::new();
-        for s in unserved {
-            match ranges.last_mut() {
-                Some(last) if last.last + 1 == s => last.last = s,
-                _ => ranges.push(NakRange { first: s, last: s }),
+        // Ascending, with the adjoining gaps of neighbouring requests joined.
+        ranges.sort_unstable_by_key(|r| r.first);
+        ranges.dedup_by(|next, kept| {
+            let adjoins = kept.last.checked_add(1) == Some(next.first);
+            if adjoins {
+                kept.last = next.last;
             }
-        }
+            adjoins
+        });
         let upstream_nak = NakRepr {
             requester: nak.requester,
             requester_port: nak.requester_port,
@@ -138,7 +142,7 @@ impl TransitBuffer {
         });
     }
 
-    fn on_frame(&mut self, port: PortId, mut pkt: Packet, out: &mut Vec<Output>) {
+    fn on_frame(&mut self, now: Time, port: PortId, mut pkt: Packet, out: &mut Vec<Output>) {
         let Some(off) = FrameView::of(&pkt).layers.mmt_offset() else {
             // Not MMT: forward transparently.
             let egress = if port == PORT_UP { PORT_DOWN } else { PORT_UP };
@@ -149,7 +153,7 @@ impl TransitBuffer {
         if let Ok((experiment, ctrl)) = ControlRepr::parse_packet(&pkt.bytes[off..]) {
             match (port, ctrl) {
                 (PORT_DOWN, ControlRepr::Nak(nak)) if self.repoint => {
-                    self.handle_nak(out, nak, experiment);
+                    self.handle_nak(now, out, nak, experiment);
                 }
                 (PORT_DOWN, _) => out.push(Output::Transmit { port: PORT_UP, pkt }),
                 (_, _) => out.push(Output::Transmit {
@@ -187,29 +191,11 @@ impl TransitBuffer {
 }
 
 impl Machine for TransitBuffer {
-    fn poll(&mut self, _now: Time, input: Input, out: &mut Vec<Output>) {
+    fn poll(&mut self, now: Time, input: Input, out: &mut Vec<Output>) {
         match input {
-            Input::Frame { port, pkt } => self.on_frame(port, pkt, out),
+            Input::Frame { port, pkt } => self.on_frame(now, port, pkt, out),
             Input::Start | Input::Timer { .. } | Input::Restart => {}
         }
-    }
-
-    fn outbox(&mut self) -> &mut Vec<Output> {
-        &mut self.outbox
-    }
-}
-
-impl Node for TransitBuffer {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -217,21 +203,8 @@ impl Node for TransitBuffer {
 mod tests {
     use super::*;
     use mmt_dataplane::parser::ParsedPacket;
-    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Time};
+    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
     use mmt_wire::mmt::ExperimentId;
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

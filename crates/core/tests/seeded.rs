@@ -60,22 +60,9 @@ fn gap_count_consistent() {
 mod buffer_props {
     use mmt_core::buffer::{RetransmitBuffer, PORT_DAQ, PORT_WAN};
     use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
-    use mmt_netsim::{Bandwidth, Context, LinkSpec, Node, Packet, PortId, SimRng, Simulator, Time};
+    use mmt_netsim::{Bandwidth, LinkSpec, Packet, SimRng, Simulator, Sink, Time};
     use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr, NakRange, NakRepr};
     use mmt_wire::{EthernetAddress, Ipv4Address};
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

@@ -188,14 +188,6 @@ impl Node for DataplaneElement {
         // restart and find nothing to send.
         self.pending.clear();
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -205,22 +197,9 @@ mod tests {
     use crate::parser::build_eth_mmt_frame;
     use crate::pipeline::PipelineBuilder;
     use crate::table::{FieldValue, MatchField, Table, TableEntry};
-    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator};
+    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
     use mmt_wire::mmt::{ExperimentId, MmtRepr};
     use mmt_wire::EthernetAddress;
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _port: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn mmt_frame() -> Vec<u8> {
         build_eth_mmt_frame(

@@ -18,67 +18,33 @@
 //! copy on the io path. Everything in `wire`, and everything arriving
 //! through `wire_in`, is contiguous.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use mmt_core::buffer::{PORT_DAQ, PORT_WAN};
 use mmt_core::machine::{Input, Machine, Output};
 use mmt_core::{MmtReceiver, MmtSender, RetransmitBuffer};
-use mmt_netsim::{Packet, Time, TimerToken};
+use mmt_netsim::{Packet, Time, TimerToken, TimerWheel};
 
 /// Machine slots inside an assembly.
 const MACH_SENDER: u8 = 0;
 const MACH_BUFFER: u8 = 1;
 const MACH_RECEIVER: u8 = 2;
 
-/// Deadline-ordered pending wakeups for one endpoint. Ties break by
-/// insertion order so replayed schedules stay deterministic.
-#[derive(Debug, Default)]
-pub struct TimerQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, u8, TimerToken)>>,
-    seq: u64,
+/// Pending wakeups of one endpoint, `(machine slot, token)` by deadline:
+/// the simulator's own timer core, so ties fire in the order they were
+/// armed here too.
+type Timers = TimerWheel<(u8, TimerToken)>;
+
+/// Pop the earliest wakeup if it is due at `now`.
+fn pop_due(timers: &mut Timers, now: Time) -> Option<(u8, TimerToken)> {
+    let (at, _) = timers.peek()?;
+    if at > now.as_nanos() {
+        return None;
+    }
+    timers.pop().map(|(_, due)| due)
 }
 
-impl TimerQueue {
-    /// An empty queue.
-    pub fn new() -> TimerQueue {
-        TimerQueue::default()
-    }
-
-    /// Schedule `(mach, token)` to fire at `at`.
-    pub fn push(&mut self, at: Time, mach: u8, token: TimerToken) {
-        self.seq += 1;
-        self.heap
-            .push(Reverse((at.as_nanos(), self.seq, mach, token)));
-    }
-
-    /// The earliest pending deadline, if any.
-    pub fn next_due(&self) -> Option<Time> {
-        self.heap
-            .peek()
-            .map(|Reverse((at, _, _, _))| Time::from_nanos(*at))
-    }
-
-    /// Pop the earliest entry if it is due at `now`.
-    pub fn pop_due(&mut self, now: Time) -> Option<(u8, TimerToken)> {
-        match self.heap.peek() {
-            Some(Reverse((at, _, _, _))) if *at <= now.as_nanos() => self
-                .heap
-                .pop()
-                .map(|Reverse((_, _, mach, token))| (mach, token)),
-            _ => None,
-        }
-    }
-
-    /// Pending entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
+/// The earliest pending wakeup (`&mut`: peeking may advance the wheel).
+fn next_wake(timers: &mut Timers) -> Option<Time> {
+    timers.peek().map(|(at, _)| Time::from_nanos(at))
 }
 
 /// The sending host: sensor machine + border DTN machine, DAQ link
@@ -86,7 +52,9 @@ impl TimerQueue {
 pub struct SenderSide {
     sender: MmtSender,
     buffer: RetransmitBuffer,
-    timers: TimerQueue,
+    timers: Timers,
+    /// Output scratch for `dispatch`, kept for its capacity.
+    scratch: Vec<Output>,
 }
 
 impl SenderSide {
@@ -95,7 +63,8 @@ impl SenderSide {
         SenderSide {
             sender,
             buffer,
-            timers: TimerQueue::new(),
+            timers: Timers::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -123,14 +92,14 @@ impl SenderSide {
 
     /// Fire every timer due at `now`.
     pub fn poll_timers(&mut self, now: Time, wire: &mut Vec<Packet>) {
-        while let Some((mach, token)) = self.timers.pop_due(now) {
+        while let Some((mach, token)) = pop_due(&mut self.timers, now) {
             self.dispatch(now, mach, Input::Timer { token }, wire);
         }
     }
 
     /// The earliest pending wakeup.
-    pub fn next_wake(&self) -> Option<Time> {
-        self.timers.next_due()
+    pub fn next_wake(&mut self) -> Option<Time> {
+        next_wake(&mut self.timers)
     }
 
     /// The sensor machine.
@@ -147,10 +116,9 @@ impl SenderSide {
     /// outputs: sender port 0 ↔ buffer DAQ port stay in-memory, buffer
     /// WAN output goes to `wire`, wakeups land in the timer queue.
     fn dispatch(&mut self, now: Time, mach: u8, input: Input, wire: &mut Vec<Packet>) {
-        // Scratch into the machine's own outbox, as `machine::step` does.
-        // A re-entrant dispatch to the same machine finds it empty and
-        // grows its own; whichever returns last leaves its buffer behind.
-        let mut out = std::mem::take(self.machine(mach).outbox());
+        // A re-entrant dispatch finds the scratch empty and grows its
+        // own; whichever returns last leaves its buffer behind.
+        let mut out = std::mem::take(&mut self.scratch);
         self.machine(mach).poll(now, input, &mut out);
         for o in out.drain(..) {
             match (mach, o) {
@@ -171,11 +139,13 @@ impl SenderSide {
                     self.dispatch(now, MACH_SENDER, Input::Frame { port: 0, pkt }, wire);
                 }
                 (_, Output::Transmit { pkt, .. }) => wire.push(pkt.gather()),
-                (m, Output::WakeAt { at, token }) => self.timers.push(at, m, token),
+                (m, Output::WakeAt { at, token }) => {
+                    self.timers.schedule(at.as_nanos(), (m, token));
+                }
                 (_, Output::DeliverLocal { .. }) => {}
             }
         }
-        *self.machine(mach).outbox() = out;
+        self.scratch = out;
     }
 
     fn machine(&mut self, mach: u8) -> &mut dyn Machine {
@@ -189,7 +159,9 @@ impl SenderSide {
 /// The receiving host: one receiver machine, port 0 on the wire.
 pub struct ReceiverSide {
     receiver: MmtReceiver,
-    timers: TimerQueue,
+    timers: Timers,
+    /// Output scratch for `dispatch`, kept for its capacity.
+    scratch: Vec<Output>,
 }
 
 impl ReceiverSide {
@@ -197,7 +169,8 @@ impl ReceiverSide {
     pub fn new(receiver: MmtReceiver) -> ReceiverSide {
         ReceiverSide {
             receiver,
-            timers: TimerQueue::new(),
+            timers: Timers::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -211,14 +184,14 @@ impl ReceiverSide {
 
     /// Fire every timer due at `now`.
     pub fn poll_timers(&mut self, now: Time, wire: &mut Vec<Packet>) {
-        while let Some((_, token)) = self.timers.pop_due(now) {
+        while let Some((_, token)) = pop_due(&mut self.timers, now) {
             self.dispatch(now, Input::Timer { token }, wire);
         }
     }
 
     /// The earliest pending wakeup.
-    pub fn next_wake(&self) -> Option<Time> {
-        self.timers.next_due()
+    pub fn next_wake(&mut self) -> Option<Time> {
+        next_wake(&mut self.timers)
     }
 
     /// The receiver machine.
@@ -233,16 +206,18 @@ impl ReceiverSide {
     }
 
     fn dispatch(&mut self, now: Time, input: Input, wire: &mut Vec<Packet>) {
-        let mut out = std::mem::take(self.receiver.outbox());
+        let mut out = std::mem::take(&mut self.scratch);
         self.receiver.poll(now, input, &mut out);
         for o in out.drain(..) {
             match o {
                 Output::Transmit { pkt, .. } => wire.push(pkt),
-                Output::WakeAt { at, token } => self.timers.push(at, MACH_RECEIVER, token),
+                Output::WakeAt { at, token } => {
+                    self.timers.schedule(at.as_nanos(), (MACH_RECEIVER, token));
+                }
                 Output::DeliverLocal { .. } => {}
             }
         }
-        *self.receiver.outbox() = out;
+        self.scratch = out;
     }
 }
 
@@ -258,16 +233,16 @@ mod tests {
     }
 
     #[test]
-    fn timer_queue_orders_by_deadline_then_insertion() {
-        let mut q = TimerQueue::new();
-        q.push(Time::from_millis(5), 0, 10);
-        q.push(Time::from_millis(1), 1, 11);
-        q.push(Time::from_millis(5), 2, 12);
-        assert_eq!(q.next_due(), Some(Time::from_millis(1)));
-        assert_eq!(q.pop_due(Time::from_millis(1)), Some((1, 11)));
-        assert_eq!(q.pop_due(Time::from_millis(1)), None);
-        assert_eq!(q.pop_due(Time::from_millis(5)), Some((0, 10)));
-        assert_eq!(q.pop_due(Time::from_millis(5)), Some((2, 12)));
+    fn wakeups_fire_by_deadline_then_arming_order_and_only_when_due() {
+        let mut q = Timers::new();
+        q.schedule(Time::from_millis(5).as_nanos(), (0, 10));
+        q.schedule(Time::from_millis(1).as_nanos(), (1, 11));
+        q.schedule(Time::from_millis(5).as_nanos(), (2, 12));
+        assert_eq!(next_wake(&mut q), Some(Time::from_millis(1)));
+        assert_eq!(pop_due(&mut q, Time::from_millis(1)), Some((1, 11)));
+        assert_eq!(pop_due(&mut q, Time::from_millis(1)), None);
+        assert_eq!(pop_due(&mut q, Time::from_millis(5)), Some((0, 10)));
+        assert_eq!(pop_due(&mut q, Time::from_millis(5)), Some((2, 12)));
         assert!(q.is_empty());
     }
 

@@ -13,8 +13,8 @@
 //! | [`fault`]    | seeded drop/duplicate/delay injection at the datagram boundary |
 //! | [`socket`]   | nonblocking `std::net::UdpSocket` wrapper that routes every send through the fault injector |
 //! | [`watchdog`] | per-flow deadline ladder: shed → degrade → abort |
-//! | [`driver`]   | endpoint assemblies (sender+buffer, receiver) that route machine outputs between in-memory ports, timers, and the wire |
-//! | [`pilot`]    | the `io-pilot` scenario: loopback (single process) and listen/connect (two process) runners |
+//! | [`driver`]   | endpoint assemblies (sender+buffer, receiver) that route machine outputs between in-memory ports, the timer wheel, and the wire |
+//! | [`pilot`]    | the `io-pilot` scenario: one poll loop over an optional sending and an optional receiving half, behind the loopback (single process) and listen/connect (two process) runners |
 //!
 //! This is deliberately the *only* crate in the workspace where clock
 //! reads, socket calls, and sleeps are permitted — `mmt-lint` rule D2
@@ -32,7 +32,7 @@ pub mod socket;
 pub mod watchdog;
 
 pub use clock::IoClock;
-pub use driver::{ReceiverSide, SenderSide, TimerQueue};
+pub use driver::{ReceiverSide, SenderSide};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use pilot::{run_connect, run_listen, run_loopback, IoPilotConfig, IoPilotReport};
 pub use rto::RtoEstimator;

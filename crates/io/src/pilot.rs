@@ -1,14 +1,15 @@
 //! The `io-pilot` scenario: the pilot sender→DTN→receiver chain over
 //! real UDP sockets.
 //!
-//! Three runners share one loop shape:
+//! Three runners set up sockets and share one poll loop ([`drive`]) over
+//! an optional sending half and an optional receiving half:
 //!
-//! - [`run_loopback`] — both endpoints in one process over a loopback
+//! - [`run_loopback`] — both halves in one process over a loopback
 //!   socket pair. This is the CI shape: deterministic-enough, no peer
 //!   coordination, exercises the full recovery path.
-//! - [`run_connect`] — the sending half (sensor + border DTN), aimed at
-//!   a remote receiver.
-//! - [`run_listen`] — the receiving half, bound to an address, peer
+//! - [`run_connect`] — the sending half alone (sensor + border DTN),
+//!   aimed at a remote receiver.
+//! - [`run_listen`] — the receiving half alone, bound to an address, peer
 //!   learned from the first datagram.
 //!
 //! Faults are injected on the *data* direction only (at the sending
@@ -327,8 +328,7 @@ impl RxGovernor {
 
 fn apply_watchdog_stage(
     stage: WatchdogStage,
-    rx: Option<&mut ReceiverSide>,
-    gov: Option<&mut RxGovernor>,
+    rx: Option<&mut RxHalf>,
     now: Time,
     flight: &mut Flight,
 ) {
@@ -337,14 +337,14 @@ fn apply_watchdog_stage(
             flight.event(now, "io_watchdog_shed", 0);
             if let Some(rx) = rx {
                 // Reduce retry pressure on the struggling path.
-                let rcfg = rx.receiver_mut().config_mut();
+                let rcfg = rx.side.receiver_mut().config_mut();
                 rcfg.nak_interval = rcfg.nak_interval * 2;
             }
         }
         WatchdogStage::Degraded => {
             flight.event(now, "io_watchdog_degrade", 0);
-            if let (Some(rx), Some(gov)) = (rx, gov) {
-                gov.degrade(rx, now, flight);
+            if let Some(rx) = rx {
+                rx.gov.degrade(&mut rx.side, now, flight);
             }
         }
         WatchdogStage::Aborted => flight.event(now, "io_watchdog_abort", 0),
@@ -365,37 +365,108 @@ fn abort_error(flight: &Flight, seed: u64, now: Time) -> IoError {
     }
 }
 
-fn build_sender_side(cfg: &IoPilotConfig) -> SenderSide {
-    let exp = ExperimentId::new(2, 0);
-    let sender = MmtSender::new(SenderConfig::regular(
-        exp,
-        cfg.message_len,
-        cfg.gap,
-        cfg.messages as usize,
-    ));
-    let buffer = RetransmitBuffer::with_defaults(
-        exp,
-        Ipv4Address::new(10, 0, 0, 5),
-        cfg.deadline.as_nanos(),
-        1 << 30,
-    )
-    .with_retx_holdoff(cfg.rto_min / 2);
-    SenderSide::new(sender, buffer)
+/// The sending half of a run: sensor + border DTN, the socket the data
+/// leaves on (and NAKs come back on), and the datagrams waiting for it.
+struct TxHalf {
+    side: SenderSide,
+    sock: FaultySocket,
+    wire: Vec<Packet>,
 }
 
-fn build_receiver_side(cfg: &IoPilotConfig) -> ReceiverSide {
-    let exp = ExperimentId::new(2, 0);
-    let mut rcfg = ReceiverConfig::wan_defaults(exp, Ipv4Address::new(10, 0, 0, 8));
-    rcfg.expect_messages = Some(cfg.messages);
-    rcfg.reorder_delay = (cfg.rto_min / 8).max(Time::from_micros(100));
-    // The NAK interval starts at the pre-sample RTO and is re-tuned by
-    // the governor as samples arrive.
-    rcfg.nak_interval = RtoEstimator::new(cfg.rto_min, cfg.rto_max, cfg.nak_retries).current();
-    rcfg.nak_interval_max = cfg.deadline.max(rcfg.nak_interval);
-    rcfg.max_nak_retries = cfg.nak_retries;
-    // Time-based give-up is the watchdog's job out here.
-    rcfg.give_up_after = cfg.deadline;
-    ReceiverSide::new(MmtReceiver::new(rcfg))
+impl TxHalf {
+    fn new(cfg: &IoPilotConfig, sock: FaultySocket) -> TxHalf {
+        let exp = ExperimentId::new(2, 0);
+        let sender = MmtSender::new(SenderConfig::regular(
+            exp,
+            cfg.message_len,
+            cfg.gap,
+            cfg.messages as usize,
+        ));
+        let buffer = RetransmitBuffer::with_defaults(
+            exp,
+            Ipv4Address::new(10, 0, 0, 5),
+            cfg.deadline.as_nanos(),
+            1 << 30,
+        )
+        .with_retx_holdoff(cfg.rto_min / 2);
+        TxHalf {
+            side: SenderSide::new(sender, buffer),
+            sock,
+            wire: Vec::new(),
+        }
+    }
+
+    /// Hand every waiting datagram (NAKs) to the DTN; whether any came.
+    fn recv(&mut self, now: Time, buf: &mut [u8], flight: &mut Flight) -> Result<bool, IoError> {
+        let mut moved = false;
+        while let Some(n) = self.sock.recv(buf)? {
+            moved = true;
+            flight.event(now, "io_rx_nak", n as u64);
+            self.side.wire_in(now, buf[..n].to_vec(), &mut self.wire);
+        }
+        Ok(moved)
+    }
+
+    /// Queue everything on the wire at the socket; whether anything was.
+    fn send(&mut self, now: Time) -> Result<bool, IoError> {
+        let moved = !self.wire.is_empty();
+        for pkt in self.wire.drain(..) {
+            self.sock.send(now, &pkt.bytes)?;
+        }
+        Ok(moved)
+    }
+}
+
+/// The receiving half of a run: the receiver, the socket it hears data on
+/// (and NAKs from), the NAKs waiting for it, and the RTO bookkeeping.
+struct RxHalf {
+    side: ReceiverSide,
+    sock: FaultySocket,
+    wire: Vec<Packet>,
+    gov: RxGovernor,
+}
+
+impl RxHalf {
+    fn new(cfg: &IoPilotConfig, sock: FaultySocket) -> RxHalf {
+        let exp = ExperimentId::new(2, 0);
+        let mut rcfg = ReceiverConfig::wan_defaults(exp, Ipv4Address::new(10, 0, 0, 8));
+        rcfg.expect_messages = Some(cfg.messages);
+        rcfg.reorder_delay = (cfg.rto_min / 8).max(Time::from_micros(100));
+        let gov = RxGovernor::new(cfg);
+        // The NAK interval starts at the pre-sample RTO and is re-tuned by
+        // the governor as samples arrive.
+        rcfg.nak_interval = gov.rto.current();
+        rcfg.nak_interval_max = cfg.deadline.max(rcfg.nak_interval);
+        rcfg.max_nak_retries = cfg.nak_retries;
+        // Time-based give-up is the watchdog's job out here.
+        rcfg.give_up_after = cfg.deadline;
+        RxHalf {
+            side: ReceiverSide::new(MmtReceiver::new(rcfg)),
+            sock,
+            wire: Vec::new(),
+            gov,
+        }
+    }
+
+    /// Hand every waiting datagram to the receiver; whether any came.
+    fn recv(&mut self, now: Time, buf: &mut [u8]) -> Result<bool, IoError> {
+        let mut moved = false;
+        while let Some(n) = self.sock.recv(buf)? {
+            moved = true;
+            self.side.wire_in(now, buf[..n].to_vec(), &mut self.wire);
+        }
+        Ok(moved)
+    }
+
+    /// Queue every waiting NAK at the socket; whether there was one.
+    fn send(&mut self, now: Time, flight: &mut Flight) -> Result<bool, IoError> {
+        let moved = !self.wire.is_empty();
+        for pkt in self.wire.drain(..) {
+            flight.event(now, "io_tx_nak", pkt.bytes.len() as u64);
+            self.sock.send(now, &pkt.bytes)?;
+        }
+        Ok(moved)
+    }
 }
 
 fn sleep_until_next(now: Time, candidates: &[Option<Time>]) {
@@ -411,96 +482,118 @@ fn sleep_until_next(now: Time, candidates: &[Option<Time>]) {
     std::thread::sleep(budget);
 }
 
-/// Run both endpoints in one process over a loopback socket pair.
-pub fn run_loopback(cfg: &IoPilotConfig) -> Result<IoPilotReport, IoError> {
-    let data_sock = UdpSocket::bind(("127.0.0.1", 0))?;
-    let ctrl_sock = UdpSocket::bind(("127.0.0.1", 0))?;
-    let data_addr = data_sock.local_addr()?;
-    let ctrl_addr = ctrl_sock.local_addr()?;
-    let mut s_tx = FaultySocket::new(
-        data_sock,
-        Some(ctrl_addr),
-        FaultInjector::new(cfg.seed, cfg.plan()),
-    )?;
-    let mut s_rx = FaultySocket::new(
-        ctrl_sock,
-        Some(data_addr),
-        FaultInjector::new(cfg.seed ^ 0x5ca1ab1e, FaultPlan::clean()),
-    )?;
-
-    let mut tx = build_sender_side(cfg);
-    let mut rx = build_receiver_side(cfg);
-    let mut gov = RxGovernor::new(cfg);
+/// The poll loop every runner shares: drive whichever halves this
+/// process holds until the flow is accounted for or the watchdog aborts.
+/// One iteration is always the same steps in the same order — watchdog,
+/// timers, receive, send, flush, governor — with the sending half ahead
+/// of the receiving half inside each step.
+fn drive(
+    cfg: &IoPilotConfig,
+    mut tx: Option<TxHalf>,
+    mut rx: Option<RxHalf>,
+) -> Result<IoPilotReport, IoError> {
     let mut watchdog = Watchdog::new(cfg.deadline);
     let mut flight = Flight::new(cfg.flight_cap);
+    // A lone sending half keeps serving NAKs until the wire has been
+    // quiet this long.
+    let linger = (cfg.rto_min * 4).max(Time::from_millis(200));
+    let mut last_traffic = Time::ZERO;
+    // Whether the receiving half has heard from its peer yet.
+    let mut seen_any = false;
 
     let clock = IoClock::start();
-    let mut wire_tx: Vec<Packet> = Vec::new();
-    let mut wire_rx: Vec<Packet> = Vec::new();
     let mut buf = vec![0u8; 65536];
-    tx.start(clock.now(), &mut wire_tx);
+    if let Some(tx) = &mut tx {
+        tx.side.start(clock.now(), &mut tx.wire);
+    }
     flight.event(Time::ZERO, "io_start", 0);
 
     let (completed, elapsed) = loop {
         let now = clock.now();
         if let Some(stage) = watchdog.check(now) {
-            apply_watchdog_stage(stage, Some(&mut rx), Some(&mut gov), now, &mut flight);
+            apply_watchdog_stage(stage, rx.as_mut(), now, &mut flight);
             if stage == WatchdogStage::Aborted {
+                if tx.is_none() && !seen_any {
+                    return Err(IoError::NoPeer);
+                }
                 return Err(abort_error(&flight, cfg.seed, now));
             }
         }
-        tx.poll_timers(now, &mut wire_tx);
-        rx.poll_timers(now, &mut wire_rx);
+        if let Some(tx) = &mut tx {
+            tx.side.poll_timers(now, &mut tx.wire);
+        }
+        if let Some(rx) = &mut rx {
+            rx.side.poll_timers(now, &mut rx.wire);
+        }
 
         let mut moved = false;
-        while let Some(n) = s_tx.recv(&mut buf)? {
-            moved = true;
-            flight.event(now, "io_rx_nak", n as u64);
-            tx.wire_in(now, buf[..n].to_vec(), &mut wire_tx);
+        if let Some(tx) = &mut tx {
+            moved |= tx.recv(now, &mut buf, &mut flight)?;
         }
-        while let Some(n) = s_rx.recv(&mut buf)? {
-            moved = true;
-            rx.wire_in(now, buf[..n].to_vec(), &mut wire_rx);
+        if let Some(rx) = &mut rx {
+            let heard = rx.recv(now, &mut buf)?;
+            seen_any |= heard;
+            moved |= heard;
         }
-        for pkt in wire_tx.drain(..) {
-            moved = true;
-            s_tx.send(now, &pkt.bytes)?;
+        if let Some(tx) = &mut tx {
+            moved |= tx.send(now)?;
         }
-        for pkt in wire_rx.drain(..) {
-            moved = true;
-            flight.event(now, "io_tx_nak", pkt.bytes.len() as u64);
-            s_rx.send(now, &pkt.bytes)?;
+        if let Some(rx) = &mut rx {
+            moved |= rx.send(now, &mut flight)?;
         }
-        s_tx.flush(now)?;
-        s_rx.flush(now)?;
+        if let Some(tx) = &mut tx {
+            tx.sock.flush(now)?;
+        }
+        if let Some(rx) = &mut rx {
+            rx.sock.flush(now)?;
+            rx.gov.after_iter(now, &mut rx.side, &mut flight);
+        }
+        if moved {
+            last_traffic = now;
+        }
 
-        gov.after_iter(now, &mut rx, &mut flight);
-
-        if rx.receiver().is_complete() {
-            break (true, now);
-        }
-        let stats = rx.receiver().stats;
-        if tx.sender().is_complete() && stats.delivered + stats.lost >= cfg.messages {
-            // Degraded completion: everything expected is accounted for,
-            // some of it as losses.
-            break (false, now);
+        let sent_all = tx.as_ref().map(|tx| tx.side.sender().is_complete());
+        match &rx {
+            Some(rx) => {
+                if rx.side.receiver().is_complete() {
+                    break (true, now);
+                }
+                // Degraded completion: everything expected is accounted
+                // for, some of it as losses. That can only be said once
+                // the sender has finished, or for a lone receiver once a
+                // sender has been heard from at all.
+                let stats = rx.side.receiver().stats;
+                if sent_all.unwrap_or(seen_any) && stats.delivered + stats.lost >= cfg.messages {
+                    break (false, now);
+                }
+            }
+            None => {
+                if sent_all == Some(true) && now.saturating_sub(last_traffic) >= linger {
+                    break (true, now);
+                }
+            }
         }
         if !moved {
             sleep_until_next(
                 now,
                 &[
-                    tx.next_wake(),
-                    rx.next_wake(),
-                    s_tx.next_release(),
-                    s_rx.next_release(),
+                    tx.as_mut().and_then(|tx| tx.side.next_wake()),
+                    rx.as_mut().and_then(|rx| rx.side.next_wake()),
+                    tx.as_ref().and_then(|tx| tx.sock.next_release()),
+                    rx.as_ref().and_then(|rx| rx.sock.next_release()),
                     watchdog.next_threshold(),
+                    last_traffic.checked_add(linger).filter(|_| rx.is_none()),
                 ],
             );
         }
     };
 
     flight.event(elapsed, "io_done", 0);
-    let stats = rx.receiver().stats;
+    // A half this process did not hold reports zeros.
+    let stats = rx
+        .as_ref()
+        .map_or_else(Default::default, |rx| rx.side.receiver().stats);
+    let rto = rx.as_ref().map(|rx| &rx.gov.rto);
     Ok(IoPilotReport {
         messages: cfg.messages,
         delivered: stats.delivered,
@@ -509,104 +602,60 @@ pub fn run_loopback(cfg: &IoPilotConfig) -> Result<IoPilotReport, IoError> {
         recovered: stats.recovered,
         lost: stats.lost,
         nak_retries_exhausted: stats.nak_retries_exhausted,
-        sent: tx.sender().stats.sent,
+        sent: tx.as_ref().map_or(0, |tx| tx.side.sender().stats.sent),
         completed,
         elapsed,
         watchdog_stage: watchdog.stage(),
         watchdog_transitions: watchdog.transitions.clone(),
-        srtt_ns: gov.rto.srtt_ns(),
-        rto_ns: gov.rto.current().as_nanos(),
-        rto_samples: gov.rto.samples(),
-        faults: s_tx.fault_stats(),
-        data_socket: s_tx.stats,
-        control_socket: s_rx.stats,
+        srtt_ns: rto.map_or(0, RtoEstimator::srtt_ns),
+        rto_ns: rto.map_or(0, |rto| rto.current().as_nanos()),
+        rto_samples: rto.map_or(0, RtoEstimator::samples),
+        faults: tx
+            .as_ref()
+            .map_or_else(Default::default, |tx| tx.sock.fault_stats()),
+        data_socket: tx
+            .as_ref()
+            .map_or_else(Default::default, |tx| tx.sock.stats),
+        control_socket: rx
+            .as_ref()
+            .map_or_else(Default::default, |rx| rx.sock.stats),
         flight: flight.records,
         seed: cfg.seed,
-        delivery_digest: rx.receiver().delivery_digest(),
+        delivery_digest: rx
+            .as_ref()
+            .map_or(0, |rx| rx.side.receiver().delivery_digest()),
     })
+}
+
+/// Run both endpoints in one process over a loopback socket pair.
+pub fn run_loopback(cfg: &IoPilotConfig) -> Result<IoPilotReport, IoError> {
+    let data_sock = UdpSocket::bind(("127.0.0.1", 0))?;
+    let ctrl_sock = UdpSocket::bind(("127.0.0.1", 0))?;
+    let data_addr = data_sock.local_addr()?;
+    let ctrl_addr = ctrl_sock.local_addr()?;
+    let s_tx = FaultySocket::new(
+        data_sock,
+        Some(ctrl_addr),
+        FaultInjector::new(cfg.seed, cfg.plan()),
+    )?;
+    let s_rx = FaultySocket::new(
+        ctrl_sock,
+        Some(data_addr),
+        FaultInjector::new(cfg.seed ^ 0x5ca1ab1e, FaultPlan::clean()),
+    )?;
+    drive(
+        cfg,
+        Some(TxHalf::new(cfg, s_tx)),
+        Some(RxHalf::new(cfg, s_rx)),
+    )
 }
 
 /// Run the sending half against a remote receiver at `addr`.
 pub fn run_connect(cfg: &IoPilotConfig, addr: &str) -> Result<IoPilotReport, IoError> {
     let peer: std::net::SocketAddr = addr.parse().map_err(|_| IoError::Addr(addr.to_string()))?;
     let sock = UdpSocket::bind(("0.0.0.0", 0))?;
-    let mut s_tx = FaultySocket::new(sock, Some(peer), FaultInjector::new(cfg.seed, cfg.plan()))?;
-    let mut tx = build_sender_side(cfg);
-    let mut watchdog = Watchdog::new(cfg.deadline);
-    let mut flight = Flight::new(cfg.flight_cap);
-    // Keep serving NAKs until the wire has been quiet this long.
-    let linger = (cfg.rto_min * 4).max(Time::from_millis(200));
-
-    let clock = IoClock::start();
-    let mut wire_tx: Vec<Packet> = Vec::new();
-    let mut buf = vec![0u8; 65536];
-    tx.start(clock.now(), &mut wire_tx);
-    flight.event(Time::ZERO, "io_start", 0);
-    let mut last_traffic = Time::ZERO;
-
-    let elapsed = loop {
-        let now = clock.now();
-        if let Some(stage) = watchdog.check(now) {
-            apply_watchdog_stage(stage, None, None, now, &mut flight);
-            if stage == WatchdogStage::Aborted {
-                return Err(abort_error(&flight, cfg.seed, now));
-            }
-        }
-        tx.poll_timers(now, &mut wire_tx);
-        let mut moved = false;
-        while let Some(n) = s_tx.recv(&mut buf)? {
-            moved = true;
-            flight.event(now, "io_rx_nak", n as u64);
-            tx.wire_in(now, buf[..n].to_vec(), &mut wire_tx);
-        }
-        for pkt in wire_tx.drain(..) {
-            moved = true;
-            s_tx.send(now, &pkt.bytes)?;
-        }
-        s_tx.flush(now)?;
-        if moved {
-            last_traffic = now;
-        }
-        if tx.sender().is_complete() && now.saturating_sub(last_traffic) >= linger {
-            break now;
-        }
-        if !moved {
-            sleep_until_next(
-                now,
-                &[
-                    tx.next_wake(),
-                    s_tx.next_release(),
-                    watchdog.next_threshold(),
-                    last_traffic.checked_add(linger),
-                ],
-            );
-        }
-    };
-
-    flight.event(elapsed, "io_done", 0);
-    Ok(IoPilotReport {
-        messages: cfg.messages,
-        delivered: 0,
-        duplicates: 0,
-        naks_sent: 0,
-        recovered: 0,
-        lost: 0,
-        nak_retries_exhausted: 0,
-        sent: tx.sender().stats.sent,
-        completed: tx.sender().is_complete(),
-        elapsed,
-        watchdog_stage: watchdog.stage(),
-        watchdog_transitions: watchdog.transitions.clone(),
-        srtt_ns: 0,
-        rto_ns: 0,
-        rto_samples: 0,
-        faults: s_tx.fault_stats(),
-        data_socket: s_tx.stats,
-        control_socket: SocketStats::default(),
-        flight: flight.records,
-        seed: cfg.seed,
-        delivery_digest: 0,
-    })
+    let s_tx = FaultySocket::new(sock, Some(peer), FaultInjector::new(cfg.seed, cfg.plan()))?;
+    drive(cfg, Some(TxHalf::new(cfg, s_tx)), None)
 }
 
 /// Run the receiving half, bound to `addr`; the peer is learned from the
@@ -614,85 +663,12 @@ pub fn run_connect(cfg: &IoPilotConfig, addr: &str) -> Result<IoPilotReport, IoE
 pub fn run_listen(cfg: &IoPilotConfig, addr: &str) -> Result<IoPilotReport, IoError> {
     let bound: std::net::SocketAddr = addr.parse().map_err(|_| IoError::Addr(addr.to_string()))?;
     let sock = UdpSocket::bind(bound)?;
-    let mut s_rx = FaultySocket::new(
+    let s_rx = FaultySocket::new(
         sock,
         None,
         FaultInjector::new(cfg.seed ^ 0x5ca1ab1e, FaultPlan::clean()),
     )?;
-    let mut rx = build_receiver_side(cfg);
-    let mut gov = RxGovernor::new(cfg);
-    let mut watchdog = Watchdog::new(cfg.deadline);
-    let mut flight = Flight::new(cfg.flight_cap);
-
-    let clock = IoClock::start();
-    let mut wire_rx: Vec<Packet> = Vec::new();
-    let mut buf = vec![0u8; 65536];
-    flight.event(Time::ZERO, "io_start", 0);
-    let mut seen_any = false;
-
-    let (completed, elapsed) = loop {
-        let now = clock.now();
-        if let Some(stage) = watchdog.check(now) {
-            apply_watchdog_stage(stage, Some(&mut rx), Some(&mut gov), now, &mut flight);
-            if stage == WatchdogStage::Aborted {
-                if !seen_any {
-                    return Err(IoError::NoPeer);
-                }
-                return Err(abort_error(&flight, cfg.seed, now));
-            }
-        }
-        rx.poll_timers(now, &mut wire_rx);
-        let mut moved = false;
-        while let Some(n) = s_rx.recv(&mut buf)? {
-            moved = true;
-            seen_any = true;
-            rx.wire_in(now, buf[..n].to_vec(), &mut wire_rx);
-        }
-        for pkt in wire_rx.drain(..) {
-            moved = true;
-            flight.event(now, "io_tx_nak", pkt.bytes.len() as u64);
-            s_rx.send(now, &pkt.bytes)?;
-        }
-        s_rx.flush(now)?;
-        gov.after_iter(now, &mut rx, &mut flight);
-
-        if rx.receiver().is_complete() {
-            break (true, now);
-        }
-        let stats = rx.receiver().stats;
-        if seen_any && stats.delivered + stats.lost >= cfg.messages {
-            break (false, now);
-        }
-        if !moved {
-            sleep_until_next(now, &[rx.next_wake(), watchdog.next_threshold()]);
-        }
-    };
-
-    flight.event(elapsed, "io_done", 0);
-    let stats = rx.receiver().stats;
-    Ok(IoPilotReport {
-        messages: cfg.messages,
-        delivered: stats.delivered,
-        duplicates: stats.duplicates,
-        naks_sent: stats.naks_sent,
-        recovered: stats.recovered,
-        lost: stats.lost,
-        nak_retries_exhausted: stats.nak_retries_exhausted,
-        sent: 0,
-        completed,
-        elapsed,
-        watchdog_stage: watchdog.stage(),
-        watchdog_transitions: watchdog.transitions.clone(),
-        srtt_ns: gov.rto.srtt_ns(),
-        rto_ns: gov.rto.current().as_nanos(),
-        rto_samples: gov.rto.samples(),
-        faults: FaultStats::default(),
-        data_socket: SocketStats::default(),
-        control_socket: s_rx.stats,
-        flight: flight.records,
-        seed: cfg.seed,
-        delivery_digest: rx.receiver().delivery_digest(),
-    })
+    drive(cfg, None, Some(RxHalf::new(cfg, s_rx)))
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //! * [`SimRng`] — a SplitMix64 PRNG so simulations are reproducible from a
 //!   seed across platforms.
 //! * [`Packet`] — a byte buffer plus bookkeeping metadata.
-//! * [`Node`] — behaviour trait implemented by hosts, switches, DTNs.
+//! * [`Node`] / [`Machine`] — the one component contract: a sans-io
+//!   [`Machine`] (`poll(now, input, out)`) is a [`Node`] through a blanket
+//!   impl; simulator-only components implement [`Node`] directly.
 //! * [`Link`] / [`LinkSpec`] — unidirectional links with an output queue
 //!   ([`QueueSpec`]) feeding a serializing transmitter.
 //! * [`Simulator`] — the event loop binding everything together.
@@ -28,23 +30,14 @@
 //! ```
 //! use mmt_netsim::*;
 //!
-//! // A sender that emits one jumbo frame at start, and a sink.
+//! // A sender that emits one jumbo frame at start; [`Sink`] hands every
+//! // arrival to its local application.
 //! struct Sender;
 //! impl Node for Sender {
 //!     fn on_packet(&mut self, _: &mut Context<'_>, _: PortId, _: Packet) {}
 //!     fn on_start(&mut self, ctx: &mut Context<'_>) {
 //!         ctx.send(0, Packet::new(vec![0u8; 9000]));
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
-//! }
-//! struct Sink;
-//! impl Node for Sink {
-//!     fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-//!         ctx.deliver_local(pkt); // hand to the local application
-//!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut sim = Simulator::new(42);
@@ -82,7 +75,7 @@ pub use arena::{ArenaStats, PacketArena, PacketRef};
 pub use fault::{FaultSpec, FaultState, FaultVerdict, PeriodicOutage, RandomOutage};
 pub use link::{Link, LinkId, LinkSpec, LossModel, LossState};
 pub use linkstats::LinkStatsBlock;
-pub use node::{Context, Node, NodeId, PortId, TimerToken};
+pub use node::{Context, Input, Machine, Node, NodeId, Output, PortId, Sink, TimerToken};
 pub use packet::{Packet, PacketMeta, Tail};
 pub use queue::{QueueSpec, TransmitQueue};
 pub use rng::SimRng;

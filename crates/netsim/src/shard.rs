@@ -393,23 +393,10 @@ impl MergeAcc {
 mod tests {
     use super::*;
     use crate::link::LinkSpec;
-    use crate::node::{Context, Node, PortId};
+    use crate::node::Sink;
     use crate::packet::Packet;
     use crate::sim::Simulator;
     use crate::time::{Bandwidth, Time};
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _port: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     /// A tiny but non-trivial group: one seeded burst into a sink over a
     /// lossy-free gigabit link, sized by the group's own RNG stream.

@@ -4,7 +4,7 @@ use mmt_telemetry::SeriesRow;
 
 use crate::fault::FaultVerdict;
 use crate::link::{Link, LinkId, LinkSpec, LinkStats};
-use crate::node::{Action, Context, Node, NodeId, PortId, TimerToken};
+use crate::node::{Context, Node, NodeId, Output, PortId, TimerToken};
 use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::time::Time;
@@ -79,7 +79,7 @@ pub struct Simulator {
     rng: SimRng,
     started: bool,
     trace: Trace,
-    actions: Vec<Action>,
+    actions: Vec<Output>,
     events_processed: u64,
     series: Option<SeriesState>,
 }
@@ -581,12 +581,14 @@ impl Simulator {
 
     /// Downcast a node's behaviour to its concrete type.
     pub fn node_as<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.nodes[node.0].behavior.as_any().downcast_ref::<T>()
+        let behavior: &dyn std::any::Any = self.nodes[node.0].behavior.as_ref();
+        behavior.downcast_ref::<T>()
     }
 
     /// Downcast a node's behaviour mutably.
     pub fn node_as_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.nodes[node.0].behavior.as_any_mut().downcast_mut::<T>()
+        let behavior: &mut dyn std::any::Any = self.nodes[node.0].behavior.as_mut();
+        behavior.downcast_mut::<T>()
     }
 
     fn push_event(&mut self, at: Time, kind: EventKind) {
@@ -622,12 +624,13 @@ impl Simulator {
         }
         for action in actions.drain(..) {
             match action {
-                Action::Send { port, pkt } => self.handle_send(idx, port, pkt),
-                Action::Timer { delay, token } => {
-                    let at = self.now + delay;
+                Output::Transmit { port, pkt } => self.handle_send(idx, port, pkt),
+                Output::WakeAt { at, token } => {
+                    // An instant already gone fires at once.
+                    let at = at.max(self.now);
                     self.push_event(at, EventKind::Timer { node: idx, token });
                 }
-                Action::DeliverLocal { pkt } => {
+                Output::DeliverLocal { pkt } => {
                     self.trace.record(TraceEvent {
                         time: self.now,
                         kind: TraceKind::LocalDeliver,
@@ -934,22 +937,9 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::link::LossModel;
+    use crate::node::Sink;
     use crate::queue::QueueSpec;
     use crate::time::Bandwidth;
-
-    /// Sink that counts arrivals.
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _port: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     /// Forwarder that relays everything from port 0 to port 1.
     struct Forward;
@@ -958,12 +948,6 @@ mod tests {
             if port == 0 {
                 ctx.send(1, pkt);
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -978,12 +962,6 @@ mod tests {
             for _ in 0..self.n {
                 ctx.send(0, Packet::new(vec![0u8; self.size]));
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -1118,12 +1096,6 @@ mod tests {
             fn on_timer(&mut self, _ctx: &mut Context<'_>, token: TimerToken) {
                 self.fired.push(token);
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut sim = Simulator::new(1);
         let n = sim.add_node("t", Box::new(TimerNode { fired: vec![] }));
@@ -1140,12 +1112,6 @@ mod tests {
             fn on_packet(&mut self, _: &mut Context<'_>, _: PortId, _: Packet) {}
             fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {
                 self.hits += 1;
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut sim = Simulator::new(1);
@@ -1227,12 +1193,6 @@ mod tests {
         fn on_restart(&mut self, _ctx: &mut Context<'_>) {
             self.restarts += 1;
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -1295,12 +1255,6 @@ mod tests {
             }
             fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {
                 self.ticks += 1;
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut sim = Simulator::new(1);
@@ -1365,12 +1319,6 @@ mod tests {
             }
             fn on_restart(&mut self, _: &mut Context<'_>) {
                 self.0.push("restart");
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
 

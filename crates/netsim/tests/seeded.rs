@@ -5,21 +5,8 @@
 
 use mmt_netsim::{
     Bandwidth, Context, FaultSpec, LinkSpec, LossModel, Node, Packet, PeriodicOutage, PortId,
-    QueueSpec, SimRng, Simulator, Time,
+    QueueSpec, SimRng, Simulator, Sink, Time,
 };
-
-struct Sink;
-impl Node for Sink {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-        ctx.deliver_local(pkt);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
 
 struct Burst {
     sizes: Vec<usize>,
@@ -30,12 +17,6 @@ impl Node for Burst {
         for &s in &self.sizes {
             ctx.send(0, Packet::new(vec![0u8; s]));
         }
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -168,12 +149,6 @@ impl Node for MixedBurst {
             pkt.meta.control = i % 2 == 1;
             ctx.send(0, pkt);
         }
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

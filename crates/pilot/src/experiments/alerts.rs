@@ -9,12 +9,11 @@
 //! This experiment measures the time until the *last* subscriber holds
 //! the alert, as the subscriber count grows.
 
-use super::util::Sink;
 use mmt_core::sender::{MmtSender, SenderConfig};
 use mmt_dataplane::programs;
 use mmt_dataplane::DataplaneElement;
 use mmt_netsim::{
-    Bandwidth, Context, LinkSpec, Node, NodeId, Packet, PortId, Simulator, Time, TimerToken,
+    Bandwidth, Context, LinkSpec, Node, NodeId, Packet, PortId, Simulator, Sink, Time, TimerToken,
 };
 use mmt_wire::mmt::ExperimentId;
 
@@ -73,14 +72,6 @@ impl Node for UnicastFanout {
         let sub = token as usize % self.subscribers;
         let pkt = self.pending[idx].clone();
         ctx.send(1 + sub, pkt);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

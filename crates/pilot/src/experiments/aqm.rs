@@ -14,10 +14,9 @@
 //!   mapped to a strict-priority band the alert latency stays at
 //!   propagation delay, without it the alerts queue behind the elephant.
 
-use super::util::Sink;
 use mmt_dataplane::classify;
 use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
-use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Packet, QueueSpec, Simulator, Time};
+use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Packet, QueueSpec, Simulator, Sink, Time};
 use mmt_wire::mmt::{ExperimentId, MmtRepr};
 use mmt_wire::EthernetAddress;
 
@@ -76,12 +75,6 @@ pub fn run_aqm(deadline_aware: bool, packets_per_kind: usize, seed: u64) -> AqmR
                 ctx.send(0, mixed_frame(false, i as u64));
                 ctx.send(0, mixed_frame(true, (self.n + i) as u64));
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
     let src = sim.add_node(
@@ -183,12 +176,6 @@ pub fn run_priority(strict_priority: bool, seed: u64) -> PriorityResult {
                     )),
                 );
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
     let src = sim.add_node("src", Box::new(Mix));

@@ -18,4 +18,3 @@ pub mod supernova;
 pub mod throughput;
 pub mod timeliness;
 pub mod today;
-pub mod util;

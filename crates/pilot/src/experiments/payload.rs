@@ -15,11 +15,12 @@
 //!   moment the burst is visible — upstream of the archive, saving the
 //!   remaining WAN legs and the end-host detection delay.
 
-use super::util::Sink;
 use mmt_daq::storage::ContainerWriter;
 use mmt_daq::supernova::BurstDetector;
 use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
-use mmt_netsim::{Bandwidth, Context, LinkSpec, Node, Packet, PortId, Simulator, Time, TimerToken};
+use mmt_netsim::{
+    Bandwidth, Context, LinkSpec, Node, Packet, PortId, Simulator, Sink, Time, TimerToken,
+};
 use mmt_wire::daq::{DuneSubHeader, SubHeader, TriggerRecord};
 use mmt_wire::mmt::{ExperimentId, MmtRepr};
 use mmt_wire::EthernetAddress;
@@ -89,12 +90,6 @@ impl Node for RecordSender {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
         self.pump(ctx);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The archive edge: decodes record payloads and transcodes them into
@@ -161,13 +156,6 @@ impl Node for StorageGateway {
             Err(_) => self.decode_failures += 1,
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A mid-path payload processor: forwards the stream (port 0 → 1) while
@@ -223,13 +211,6 @@ impl Node for InPathAlertMonitor {
             }
         }
         ctx.send(1, pkt);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

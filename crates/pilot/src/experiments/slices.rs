@@ -9,12 +9,11 @@
 //! header" — shown by carrying DUNE- and Mu2e-sub-headered records
 //! through the same machinery.
 
-use super::util::Sink;
 use mmt_core::sender::{MmtSender, SenderConfig};
 use mmt_dataplane::pipeline::PipelineBuilder;
 use mmt_dataplane::table::{FieldValue, MatchField, Table, TableEntry};
 use mmt_dataplane::{Action, DataplaneElement};
-use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Time};
+use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink, Time};
 use mmt_wire::daq::{DuneSubHeader, Mu2eSubHeader, SubHeader, TriggerRecord};
 use mmt_wire::mmt::ExperimentId;
 

@@ -14,13 +14,12 @@
 //! 4. success = the alert arrives with margin inside the delivery budget
 //!    (1% of the minimum neutrino→photon lag: 600 ms).
 
-use super::util::Sink;
 use mmt_core::sender::{MmtSender, SenderConfig};
 use mmt_daq::events::{EventGenerator, EventKind, EventRates};
 use mmt_daq::supernova::{BurstDetector, SupernovaAlert};
 use mmt_dataplane::programs;
 use mmt_dataplane::DataplaneElement;
-use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Time};
+use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Sink, Time};
 use mmt_transport::relay::StoreAndForwardRelay;
 use mmt_wire::mmt::ExperimentId;
 

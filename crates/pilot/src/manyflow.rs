@@ -195,13 +195,6 @@ impl Node for SensorFleet {
             ctx.set_timer(SENSOR_GAP, token);
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The group's DTN: zero-copy-decodes, counts, and recycles every
@@ -240,13 +233,6 @@ impl Node for Dtn {
             Err(_) => self.decode_errors += 1,
         }
         self.arena.borrow_mut().recycle(pkt);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -34,14 +34,6 @@ impl Node for Relay {
         self.forwarded += 1;
         ctx.send(out, pkt);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A store-and-forward stage: holds each packet for a fixed staging delay
@@ -83,33 +75,12 @@ impl Node for StoreAndForwardRelay {
             ctx.send(port, pkt);
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_netsim::{Bandwidth, LinkSpec, Simulator};
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
+    use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Sink};
 
     #[test]
     fn relay_forwards_both_directions() {

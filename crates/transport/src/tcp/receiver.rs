@@ -236,14 +236,6 @@ impl Node for TcpReceiver {
         ctx.send(0, Packet::with_flow(ack.encode(), self.flow));
         self.acks_sent += 1;
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

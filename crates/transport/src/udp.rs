@@ -59,14 +59,6 @@ impl Node for UdpSender {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
         self.pump(ctx);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A UDP-style receiver: records arrivals, detects gaps.
@@ -120,14 +112,6 @@ impl Node for UdpReceiver {
         let idx = u64::from_be_bytes(prefix);
         self.received.push((idx, ctx.now()));
         self.highest_seen = self.highest_seen.max(idx + 1);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -63,9 +63,10 @@ pub struct NakRange {
 }
 
 impl NakRange {
-    /// Number of sequence numbers covered.
+    /// Number of sequence numbers covered, saturating: the full-width
+    /// range `0..=u64::MAX` covers one more than a `u64` can say.
     pub fn len(&self) -> u64 {
-        self.last.saturating_sub(self.first) + 1
+        self.last.saturating_sub(self.first).saturating_add(1)
     }
 
     /// Always false: a range covers at least one sequence number.
@@ -98,7 +99,7 @@ impl NakRepr {
 
     /// Total number of sequence numbers requested.
     pub fn requested_count(&self) -> u64 {
-        self.ranges.iter().map(NakRange::len).sum()
+        self.ranges.iter().fold(0, |n, r| n.saturating_add(r.len()))
     }
 
     /// Parse a NAK body.
@@ -498,5 +499,17 @@ mod tests {
         assert_eq!(NakRange { first: 3, last: 3 }.len(), 1);
         assert_eq!(NakRange { first: 0, last: 9 }.len(), 10);
         assert!(!NakRange { first: 0, last: 0 }.is_empty());
+        // Widths a socket can deliver: neither panics nor wraps to zero.
+        let full = NakRange {
+            first: 0,
+            last: u64::MAX,
+        };
+        assert_eq!(full.len(), u64::MAX);
+        let nak = NakRepr {
+            requester: Ipv4Address::UNSPECIFIED,
+            requester_port: 0,
+            ranges: vec![full, full],
+        };
+        assert_eq!(nak.requested_count(), u64::MAX);
     }
 }

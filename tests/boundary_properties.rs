@@ -8,9 +8,7 @@
 //! from the printed seed.
 
 use mmt::dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
-use mmt::netsim::{
-    Bandwidth, Context, LinkSpec, Node, Packet, PacketArena, PortId, SimRng, Simulator, Time,
-};
+use mmt::netsim::{Bandwidth, LinkSpec, Packet, PacketArena, SimRng, Simulator, Sink, Time};
 use mmt::protocol::buffer::{PORT_DAQ, PORT_WAN};
 use mmt::protocol::{RetransmitBuffer, SeqTracker};
 use mmt::wire::mmt::{ControlRepr, ExperimentId, MmtRepr, NakRange, NakRepr};
@@ -77,19 +75,6 @@ fn seqtracker_reports_gaps_that_straddle_the_boundary() {
 // ---------------------------------------------------------------------
 // RetransmitBuffer stamping/serving across u32::MAX
 // ---------------------------------------------------------------------
-
-struct Sink;
-impl Node for Sink {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-        ctx.deliver_local(pkt);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
 
 fn exp() -> ExperimentId {
     ExperimentId::new(2, 0)
