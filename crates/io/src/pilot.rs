@@ -592,8 +592,10 @@ fn drive(
     // A half this process did not hold reports zeros.
     let stats = rx
         .as_ref()
-        .map_or_else(Default::default, |rx| rx.side.receiver().stats);
+        .map(|rx| rx.side.receiver().stats)
+        .unwrap_or_default();
     let rto = rx.as_ref().map(|rx| &rx.gov.rto);
+    let data_sock = tx.as_ref().map(|tx| &tx.sock);
     Ok(IoPilotReport {
         messages: cfg.messages,
         delivered: stats.delivered,
@@ -610,15 +612,9 @@ fn drive(
         srtt_ns: rto.map_or(0, RtoEstimator::srtt_ns),
         rto_ns: rto.map_or(0, |rto| rto.current().as_nanos()),
         rto_samples: rto.map_or(0, RtoEstimator::samples),
-        faults: tx
-            .as_ref()
-            .map_or_else(Default::default, |tx| tx.sock.fault_stats()),
-        data_socket: tx
-            .as_ref()
-            .map_or_else(Default::default, |tx| tx.sock.stats),
-        control_socket: rx
-            .as_ref()
-            .map_or_else(Default::default, |rx| rx.sock.stats),
+        faults: data_sock.map(FaultySocket::fault_stats).unwrap_or_default(),
+        data_socket: data_sock.map(|s| s.stats).unwrap_or_default(),
+        control_socket: rx.as_ref().map(|rx| rx.sock.stats).unwrap_or_default(),
         flight: flight.records,
         seed: cfg.seed,
         delivery_digest: rx
