@@ -89,7 +89,8 @@ impl TransitBuffer {
         experiment: mmt_wire::mmt::ExperimentId,
     ) {
         self.stats.naks_received += 1;
-        // What is not held, as the store's compact gaps, to re-NAK upstream.
+        // What is not held comes back as compact gaps, in request order:
+        // exactly the ranges to re-NAK upstream.
         let mut ranges: Vec<NakRange> = Vec::new();
         let stats = &mut self.stats;
         for &range in &nak.ranges {
@@ -113,15 +114,6 @@ impl TransitBuffer {
         if ranges.is_empty() {
             return;
         }
-        // Ascending, with the adjoining gaps of neighbouring requests joined.
-        ranges.sort_unstable_by_key(|r| r.first);
-        ranges.dedup_by(|next, kept| {
-            let adjoins = kept.last.checked_add(1) == Some(next.first);
-            if adjoins {
-                kept.last = next.last;
-            }
-            adjoins
-        });
         let upstream_nak = NakRepr {
             requester: nak.requester,
             requester_port: nak.requester_port,

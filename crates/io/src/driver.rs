@@ -42,11 +42,6 @@ fn pop_due(timers: &mut Timers, now: Time) -> Option<(u8, TimerToken)> {
     timers.pop().map(|(_, due)| due)
 }
 
-/// The earliest pending wakeup (`&mut`: peeking may advance the wheel).
-fn next_wake(timers: &mut Timers) -> Option<Time> {
-    timers.peek().map(|(at, _)| Time::from_nanos(at))
-}
-
 /// The sending host: sensor machine + border DTN machine, DAQ link
 /// in-memory, WAN link on the wire.
 pub struct SenderSide {
@@ -97,9 +92,9 @@ impl SenderSide {
         }
     }
 
-    /// The earliest pending wakeup.
+    /// The earliest pending wakeup (`&mut`: peeking may advance the wheel).
     pub fn next_wake(&mut self) -> Option<Time> {
-        next_wake(&mut self.timers)
+        self.timers.peek().map(|(at, _)| Time::from_nanos(at))
     }
 
     /// The sensor machine.
@@ -189,9 +184,9 @@ impl ReceiverSide {
         }
     }
 
-    /// The earliest pending wakeup.
+    /// The earliest pending wakeup (`&mut`: peeking may advance the wheel).
     pub fn next_wake(&mut self) -> Option<Time> {
-        next_wake(&mut self.timers)
+        self.timers.peek().map(|(at, _)| Time::from_nanos(at))
     }
 
     /// The receiver machine.
@@ -238,7 +233,7 @@ mod tests {
         q.schedule(Time::from_millis(5).as_nanos(), (0, 10));
         q.schedule(Time::from_millis(1).as_nanos(), (1, 11));
         q.schedule(Time::from_millis(5).as_nanos(), (2, 12));
-        assert_eq!(next_wake(&mut q), Some(Time::from_millis(1)));
+        assert_eq!(q.peek().map(|(at, _)| at), Some(1_000_000));
         assert_eq!(pop_due(&mut q, Time::from_millis(1)), Some((1, 11)));
         assert_eq!(pop_due(&mut q, Time::from_millis(1)), None);
         assert_eq!(pop_due(&mut q, Time::from_millis(5)), Some((0, 10)));

@@ -395,26 +395,6 @@ impl TxHalf {
             wire: Vec::new(),
         }
     }
-
-    /// Hand every waiting datagram (NAKs) to the DTN; whether any came.
-    fn recv(&mut self, now: Time, buf: &mut [u8], flight: &mut Flight) -> Result<bool, IoError> {
-        let mut moved = false;
-        while let Some(n) = self.sock.recv(buf)? {
-            moved = true;
-            flight.event(now, "io_rx_nak", n as u64);
-            self.side.wire_in(now, buf[..n].to_vec(), &mut self.wire);
-        }
-        Ok(moved)
-    }
-
-    /// Queue everything on the wire at the socket; whether anything was.
-    fn send(&mut self, now: Time) -> Result<bool, IoError> {
-        let moved = !self.wire.is_empty();
-        for pkt in self.wire.drain(..) {
-            self.sock.send(now, &pkt.bytes)?;
-        }
-        Ok(moved)
-    }
 }
 
 /// The receiving half of a run: the receiver, the socket it hears data on
@@ -447,26 +427,29 @@ impl RxHalf {
             gov,
         }
     }
+}
 
-    /// Hand every waiting datagram to the receiver; whether any came.
-    fn recv(&mut self, now: Time, buf: &mut [u8]) -> Result<bool, IoError> {
-        let mut moved = false;
-        while let Some(n) = self.sock.recv(buf)? {
-            moved = true;
-            self.side.wire_in(now, buf[..n].to_vec(), &mut self.wire);
-        }
-        Ok(moved)
+/// Hand every datagram waiting at `sock` to `deliver`; whether any came.
+fn recv_all(
+    sock: &mut FaultySocket,
+    buf: &mut [u8],
+    mut deliver: impl FnMut(&[u8]),
+) -> Result<bool, IoError> {
+    let mut moved = false;
+    while let Some(n) = sock.recv(buf)? {
+        moved = true;
+        deliver(&buf[..n]);
     }
+    Ok(moved)
+}
 
-    /// Queue every waiting NAK at the socket; whether there was one.
-    fn send(&mut self, now: Time, flight: &mut Flight) -> Result<bool, IoError> {
-        let moved = !self.wire.is_empty();
-        for pkt in self.wire.drain(..) {
-            flight.event(now, "io_tx_nak", pkt.bytes.len() as u64);
-            self.sock.send(now, &pkt.bytes)?;
-        }
-        Ok(moved)
+/// Queue everything in `wire` at `sock`; whether there was anything.
+fn send_all(sock: &mut FaultySocket, now: Time, wire: &mut Vec<Packet>) -> Result<bool, IoError> {
+    let moved = !wire.is_empty();
+    for pkt in wire.drain(..) {
+        sock.send(now, &pkt.bytes)?;
     }
+    Ok(moved)
 }
 
 fn sleep_until_next(now: Time, candidates: &[Option<Time>]) {
@@ -528,18 +511,26 @@ fn drive(
 
         let mut moved = false;
         if let Some(tx) = &mut tx {
-            moved |= tx.recv(now, &mut buf, &mut flight)?;
+            moved |= recv_all(&mut tx.sock, &mut buf, |nak| {
+                flight.event(now, "io_rx_nak", nak.len() as u64);
+                tx.side.wire_in(now, nak.to_vec(), &mut tx.wire);
+            })?;
         }
         if let Some(rx) = &mut rx {
-            let heard = rx.recv(now, &mut buf)?;
+            let heard = recv_all(&mut rx.sock, &mut buf, |datagram| {
+                rx.side.wire_in(now, datagram.to_vec(), &mut rx.wire);
+            })?;
             seen_any |= heard;
             moved |= heard;
         }
         if let Some(tx) = &mut tx {
-            moved |= tx.send(now)?;
+            moved |= send_all(&mut tx.sock, now, &mut tx.wire)?;
         }
         if let Some(rx) = &mut rx {
-            moved |= rx.send(now, &mut flight)?;
+            for nak in &rx.wire {
+                flight.event(now, "io_tx_nak", nak.bytes.len() as u64);
+            }
+            moved |= send_all(&mut rx.sock, now, &mut rx.wire)?;
         }
         if let Some(tx) = &mut tx {
             tx.sock.flush(now)?;
