@@ -16,6 +16,25 @@ use std::collections::BTreeMap;
 
 const TOKEN_NAK: TimerToken = 0x17;
 
+/// Most outstanding sequences one NAK round walks, charges and names.
+/// Wider gaps are asked for a slice per round, so the work and memory of
+/// a round never depend on a gap's numeric width (one forged sequence
+/// number can open a gap of 2⁶⁴). The widest round any golden or table
+/// run makes is 1 809 sequences (a failover tail), so none is cut short.
+pub const NAK_ROUND_SEQS: usize = 4096;
+
+/// The one pending NAK wake.
+#[derive(Debug, Clone, Copy)]
+struct NakWake {
+    /// When it is due. A wake that arrives earlier was superseded by a
+    /// [`MmtReceiver::retune`] and is ignored.
+    at: Time,
+    /// For a retry wake, when the NAK round that armed it ran: `retune`
+    /// re-measures the retry interval from here. `None` while a fresh
+    /// gap waits out the reorder delay.
+    round: Option<Time>,
+}
+
 /// Receiver configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ReceiverConfig {
@@ -132,7 +151,8 @@ pub struct MmtReceiver {
     retransmit_source: Option<(Ipv4Address, u16)>,
     /// When the most recent sequenced packet arrived.
     last_arrival: Time,
-    nak_timer_armed: bool,
+    /// The pending NAK wake, if any.
+    nak_wake: Option<NakWake>,
     /// Delivered messages, in arrival order.
     log: Vec<ReceivedMessage>,
     /// Distinct message indices delivered.
@@ -154,7 +174,7 @@ impl MmtReceiver {
             barren_rounds: 0,
             retransmit_source: None,
             last_arrival: Time::ZERO,
-            nak_timer_armed: false,
+            nak_wake: None,
             log: Vec::new(),
             distinct: std::collections::BTreeSet::new(),
             stats: ReceiverStats::default(),
@@ -188,13 +208,39 @@ impl MmtReceiver {
         h
     }
 
-    /// Mutable access to the live configuration. The real-time io driver
-    /// uses this to feed its measured RTO estimate into `nak_interval`
-    /// (and to tighten retry budgets when a deadline watchdog degrades
-    /// the flow); the simulator never calls it, so virtual-time runs are
-    /// unaffected. Takes effect when the next NAK timer is armed.
-    pub fn config_mut(&mut self) -> &mut ReceiverConfig {
-        &mut self.config
+    /// The live configuration.
+    pub fn config(&self) -> &ReceiverConfig {
+        &self.config
+    }
+
+    /// Set the NAK retry interval live — the one writer of the retry
+    /// policy besides [`degrade`](Self::degrade). A pending retry wake that
+    /// the new interval makes due earlier (counted from the NAK round that
+    /// armed it, never before `now`) moves there with a fresh `WakeAt`;
+    /// the old wake is then ignored when it arrives. A longer interval
+    /// takes effect from the next round. The real-time io driver feeds its
+    /// RTO estimate through here; the simulator never does, so
+    /// virtual-time runs are unaffected.
+    pub fn retune(&mut self, now: Time, nak_interval: Time, out: &mut Vec<Output>) {
+        self.config.nak_interval = nak_interval;
+        let Some(wake) = self.nak_wake else { return };
+        let Some(round) = wake.round else { return };
+        let at = (round + self.backoff_interval()).max(now);
+        if at < wake.at {
+            self.nak_wake = Some(NakWake { at, ..wake });
+            out.push(Output::WakeAt {
+                at,
+                token: TOKEN_NAK,
+            });
+        }
+    }
+
+    /// Stop persisting: every outstanding sequence gets at most one more
+    /// NAK, and a gap older than `give_up_after` is counted lost at the
+    /// next round. Used when a deadline watchdog degrades the flow.
+    pub fn degrade(&mut self, give_up_after: Time) {
+        self.config.max_nak_retries = 1;
+        self.config.give_up_after = give_up_after;
     }
 
     /// The retransmit source named by the most recent sequenced packet —
@@ -280,11 +326,20 @@ impl MmtReceiver {
         reg.observe_histogram("mmt_receiver_age_ns", &labels, &age);
     }
 
-    fn arm_nak_timer(&mut self, now: Time, delay: Time, out: &mut Vec<Output>) {
-        if !self.nak_timer_armed {
-            self.nak_timer_armed = true;
+    /// Arm the NAK wake unless one is pending; `round` marks a retry wake
+    /// (see [`NakWake::round`]).
+    fn arm_nak_timer(
+        &mut self,
+        now: Time,
+        delay: Time,
+        round: Option<Time>,
+        out: &mut Vec<Output>,
+    ) {
+        if self.nak_wake.is_none() {
+            let at = now + delay;
+            self.nak_wake = Some(NakWake { at, round });
             out.push(Output::WakeAt {
-                at: now + delay,
+                at,
                 token: TOKEN_NAK,
             });
         }
@@ -338,27 +393,30 @@ impl MmtReceiver {
         let Some((_, port)) = self.retransmit_source else {
             return false;
         };
-        // Charge the per-sequence retry budget, rebuilding merged ranges
-        // from the sequences still worth asking for.
+        // Charge the per-sequence retry budget of the first
+        // `NAK_ROUND_SEQS` outstanding sequences (the rest wait for a later
+        // round), rebuilding merged ranges from those still worth asking for.
         let mut ranges: Vec<NakRange> = Vec::new();
-        for r in &missing {
-            for s in r.first..=r.last {
-                let count = self.nak_counts.entry(s).or_insert(0);
-                if *count >= self.config.max_nak_retries {
-                    if self.tracker.record(s) {
-                        // Pseudo-fill so this sequence stops being a gap.
-                        self.stats.lost += 1;
-                        self.stats.nak_retries_exhausted += 1;
-                    }
-                    self.nak_counts.remove(&s);
-                    continue;
+        for s in missing
+            .iter()
+            .flat_map(|r| r.first..=r.last)
+            .take(NAK_ROUND_SEQS)
+        {
+            let count = self.nak_counts.entry(s).or_insert(0);
+            if *count >= self.config.max_nak_retries {
+                if self.tracker.record(s) {
+                    // Pseudo-fill so this sequence stops being a gap.
+                    self.stats.lost += 1;
+                    self.stats.nak_retries_exhausted += 1;
                 }
-                *count += 1;
-                self.naked.insert(s);
-                match ranges.last_mut() {
-                    Some(r) if r.last + 1 == s => r.last = s,
-                    _ => ranges.push(NakRange { first: s, last: s }),
-                }
+                self.nak_counts.remove(&s);
+                continue;
+            }
+            *count += 1;
+            self.naked.insert(s);
+            match ranges.last_mut() {
+                Some(r) if r.last + 1 == s => r.last = s,
+                _ => ranges.push(NakRange { first: s, last: s }),
             }
         }
         if ranges.is_empty() {
@@ -393,9 +451,15 @@ impl MmtReceiver {
         for r in missing {
             let first_seen = *self.gap_first_seen.entry(r.first).or_insert(now);
             if now.saturating_sub(first_seen) >= self.config.give_up_after {
-                for s in r.first..=r.last {
-                    self.tracker.record(s); // pseudo-fill: stop NAKing
-                    self.stats.lost += 1;
+                // Pseudo-fill the whole gap in one call: stop NAKing it.
+                self.tracker.record_range(r.first, r.last);
+                self.stats.lost = self.stats.lost.saturating_add(r.len());
+                let charged: Vec<u64> = self
+                    .nak_counts
+                    .range(r.first..=r.last)
+                    .map(|(&s, _)| s)
+                    .collect();
+                for s in charged {
                     self.nak_counts.remove(&s);
                 }
                 self.gap_first_seen.remove(&r.first);
@@ -473,7 +537,7 @@ impl MmtReceiver {
                 .expect_messages
                 .is_some_and(|expect| self.tracker.received_count() < expect);
             if self.tracker.gap_count() > 0 || tail_pending {
-                self.arm_nak_timer(now, self.config.reorder_delay, out);
+                self.arm_nak_timer(now, self.config.reorder_delay, None, out);
             }
         }
         // Extract the application message index from the payload prefix —
@@ -496,7 +560,10 @@ impl MmtReceiver {
     }
 
     fn on_nak_timer(&mut self, now: Time, out: &mut Vec<Output>) {
-        self.nak_timer_armed = false;
+        if self.nak_wake.is_none_or(|wake| now < wake.at) {
+            return; // superseded by a retune that moved the wake
+        }
+        self.nak_wake = None;
         let outstanding = self.age_out_gaps(now);
         if outstanding && self.send_nak(now, out) {
             self.barren_rounds = self.barren_rounds.saturating_add(1);
@@ -507,7 +574,7 @@ impl MmtReceiver {
             self.tracker.received_count() > 0 && self.tracker.received_count() < expect
         });
         if outstanding || tail_pending {
-            self.arm_nak_timer(now, self.backoff_interval(), out);
+            self.arm_nak_timer(now, self.backoff_interval(), Some(now), out);
         }
     }
 }
@@ -712,6 +779,48 @@ mod tests {
             bo_stats.nak_retries_exhausted, 0,
             "time-based give-up governed"
         );
+    }
+
+    #[test]
+    fn retuned_retry_supersedes_the_wake_it_replaced() {
+        let mut cfg = ReceiverConfig::wan_defaults(exp(), Ipv4Address::new(10, 0, 0, 8));
+        cfg.nak_interval = Time::from_millis(20);
+        cfg.nak_interval_max = Time::from_secs(1);
+        let mut r = MmtReceiver::new(cfg);
+        let mut out = Vec::new();
+        let nak_timer = || Input::Timer { token: TOKEN_NAK };
+        for s in [0u64, 3] {
+            let pkt = wan_frame(s, s, false);
+            r.poll(
+                Time::from_micros(s),
+                Input::Frame { port: 0, pkt },
+                &mut out,
+            );
+        }
+        let ms = Time::from_millis;
+        // The reorder wait is not a retry: even a tiny interval leaves it.
+        r.retune(Time::from_micros(5), Time::from_micros(1), &mut out);
+        r.retune(Time::from_micros(5), ms(20), &mut out);
+        assert_eq!(out.len(), 1, "only the reorder wake");
+        out.clear();
+        r.poll(ms(1), nak_timer(), &mut out);
+        assert_eq!(r.stats.naks_sent, 1);
+        out.clear();
+        // 15 ms from the round at 1 ms: due at 16 ms, not 21 ms.
+        r.retune(ms(2), ms(15), &mut out);
+        assert!(matches!(out[..], [Output::WakeAt { at, .. }] if at == ms(16)));
+        out.clear();
+        r.poll(ms(16), nak_timer(), &mut out);
+        assert_eq!(r.stats.naks_sent, 2, "the moved wake retries");
+        out.clear();
+        // The replaced wake still arrives at 21 ms, before the next
+        // (backed-off) deadline at 46 ms, with seqs 1-2 still missing:
+        // ignored.
+        r.poll(ms(21), nak_timer(), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(r.stats.naks_sent, 2);
+        r.poll(ms(46), nak_timer(), &mut out);
+        assert_eq!(r.stats.naks_sent, 3);
     }
 
     #[test]

@@ -64,6 +64,31 @@ impl SeqTracker {
         true
     }
 
+    /// Record every sequence in `first..=last` at once. Costs one merge per
+    /// stored range the span touches, never one step per sequence, so a
+    /// gap as wide as the sequence space closes in constant work.
+    pub fn record_range(&mut self, first: u64, last: u64) {
+        if first > last {
+            return;
+        }
+        let mut start = first;
+        let mut end = last.saturating_add(1);
+        // Stored ranges that overlap or abut `[start, end)`, highest first.
+        let touching: Vec<(u64, u64)> = self
+            .ranges
+            .range(..=end)
+            .rev()
+            .take_while(|&(_, &e)| e >= start)
+            .map(|(&s, &e)| (s, e))
+            .collect();
+        for (s, e) in touching {
+            self.ranges.remove(&s);
+            start = start.min(s);
+            end = end.max(e);
+        }
+        self.ranges.insert(start, end);
+    }
+
     /// Whether `seq` has been received.
     pub fn contains(&self, seq: u64) -> bool {
         self.ranges
@@ -203,6 +228,36 @@ mod tests {
         assert_eq!(t.highest(), Some(10));
         t.record(0);
         assert_eq!(t.missing_ranges(16), vec![NakRange { first: 1, last: 7 }]);
+    }
+
+    #[test]
+    fn record_range_merges_like_single_records() {
+        let mut spans = SeqTracker::new();
+        let mut singles = SeqTracker::new();
+        for s in [0u64, 1, 5, 9, 10, 20] {
+            spans.record(s);
+            singles.record(s);
+        }
+        // Abuts 1 and 5, swallows 9..=10, stops short of 20.
+        spans.record_range(2, 12);
+        for s in 2..=12 {
+            singles.record(s);
+        }
+        assert_eq!(spans.missing_ranges(16), singles.missing_ranges(16));
+        assert_eq!(spans.received_count(), singles.received_count());
+        assert_eq!(
+            spans.missing_ranges(16),
+            vec![NakRange {
+                first: 13,
+                last: 19
+            }]
+        );
+        // The whole space in one call.
+        spans.record_range(0, u64::MAX - 1);
+        assert_eq!(spans.gap_count(), 0);
+        assert_eq!(spans.highest(), Some(u64::MAX - 1));
+        spans.record_range(7, 3);
+        assert_eq!(spans.received_count(), u64::MAX);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! socket); the NAK path stays clean, modelling a lossy WAN with a
 //! protected control channel. The receiver's NAK retry interval is driven
 //! by the [`RtoEstimator`]: each NAK→recovery round-trip feeds a sample,
-//! each barren retry backs the timeout off, and an exhausted retry budget
-//! degrades the flow early. A [`Watchdog`] ladder guards the configured
-//! deadline: shed → degrade → abort-with-flight-dump.
+//! each barren retry backs the timeout off, an estimate that shrinks moves
+//! a pending retry earlier, and an exhausted retry budget degrades the
+//! flow early. A [`Watchdog`] ladder guards the configured deadline:
+//! shed → degrade → abort-with-flight-dump.
 
 use std::net::UdpSocket;
 
@@ -71,7 +72,8 @@ pub struct IoPilotConfig {
 
 impl IoPilotConfig {
     /// Defaults sized for a loopback smoke run: 200 × 1 KiB messages at
-    /// a 50 µs pace, 5 ms RTO floor, 2 s deadline.
+    /// a 50 µs pace, 2 s deadline, and a 5 ms RTO floor, which is also
+    /// the NAK retry interval until the first round trip is measured.
     pub fn defaults() -> IoPilotConfig {
         IoPilotConfig {
             messages: 200,
@@ -288,9 +290,7 @@ impl RxGovernor {
             return;
         }
         self.degraded = true;
-        let rcfg = rx.receiver_mut().config_mut();
-        rcfg.max_nak_retries = 1;
-        rcfg.give_up_after = self.rto.current();
+        rx.degrade(self.rto.current());
         flight.event(now, "io_degrade", 0);
     }
 
@@ -303,7 +303,7 @@ impl RxGovernor {
                 flight.event(now, "io_rto_sample", self.rto.srtt_ns());
             }
             self.last_recovered = stats.recovered;
-            self.apply(rx);
+            retune(rx, now, self.rto.current(), flight);
         }
         if stats.naks_sent > self.last_naks {
             if self.nak_outstanding.is_some() {
@@ -316,13 +316,16 @@ impl RxGovernor {
                 self.nak_outstanding = Some(now);
             }
             self.last_naks = stats.naks_sent;
-            self.apply(rx);
+            retune(rx, now, self.rto.current(), flight);
         }
     }
+}
 
-    /// Push the current RTO estimate into the receiver's NAK interval.
-    fn apply(&self, rx: &mut ReceiverSide) {
-        rx.receiver_mut().config_mut().nak_interval = self.rto.current();
+/// Set the receiver's NAK interval, logging the new deadline when that
+/// moves its pending retry wake earlier.
+fn retune(rx: &mut ReceiverSide, now: Time, nak_interval: Time, flight: &mut Flight) {
+    if let Some(at) = rx.retune(now, nak_interval) {
+        flight.event(now, "io_nak_rearm", at.as_nanos());
     }
 }
 
@@ -337,8 +340,8 @@ fn apply_watchdog_stage(
             flight.event(now, "io_watchdog_shed", 0);
             if let Some(rx) = rx {
                 // Reduce retry pressure on the struggling path.
-                let rcfg = rx.side.receiver_mut().config_mut();
-                rcfg.nak_interval = rcfg.nak_interval * 2;
+                let doubled = rx.side.receiver().config().nak_interval * 2;
+                retune(&mut rx.side, now, doubled, flight);
             }
         }
         WatchdogStage::Degraded => {
@@ -413,8 +416,8 @@ impl RxHalf {
         rcfg.expect_messages = Some(cfg.messages);
         rcfg.reorder_delay = (cfg.rto_min / 8).max(Time::from_micros(100));
         let gov = RxGovernor::new(cfg);
-        // The NAK interval starts at the pre-sample RTO and is re-tuned by
-        // the governor as samples arrive.
+        // The NAK interval starts at the pre-sample RTO (the floor) and is
+        // retuned by the governor as samples arrive.
         rcfg.nak_interval = gov.rto.current();
         rcfg.nak_interval_max = cfg.deadline.max(rcfg.nak_interval);
         rcfg.max_nak_retries = cfg.nak_retries;
@@ -467,9 +470,13 @@ fn sleep_until_next(now: Time, candidates: &[Option<Time>]) {
 
 /// The poll loop every runner shares: drive whichever halves this
 /// process holds until the flow is accounted for or the watchdog aborts.
-/// One iteration is always the same steps in the same order — watchdog,
-/// timers, receive, send, flush, governor — with the sending half ahead
-/// of the receiving half inside each step.
+/// One iteration is always the same steps in the same order: the
+/// watchdog, then each half in turn, sending half first — receive,
+/// timers, send, flush (and the governor after the receiving half). A
+/// half reads its socket before its timers fire, so a timer never
+/// mistakes datagrams already waiting in the socket for silence; and the
+/// sending half's datagrams are on the wire before the receiving half
+/// reads.
 fn drive(
     cfg: &IoPilotConfig,
     mut tx: Option<TxHalf>,
@@ -502,19 +509,15 @@ fn drive(
                 return Err(abort_error(&flight, cfg.seed, now));
             }
         }
-        if let Some(tx) = &mut tx {
-            tx.side.poll_timers(now, &mut tx.wire);
-        }
-        if let Some(rx) = &mut rx {
-            rx.side.poll_timers(now, &mut rx.wire);
-        }
-
         let mut moved = false;
         if let Some(tx) = &mut tx {
             moved |= recv_all(&mut tx.sock, &mut buf, |nak| {
                 flight.event(now, "io_rx_nak", nak.len() as u64);
                 tx.side.wire_in(now, nak.to_vec(), &mut tx.wire);
             })?;
+            tx.side.poll_timers(now, &mut tx.wire);
+            moved |= send_all(&mut tx.sock, now, &mut tx.wire)?;
+            tx.sock.flush(now)?;
         }
         if let Some(rx) = &mut rx {
             let heard = recv_all(&mut rx.sock, &mut buf, |datagram| {
@@ -522,20 +525,11 @@ fn drive(
             })?;
             seen_any |= heard;
             moved |= heard;
-        }
-        if let Some(tx) = &mut tx {
-            moved |= send_all(&mut tx.sock, now, &mut tx.wire)?;
-        }
-        if let Some(rx) = &mut rx {
+            rx.side.poll_timers(now, &mut rx.wire);
             for nak in &rx.wire {
                 flight.event(now, "io_tx_nak", nak.bytes.len() as u64);
             }
             moved |= send_all(&mut rx.sock, now, &mut rx.wire)?;
-        }
-        if let Some(tx) = &mut tx {
-            tx.sock.flush(now)?;
-        }
-        if let Some(rx) = &mut rx {
             rx.sock.flush(now)?;
             rx.gov.after_iter(now, &mut rx.side, &mut flight);
         }

@@ -33,8 +33,9 @@ pub struct RtoEstimator {
 impl RtoEstimator {
     /// Create an estimator clamped to `[rto_min, rto_max]` with a total
     /// retry budget. Before the first sample, [`current`](Self::current)
-    /// reports `4 × rto_min` (a conservative stand-in for RFC 6298's
-    /// fixed initial RTO, scaled to the configured floor).
+    /// reports the floor `rto_min`: RFC 6298 sets the initial RTO (§2.1)
+    /// and the floor (§2.4) to the same 1 s, and this keeps them equal at
+    /// the configured floor.
     pub fn new(rto_min: Time, rto_max: Time, retry_budget: u32) -> RtoEstimator {
         RtoEstimator {
             srtt_ns: 0,
@@ -66,10 +67,10 @@ impl RtoEstimator {
     }
 
     /// The smoothed estimate before backoff: `srtt + 4·rttvar`, floored
-    /// at `rto_min` (or the pre-sample default).
+    /// at `rto_min` (which is also the whole estimate before a sample).
     pub fn base(&self) -> Time {
         if self.srtt_ns == 0 {
-            return (self.rto_min * 4).min(self.rto_max);
+            return self.rto_min;
         }
         let rto_ns = self.srtt_ns.saturating_add(4 * self.rttvar_ns);
         Time::from_nanos(rto_ns).max(self.rto_min).min(self.rto_max)
@@ -146,9 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_sample_default_is_four_times_floor() {
-        let rto = RtoEstimator::new(Time::from_millis(5), Time::from_secs(1), 8);
-        assert_eq!(rto.current(), Time::from_millis(20));
+    fn pre_sample_rto_is_the_floor() {
+        // RFC 6298 §2.1 (initial RTO) and §2.4 (minimum RTO) are both 1 s:
+        // before any sample the estimate sits at the floor, not above it.
+        let mut rto = RtoEstimator::new(Time::from_millis(5), Time::from_secs(1), 8);
+        assert_eq!(rto.base(), Time::from_millis(5));
+        assert_eq!(rto.current(), Time::from_millis(5));
+        // Backoff still doubles from there while no sample has arrived.
+        rto.back_off();
+        assert_eq!(rto.current(), Time::from_millis(10));
     }
 
     #[test]

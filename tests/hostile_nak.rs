@@ -4,6 +4,12 @@
 //! widest ranges the wire format can say, directly and through the io
 //! assembly a real socket feeds.
 //!
+//! The receiver's side of the same coin: one sequence number is 8 bytes
+//! anyone can forge too, and a gap it opens is as wide as it says. A NAK
+//! round must cost at most [`NAK_ROUND_SEQS`] sequences however wide the
+//! gap, both for a forged sequence number and for a long stream stalled
+//! far short of its expected length.
+//!
 //! Every case runs under a wall-clock bound, so a store that goes back to
 //! counting from `first` to `last` fails here instead of hanging the suite.
 
@@ -11,11 +17,15 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use mmt::dataplane::parser::{build_eth_mmt_frame, FrameView};
-use mmt::io::SenderSide;
+use mmt::io::{ReceiverSide, SenderSide};
 use mmt::netsim::{Input, Machine, Output, Packet, Time};
 use mmt::protocol::buffer::{PORT_DAQ, PORT_WAN};
+use mmt::protocol::receiver::NAK_ROUND_SEQS;
 use mmt::protocol::{standby, transit};
-use mmt::protocol::{MmtSender, RetransmitBuffer, SenderConfig, StandbyBuffer, TransitBuffer};
+use mmt::protocol::{
+    MmtReceiver, MmtSender, ReceiverConfig, RetransmitBuffer, SenderConfig, StandbyBuffer,
+    TransitBuffer,
+};
 use mmt::wire::mmt::{
     ControlRepr, ExperimentId, Features, MmtRepr, ModeChangeRepr, NakRange, NakRepr,
 };
@@ -57,7 +67,7 @@ fn bounded<T: Send + 'static>(label: &str, body: impl FnOnce() -> T + Send + 'st
     });
     result
         .recv_timeout(BOUND)
-        .unwrap_or_else(|_| panic!("{label}: serving the NAK did not return within {BOUND:?}"))
+        .unwrap_or_else(|_| panic!("{label}: did not return within {BOUND:?}"))
 }
 
 fn exp() -> ExperimentId {
@@ -290,5 +300,113 @@ fn a_wide_nak_from_the_socket_side_returns_only_stored_datagrams() {
             expected_misses(&ranges),
             "{label}"
         );
+    }
+}
+
+/// NAK rounds each receiver case drives. One round of the stalled stream
+/// used to walk its whole 10M-sequence tail (~2 s optimised), so the
+/// rounds together outlive [`BOUND`] unless each is bounded.
+const ROUNDS: usize = 8;
+
+/// The hostile receiver shapes: the sequences that arrive, the expected
+/// stream length, and the first sequence found missing.
+fn receiver_shapes() -> [(&'static str, Vec<u64>, Option<u64>, u64); 2] {
+    [
+        // One forged frame opens the gap 1..=u64::MAX-2.
+        ("seq u64::MAX-1", vec![0, u64::MAX - 1], None, 1),
+        // A long stream stalls after 10 messages: the tail 10..10M is due.
+        (
+            "stalled at 10 of 10M",
+            (0..10).collect(),
+            Some(10_000_000),
+            10,
+        ),
+    ]
+}
+
+/// The ranges of each of `ROUNDS` bounded NAKs for a gap starting at
+/// `first`: its first [`NAK_ROUND_SEQS`] sequences, every round (the
+/// same ones are charged until recovered or out of retries).
+fn bounded_rounds(first: u64) -> Vec<Vec<NakRange>> {
+    let slice = NakRange {
+        first,
+        last: first + NAK_ROUND_SEQS as u64 - 1,
+    };
+    vec![vec![slice]; ROUNDS]
+}
+
+fn receiver(expect: Option<u64>) -> MmtReceiver {
+    let mut cfg = ReceiverConfig::wan_defaults(exp(), Ipv4Address::new(10, 0, 0, 8));
+    cfg.expect_messages = expect;
+    MmtReceiver::new(cfg)
+}
+
+/// The ranges of every NAK in `sent`.
+fn nak_ranges<'a>(sent: impl IntoIterator<Item = &'a Packet>) -> Vec<Vec<NakRange>> {
+    sent.into_iter()
+        .map(|pkt| {
+            let mmt = FrameView::of(pkt).mmt_bytes().expect("NAK is MMT");
+            match ControlRepr::parse_packet(mmt) {
+                Ok((_, ControlRepr::Nak(nak))) => nak.ranges,
+                other => panic!("expected a NAK, got {other:?}"),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn receiver_naks_a_bounded_slice_of_any_gap() {
+    for (label, seqs, expect, first) in receiver_shapes() {
+        let mut machine = receiver(expect);
+        let naks = bounded(label, move || {
+            let mut out = Vec::new();
+            for s in seqs {
+                let pkt = wan_frame(s);
+                machine.poll(
+                    Time::from_micros(1),
+                    Input::Frame { port: 0, pkt },
+                    &mut out,
+                );
+            }
+            // Fire the NAK timer at each wake it asks for (the tail waits
+            // one retry interval to turn quiet before its first NAK).
+            let mut naks = Vec::new();
+            while naks.len() < ROUNDS {
+                let Some((at, token)) = out.iter().find_map(|o| match o {
+                    Output::WakeAt { at, token } => Some((*at, *token)),
+                    _ => None,
+                }) else {
+                    break;
+                };
+                out.clear();
+                machine.poll(at, Input::Timer { token }, &mut out);
+                naks.extend(out.iter().filter_map(|o| match o {
+                    Output::Transmit { pkt, .. } => Some(pkt.clone()),
+                    _ => None,
+                }));
+            }
+            naks
+        });
+        assert_eq!(nak_ranges(&naks), bounded_rounds(first), "{label}");
+    }
+}
+
+#[test]
+fn a_hostile_sequence_from_the_socket_side_naks_a_bounded_slice() {
+    for (label, seqs, expect, first) in receiver_shapes() {
+        let mut side = ReceiverSide::new(receiver(expect));
+        let (side, wire) = bounded(label, move || {
+            let mut wire = Vec::new();
+            for s in seqs {
+                side.wire_in(Time::from_micros(1), wan_frame(s).bytes, &mut wire);
+            }
+            while wire.len() < ROUNDS {
+                let Some(at) = side.next_wake() else { break };
+                side.poll_timers(at, &mut wire);
+            }
+            (side, wire)
+        });
+        assert_eq!(nak_ranges(&wire), bounded_rounds(first), "{label}");
+        assert_eq!(side.receiver().stats.naks_sent, ROUNDS as u64, "{label}");
     }
 }
