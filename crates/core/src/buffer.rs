@@ -277,6 +277,11 @@ impl RetransmitBuffer {
         self.store.seqs().collect()
     }
 
+    /// The copy retained for `seq`: what a NAK for it would be served from.
+    pub fn stored(&self, seq: u64) -> Option<&Packet> {
+        self.store.get(seq)
+    }
+
     fn retain(&mut self, seq: u64, pkt: Packet) {
         self.stats.evicted += self.store.retain(seq, pkt).evicted;
         self.stats.stored = self.store.len() as u64;

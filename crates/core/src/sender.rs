@@ -81,6 +81,10 @@ pub struct MmtSender {
     /// Messages-in-flight credits granted by backpressure (None = no
     /// governor active).
     credits: Option<u64>,
+    /// Every message's payload after its 8-byte index: zeros, written
+    /// once per stream and shared as the tail of every message (an empty
+    /// shared tail for 8-byte messages, so there is one tail form).
+    filler: Tail,
     /// Counters.
     pub stats: SenderStats,
 }
@@ -94,6 +98,7 @@ impl MmtSender {
         );
         assert!(config.message_len >= 8, "message must fit its index");
         MmtSender {
+            filler: Tail::build(config.message_len - 8, |_| {}),
             config,
             next: 0,
             credits: None,
@@ -151,24 +156,25 @@ impl MmtSender {
                 }
             }
             // Mode-0 header: identification only; the network adds the
-            // rest. The payload carries the message index so receivers can
-            // account per-message latency even before sequencing begins.
+            // rest. The payload starts with the message index so receivers
+            // can account per-message latency even before sequencing
+            // begins.
             //
-            // The payload is written here, once, into a shared tail; from
-            // this point to delivery every hop handles only the head.
+            // The index is the one payload field that differs per message,
+            // so it rides inlined in the head; the rest of the payload is
+            // the stream's filler, shared by reference. From this point to
+            // delivery every hop handles only the head.
             let repr = MmtRepr::data(self.config.experiment);
-            let index = (self.next as u64).to_be_bytes();
             let head = build_head(
                 self.config.src_mac,
                 self.config.dst_mac,
                 self.config.framing,
                 &repr,
-                self.config.message_len,
+                &(self.next as u64).to_be_bytes(),
+                self.filler.len(),
             );
             let mut pkt = Packet::with_flow(head, u64::from(self.config.experiment.raw()));
-            pkt.tail = Tail::build(self.config.message_len, |payload| {
-                payload[..8].copy_from_slice(&index);
-            });
+            pkt.tail = self.filler.clone();
             pkt.meta.created_at = self.config.schedule[self.next];
             // Mirror the header identity into simulator metadata so trace
             // events correlate from the very first hop.
@@ -267,7 +273,19 @@ mod tests {
             assert!(repr.features.is_empty(), "sensors emit mode 0");
             let payload = parsed.payload().unwrap();
             assert_eq!(payload.len(), 1024);
-            assert_eq!(pkt.tail.len(), 1024, "the payload rides as the tail");
+            assert_eq!(
+                pkt.tail.len(),
+                1024 - 8,
+                "the payload after the index rides as the tail"
+            );
+            assert!(pkt.tail.bytes().iter().all(|&b| b == 0));
+            assert!(
+                pkt.tail.shares_with(&got[0].1.tail),
+                "one filler per stream"
+            );
+            // The index rides inlined in the head, right after the header.
+            let head_index: [u8; 8] = pkt.bytes[pkt.bytes.len() - 8..].try_into().unwrap();
+            assert_eq!(u64::from_be_bytes(head_index), i as u64);
             let idx = u64::from_be_bytes(payload.prefix().unwrap());
             assert_eq!(idx, i as u64);
             // created_at carries the schedule time.
@@ -318,5 +336,41 @@ mod tests {
         let stats = sim.node_as::<MmtSender>(s).unwrap().stats;
         assert_eq!(stats.sent, 50);
         assert!(stats.credit_stalls > 0);
+    }
+
+    /// ROADMAP item 5, "a lost credit stalls the sender", pinned as it is
+    /// observed today: a zero window with no grant after it parks the pump
+    /// at `Some(0)` without arming a wake, so the run drains with messages
+    /// unsent and nothing ever retries. Item 5's zero-window persist probe
+    /// (the stalled pump arms a probe wake) is what will flip this test.
+    #[test]
+    fn a_zero_window_with_no_grant_after_it_stalls_the_sender_for_good() {
+        let mut sim = Simulator::new(1);
+        let exp = ExperimentId::new(2, 0);
+        let mut cfg = SenderConfig::regular(exp, 1024, Time::from_micros(1), 50);
+        cfg.respect_backpressure = true;
+        let s = sim.add_node("s", Box::new(MmtSender::new(cfg)));
+        let d = sim.add_node("d", Box::new(Sink));
+        sim.add_oneway(s, 0, d, 0, LinkSpec::new(Bandwidth::gbps(100), Time::ZERO));
+        sim.inject(Time::ZERO, s, 0, Packet::new(backpressure_frame(exp, 0)));
+        sim.run();
+        // The queue drained a microsecond in, with 49 of 50 messages unsent.
+        assert_eq!(sim.now(), Time::from_micros(1));
+        assert_eq!(sim.local_deliveries(d).len(), 1);
+        let sender = sim.node_as_mut::<MmtSender>(s).unwrap();
+        assert_eq!(
+            sender.stats.sent, 1,
+            "message 0 left before the window closed"
+        );
+        assert!(sender.stats.credit_stalls > 0);
+        assert!(!sender.is_complete());
+        // A stalled pump arms nothing: only a grant can restart it.
+        let mut out = Vec::new();
+        sender.poll(
+            Time::from_secs(1),
+            Input::Timer { token: TOKEN_PUMP },
+            &mut out,
+        );
+        assert!(out.is_empty(), "no WakeAt, no datagram: {out:?}");
     }
 }

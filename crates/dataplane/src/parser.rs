@@ -378,9 +378,10 @@ pub enum Framing {
     },
 }
 
-/// Build the head of a frame — Ethernet, the outer encapsulation, MMT —
-/// whose `payload_len` payload bytes ride behind it as a packet tail. The
-/// outer length fields count the payload; no byte of it is needed here.
+/// Build the head of a frame — Ethernet, the outer encapsulation, MMT,
+/// then `inline`, the payload bytes that ride in the head. The other
+/// `tail_len` payload bytes ride behind it as a packet tail: the outer
+/// length fields count them, but no byte of them is needed here.
 ///
 /// # Panics
 /// Panics if an IP-framed datagram would exceed the 16-bit length fields
@@ -390,10 +391,11 @@ pub fn build_head(
     eth_dst: mmt_wire::EthernetAddress,
     framing: Framing,
     mmt: &MmtRepr,
-    payload_len: usize,
+    inline: &[u8],
+    tail_len: usize,
 ) -> Vec<u8> {
     // mmt-lint: allow(P1, "every emit writes into a buffer sized from the same header lengths; what is left is a frame past 64 KiB, a caller bug")
-    emit_head(eth_src, eth_dst, framing, mmt, payload_len).expect("headers fit their buffer")
+    emit_head(eth_src, eth_dst, framing, mmt, inline, tail_len).expect("headers fit their buffer")
 }
 
 fn emit_head(
@@ -401,10 +403,11 @@ fn emit_head(
     eth_dst: mmt_wire::EthernetAddress,
     framing: Framing,
     mmt: &MmtRepr,
-    payload_len: usize,
+    inline: &[u8],
+    tail_len: usize,
 ) -> mmt_wire::Result<Vec<u8>> {
     let header_len = mmt.header_len();
-    let mmt_len = header_len + payload_len;
+    let mmt_len = header_len + inline.len() + tail_len;
     let (ethertype, outer_len) = match framing {
         Framing::Ethernet => (EtherType::Mmt, 0),
         Framing::Ipv4 { .. } => (EtherType::Ipv4, ipv4::HEADER_LEN),
@@ -415,11 +418,12 @@ fn emit_head(
     };
     let ip_off = ethernet::HEADER_LEN;
     let mmt_off = ip_off + outer_len;
-    // Room for every extension an element downstream may add, so a mode
-    // upgrade grows the header without reallocating the head.
+    // Room for every extension an element downstream may add, with the
+    // inlined payload behind them, so a mode upgrade grows the header
+    // without reallocating the head.
     const FULL_HEADER_LEN: usize =
         mmt_wire::mmt::CORE_HEADER_LEN + ExtLayout::of(Features::ALL_KNOWN).total;
-    let mut buf = Vec::with_capacity(mmt_off + FULL_HEADER_LEN);
+    let mut buf = Vec::with_capacity(mmt_off + FULL_HEADER_LEN + inline.len());
     buf.resize(mmt_off + header_len, 0);
     let eth = mmt_wire::ethernet::EthernetRepr {
         dst: eth_dst,
@@ -452,20 +456,8 @@ fn emit_head(
         }
     }
     mmt.emit(&mut buf[mmt_off..])?;
+    buf.extend_from_slice(inline);
     Ok(buf)
-}
-
-/// A contiguous frame: the head with `payload` inlined behind it.
-fn build_frame(
-    eth_src: mmt_wire::EthernetAddress,
-    eth_dst: mmt_wire::EthernetAddress,
-    framing: Framing,
-    mmt: &MmtRepr,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut buf = build_head(eth_src, eth_dst, framing, mmt, payload.len());
-    buf.extend_from_slice(payload);
-    buf
 }
 
 /// Build an Ethernet+MMT frame (DAQ-network framing).
@@ -475,7 +467,7 @@ pub fn build_eth_mmt_frame(
     mmt: &MmtRepr,
     payload: &[u8],
 ) -> Vec<u8> {
-    build_frame(src, dst, Framing::Ethernet, mmt, payload)
+    build_head(src, dst, Framing::Ethernet, mmt, payload, 0)
 }
 
 /// Build an Ethernet+IPv4+MMT frame (WAN framing).
@@ -487,7 +479,7 @@ pub fn build_ip_mmt_frame(
     mmt: &MmtRepr,
     payload: &[u8],
 ) -> Vec<u8> {
-    build_frame(
+    build_head(
         eth_src,
         eth_dst,
         Framing::Ipv4 {
@@ -496,6 +488,7 @@ pub fn build_ip_mmt_frame(
         },
         mmt,
         payload,
+        0,
     )
 }
 
@@ -510,7 +503,7 @@ pub fn build_udp_tunnel_frame(
     mmt: &MmtRepr,
     payload: &[u8],
 ) -> Vec<u8> {
-    build_frame(
+    build_head(
         eth_src,
         eth_dst,
         Framing::UdpTunnel {
@@ -519,6 +512,7 @@ pub fn build_udp_tunnel_frame(
         },
         mmt,
         payload,
+        0,
     )
 }
 
@@ -656,6 +650,43 @@ mod tests {
         let ip = Ipv4Packet::new_checked(&p.bytes[ip_off..]).unwrap();
         assert!(ip.verify_checksum());
         assert_eq!(ip_off + ip.total_len() as usize, p.bytes.len());
+    }
+
+    #[test]
+    fn a_full_upgrade_shifts_inlined_payload_without_reallocating_the_head() {
+        let (s, d) = macs();
+        let (src, dst) = (Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(10, 0, 0, 2));
+        let index = 7u64.to_be_bytes();
+        for framing in [
+            Framing::Ethernet,
+            Framing::Ipv4 { src, dst },
+            Framing::UdpTunnel { src, dst },
+        ] {
+            let mmt = MmtRepr::data(ExperimentId::new(2, 0));
+            let mut pkt = Packet::new(build_head(s, d, framing, &mmt, &index, 100));
+            pkt.tail = Tail::Virtual(100);
+            let mut p = ParsedPacket::of(pkt, 0);
+            let before = p.bytes.as_ptr();
+            let full = mmt
+                .with_sequence(1)
+                .with_retransmit(src, 47_000)
+                .with_timeliness(1, dst)
+                .with_age(0, false)
+                .with_pacing(1)
+                .with_backpressure(1)
+                .with_priority(1)
+                .with_flags(Features::DUPLICATED | Features::ENCRYPTED | Features::ACK_NAK);
+            assert_eq!(full.features, Features::ALL_KNOWN);
+            assert!(p.rewrite_mmt(&full));
+            assert_eq!(
+                p.bytes.as_ptr(),
+                before,
+                "{framing:?}: the head grew in place"
+            );
+            let payload = p.payload().unwrap();
+            assert_eq!(payload.prefix::<8>(), Some(index), "{framing:?}");
+            assert_eq!(p.wire_len(), p.bytes.len() + 100);
+        }
     }
 
     #[test]

@@ -411,25 +411,31 @@ struct RxHalf {
 
 impl RxHalf {
     fn new(cfg: &IoPilotConfig, sock: FaultySocket) -> RxHalf {
-        let exp = ExperimentId::new(2, 0);
-        let mut rcfg = ReceiverConfig::wan_defaults(exp, Ipv4Address::new(10, 0, 0, 8));
-        rcfg.expect_messages = Some(cfg.messages);
-        rcfg.reorder_delay = (cfg.rto_min / 8).max(Time::from_micros(100));
-        let gov = RxGovernor::new(cfg);
-        // The NAK interval starts at the pre-sample RTO (the floor) and is
-        // retuned by the governor as samples arrive.
-        rcfg.nak_interval = gov.rto.current();
-        rcfg.nak_interval_max = cfg.deadline.max(rcfg.nak_interval);
-        rcfg.max_nak_retries = cfg.nak_retries;
-        // Time-based give-up is the watchdog's job out here.
-        rcfg.give_up_after = cfg.deadline;
+        let (side, gov) = receiving_side(cfg);
         RxHalf {
-            side: ReceiverSide::new(MmtReceiver::new(rcfg)),
+            side,
             sock,
             wire: Vec::new(),
             gov,
         }
     }
+}
+
+/// The receiver machine of a run and the governor that retunes it.
+fn receiving_side(cfg: &IoPilotConfig) -> (ReceiverSide, RxGovernor) {
+    let exp = ExperimentId::new(2, 0);
+    let mut rcfg = ReceiverConfig::wan_defaults(exp, Ipv4Address::new(10, 0, 0, 8));
+    rcfg.expect_messages = Some(cfg.messages);
+    rcfg.reorder_delay = (cfg.rto_min / 8).max(Time::from_micros(100));
+    let gov = RxGovernor::new(cfg);
+    // The NAK interval starts at the pre-sample RTO (the floor) and is
+    // retuned by the governor as samples arrive.
+    rcfg.nak_interval = gov.rto.current();
+    rcfg.nak_interval_max = cfg.deadline.max(rcfg.nak_interval);
+    rcfg.max_nak_retries = cfg.nak_retries;
+    // Time-based give-up is the watchdog's job out here.
+    rcfg.give_up_after = cfg.deadline;
+    (ReceiverSide::new(MmtReceiver::new(rcfg)), gov)
 }
 
 /// Hand every datagram waiting at `sock` to `deliver`; whether any came.
@@ -701,5 +707,60 @@ mod tests {
             }
             other => panic!("expected watchdog abort, got {other:?}"),
         }
+    }
+
+    /// ROADMAP item 3, "stacked backoff", pinned as it is observed today,
+    /// sans-io. On a barren NAK round the governor doubles `rto.current()`
+    /// and retunes the receiver's `nak_interval` to it; the receiver then
+    /// shifts that interval again by `barren_rounds − 1`. So the retry
+    /// interval grows ×4 per barren round, not ×2. (The first step is ×2
+    /// only because each retry is armed before the governor retunes, and a
+    /// longer interval takes effect from the next round.) Item 3 (one
+    /// backoff, owned by the receiver) is expected to flip this test to ×2.
+    #[test]
+    fn barren_nak_rounds_back_off_twice_over() {
+        let ms = Time::from_millis;
+        let mut cfg = IoPilotConfig::defaults();
+        cfg.messages = 3;
+        let exp = ExperimentId::new(2, 0);
+        let mut tx = SenderSide::new(
+            MmtSender::new(SenderConfig::regular(exp, cfg.message_len, cfg.gap, 3)),
+            RetransmitBuffer::with_defaults(
+                exp,
+                Ipv4Address::new(10, 0, 0, 5),
+                cfg.deadline.as_nanos(),
+                1 << 20,
+            ),
+        );
+        let mut wan = Vec::new();
+        tx.start(Time::ZERO, &mut wan);
+        tx.poll_timers(ms(1), &mut wan);
+        assert_eq!(wan.len(), 3);
+
+        let (mut rx, mut gov) = receiving_side(&cfg);
+        let mut flight = Flight::new(64);
+        let mut naks = Vec::new();
+        // Seq 1 is lost, and none of the NAKs for it is ever served.
+        for i in [0, 2] {
+            rx.wire_in(ms(1), wan[i].bytes.clone(), &mut naks);
+        }
+        gov.after_iter(ms(1), &mut rx, &mut flight);
+        let mut nak_at = Vec::new();
+        let mut retuned = Vec::new();
+        while nak_at.len() < 6 {
+            let now = rx.next_wake().expect("a retry stays pending");
+            rx.poll_timers(now, &mut naks);
+            if !naks.is_empty() {
+                nak_at.push(now);
+                naks.clear();
+            }
+            gov.after_iter(now, &mut rx, &mut flight);
+            retuned.push(rx.receiver().config().nak_interval);
+        }
+        let intervals: Vec<Time> = nak_at.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(intervals, [ms(5), ms(10), ms(40), ms(160), ms(640)]);
+        // The governor's own doubling, the first of the two factors.
+        assert_eq!(retuned, [ms(5), ms(10), ms(20), ms(40), ms(80), ms(160)]);
+        assert_eq!(rx.receiver().stats.recovered, 0);
     }
 }

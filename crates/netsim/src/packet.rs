@@ -49,7 +49,9 @@ pub enum Tail {
     Virtual(u32),
     /// Payload bytes written once by the producer and shared, immutably,
     /// by every copy of the packet (forwarded, retained, mirrored,
-    /// retransmitted).
+    /// retransmitted) — and, when the producer's packets end in the same
+    /// bytes, by every packet it makes: an `MmtSender` inlines each
+    /// message's index in the head and shares one filler per stream.
     Shared(Arc<[u8]>),
 }
 
@@ -61,8 +63,9 @@ impl Default for Tail {
 
 impl Tail {
     /// Allocate a shared tail of `len` zero bytes and let `init` write the
-    /// payload into it — the one allocation and the one write the payload
-    /// gets on its way through the network.
+    /// payload into it — the one allocation and the one write those bytes
+    /// get on their way through the network, however many packets (and
+    /// copies of packets) carry them.
     pub fn build(len: usize, init: impl FnOnce(&mut [u8])) -> Tail {
         let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
         if let Some(buf) = Arc::get_mut(&mut bytes) {

@@ -376,6 +376,7 @@ mod tests {
             EthernetAddress([2, 0, 0, 0, 0, 2]),
             Framing::Ethernet,
             &repr,
+            &[],
             encoded.len(),
         ));
         pkt.tail = Tail::build(encoded.len(), |t| t.copy_from_slice(&encoded));

@@ -1,11 +1,13 @@
 //! The payload is written once: sharing and framing of head/tail packets.
 //!
-//! A message's payload is allocated by the sender and from then on every
-//! copy of the packet — forwarded, retained, mirrored, NAK-served — is a
-//! private head plus a reference to that one allocation. These tests pin
-//! the sharing (by pointer and by reference count, not by equal bytes),
-//! the independence of the heads, and that the bytes reaching a socket
-//! are exactly what a contiguous build would have produced.
+//! A sender writes its stream's payload once: each message's 8-byte index
+//! rides inlined in its head, and the rest is one filler allocation shared
+//! by every message. From then on every copy of a packet — forwarded,
+//! retained, mirrored, NAK-served — is a private head plus a reference to
+//! that one allocation. These tests pin the sharing (by pointer and by
+//! reference count, not by equal bytes), the independence of the heads,
+//! and that the bytes reaching a socket are exactly what a contiguous
+//! build would have produced.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -66,13 +68,24 @@ fn nak(first: u64, last: u64) -> Packet {
     }))
 }
 
-/// One message out of a sender using `framing`.
-fn one_message(framing: Framing) -> Packet {
-    let mut cfg = SenderConfig::regular(exp(), MESSAGE_LEN, Time::ZERO, 1);
+/// The `count` messages of a `message_len` stream out of a sender using
+/// `framing`, all due at once.
+fn stream(framing: Framing, message_len: usize, count: usize) -> Vec<Packet> {
+    let mut cfg = SenderConfig::regular(exp(), message_len, Time::ZERO, count);
     cfg.framing = framing;
     let mut out = Vec::new();
     MmtSender::new(cfg).poll(Time::ZERO, Input::Start, &mut out);
-    transmits(&mut out, 0).remove(0)
+    transmits(&mut out, 0)
+}
+
+/// One message out of a sender using `framing`.
+fn one_message(framing: Framing) -> Packet {
+    stream(framing, MESSAGE_LEN, 1).remove(0)
+}
+
+/// The message index, read off the head where the sender inlined it.
+fn inlined_index(pkt: &Packet) -> u64 {
+    u64::from_be_bytes(pkt.bytes[pkt.bytes.len() - 8..].try_into().unwrap())
 }
 
 fn border() -> RetransmitBuffer {
@@ -103,9 +116,17 @@ fn payload_of(pkt: &Packet) -> &Arc<[u8]> {
 #[test]
 fn every_copy_of_a_message_points_at_one_payload_allocation() {
     let original = one_message(Framing::Ethernet);
+    assert_eq!(inlined_index(&original), 0);
     let payload = payload_of(&original).clone();
-    assert_eq!(payload.len(), MESSAGE_LEN);
-    assert_eq!(Arc::strong_count(&payload), 2, "the packet and this test");
+    assert_eq!(
+        payload.len(),
+        MESSAGE_LEN - 8,
+        "the payload after the index"
+    );
+    // References held outside the stores: the packet, this test's handle,
+    // and whatever the sender's filler still holds. Counts below are
+    // deltas from here.
+    let base = Arc::strong_count(&payload);
 
     // Engage DUPLICATED mode so the border also mirrors.
     let mut dtn1 = border();
@@ -144,11 +165,12 @@ fn every_copy_of_a_message_points_at_one_payload_allocation() {
     assert_eq!(wan.len(), 2, "forwarded + mirrored");
     assert_eq!(dtn1.stats.mirrored, 1);
     assert_eq!(dtn1.stored_count(), 1);
-    // forwarded + mirrored + retained + this test's handle.
-    assert_eq!(Arc::strong_count(&payload), 4);
+    // The packet became forwarded + mirrored + retained.
+    assert_eq!(Arc::strong_count(&payload), base + 2);
     for copy in &wan {
         assert!(Arc::ptr_eq(payload_of(copy), &payload));
-        assert_eq!(copy.len(), copy.bytes.len() + MESSAGE_LEN);
+        assert_eq!(copy.len(), copy.bytes.len() + MESSAGE_LEN - 8);
+        assert_eq!(inlined_index(copy), 0);
         assert!(copy.bytes.len() < 128, "only headers are resident per copy");
     }
 
@@ -164,7 +186,8 @@ fn every_copy_of_a_message_points_at_one_payload_allocation() {
     let served = transmits(&mut out, PORT_WAN);
     assert_eq!(served.len(), 1);
     assert!(Arc::ptr_eq(payload_of(&served[0]), &payload));
-    assert_eq!(Arc::strong_count(&payload), 5);
+    assert_eq!(inlined_index(&served[0]), 0);
+    assert_eq!(Arc::strong_count(&payload), base + 3);
 
     // The standby's tap and its re-stamped service share it too.
     let mut standby = StandbyBuffer::new(Ipv4Address::new(10, 0, 0, 6), 47_001, 1 << 20);
@@ -178,16 +201,20 @@ fn every_copy_of_a_message_points_at_one_payload_allocation() {
     );
     out.clear();
     assert_eq!(standby.stored_count(), 1);
-    assert_eq!(Arc::strong_count(&payload), 6);
+    assert_eq!(Arc::strong_count(&payload), base + 4);
 
     // A crash releases exactly the stores' references.
     standby.crash();
-    assert_eq!(Arc::strong_count(&payload), 5);
+    assert_eq!(Arc::strong_count(&payload), base + 3);
     drop((wan, served));
-    assert_eq!(Arc::strong_count(&payload), 2, "the store and this test");
+    assert_eq!(
+        Arc::strong_count(&payload),
+        base,
+        "DTN 1's retained copy and this test"
+    );
     dtn1.crash();
     assert_eq!(dtn1.stored_count(), 0);
-    assert_eq!(Arc::strong_count(&payload), 1);
+    assert_eq!(Arc::strong_count(&payload), base - 1);
 }
 
 #[test]
@@ -252,7 +279,12 @@ fn border_upgrade_keeps_outer_lengths_on_the_wire_length() {
         );
         let upgraded = transmits(&mut out, PORT_WAN).remove(0);
         assert!(upgraded.len() > sensor_len, "{framing:?}: the header grew");
-        assert_eq!(upgraded.tail.len(), MESSAGE_LEN, "{framing:?}");
+        assert_eq!(upgraded.tail.len(), MESSAGE_LEN - 8, "{framing:?}");
+        assert_eq!(
+            inlined_index(&upgraded),
+            0,
+            "{framing:?}: the index moved along"
+        );
 
         // Read off the head, as a switch would.
         let view = FrameView::of(&upgraded);
@@ -296,6 +328,55 @@ fn border_upgrade_keeps_outer_lengths_on_the_wire_length() {
             view.payload().unwrap().prefix::<8>(),
             Some(0u64.to_be_bytes())
         );
+    }
+}
+
+#[test]
+fn inlining_the_index_leaves_every_wire_byte_as_it_was() {
+    for framing in framings() {
+        for message_len in [8, 9, 1024, MESSAGE_LEN] {
+            let case = format!("{framing:?} {message_len} B");
+            let sent = stream(framing, message_len, 3);
+            assert_eq!(sent.len(), 3, "{case}");
+            let mut dtn1 = border();
+            let mut out = Vec::new();
+            let mut upgraded = Vec::new();
+            for (idx, pkt) in (0u64..).zip(sent) {
+                // The reference: the whole payload written out behind a
+                // head built for it, as a contiguous sender would.
+                let mut reference = build_head(
+                    MACS.0,
+                    MACS.1,
+                    framing,
+                    &MmtRepr::data(exp()),
+                    &[],
+                    message_len,
+                );
+                reference.extend_from_slice(&idx.to_be_bytes());
+                reference.resize(reference.len() + message_len - 8, 0);
+                assert_eq!(pkt.len(), reference.len(), "{case} #{idx}");
+                assert_eq!(pkt.clone().gather().bytes, reference, "{case} #{idx}");
+
+                dtn1.poll(
+                    Time::from_micros(5),
+                    Input::Frame {
+                        port: PORT_DAQ,
+                        pkt,
+                    },
+                    &mut out,
+                );
+                upgraded.extend(transmits(&mut out, PORT_WAN));
+            }
+            assert_eq!(upgraded.len(), 3, "{case}");
+            for (idx, pkt) in (0u64..).zip(&upgraded) {
+                assert!(
+                    pkt.tail.shares_with(&upgraded[0].tail),
+                    "{case} #{idx}: one filler behind every message"
+                );
+                let prefix = FrameView::of(pkt).payload().unwrap().prefix::<8>();
+                assert_eq!(prefix, Some(idx.to_be_bytes()), "{case} #{idx}");
+            }
+        }
     }
 }
 
@@ -351,7 +432,14 @@ fn gathered_datagrams_match_the_contiguous_build_over_the_wire_corpus() {
                     build_udp_tunnel_frame(MACS.0, MACS.1, src, dst, &repr, payload)
                 }
             };
-            let mut pkt = Packet::new(build_head(MACS.0, MACS.1, framing, &repr, payload.len()));
+            let mut pkt = Packet::new(build_head(
+                MACS.0,
+                MACS.1,
+                framing,
+                &repr,
+                &[],
+                payload.len(),
+            ));
             pkt.tail = Tail::build(payload.len(), |t| t.copy_from_slice(payload));
             assert_eq!(
                 FrameView::of(&pkt).layers,
