@@ -5,11 +5,16 @@
 //! application the moment they arrive — MMT is message-based (Req 7), so a
 //! gap never blocks later messages (the head-of-line contrast with TCP in
 //! §4.1).
+//!
+//! The receiver owns its NAK retry clock (RFC 6298 applied to NAK rounds):
+//! each round that gets an unambiguous answer feeds one round-trip sample
+//! into an [`RttEstimator`], and a retry waits the measured RTO, clamped
+//! to `[nak_interval, nak_interval_max]` and doubled per barren round.
 
 use crate::machine::{Input, Machine, Output};
 use crate::seqtrack::SeqTracker;
 use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
-use mmt_netsim::{Packet, Time, TimerToken};
+use mmt_netsim::{Packet, RttEstimator, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr, NakRange, NakRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 use std::collections::BTreeMap;
@@ -23,16 +28,13 @@ const TOKEN_NAK: TimerToken = 0x17;
 /// run makes is 1 809 sequences (a failover tail), so none is cut short.
 pub const NAK_ROUND_SEQS: usize = 4096;
 
-/// The one pending NAK wake.
+/// NAK bookkeeping of one outstanding sequence.
 #[derive(Debug, Clone, Copy)]
-struct NakWake {
-    /// When it is due. A wake that arrives earlier was superseded by a
-    /// [`MmtReceiver::retune`] and is ignored.
-    at: Time,
-    /// For a retry wake, when the NAK round that armed it ran: `retune`
-    /// re-measures the retry interval from here. `None` while a fresh
-    /// gap waits out the reorder delay.
-    round: Option<Time>,
+struct Naked {
+    /// NAK rounds that have named it, charged against `max_nak_retries`.
+    rounds: u32,
+    /// When the first of those rounds ran.
+    first_round: Time,
 }
 
 /// Receiver configuration.
@@ -45,12 +47,14 @@ pub struct ReceiverConfig {
     /// Delay between detecting a gap and sending the first NAK (allows
     /// benign reordering to settle).
     pub reorder_delay: Time,
-    /// Interval between NAK retries for unrecovered gaps.
+    /// Floor of the NAK retry interval, and the interval itself until a
+    /// NAK round trip has been measured. Also the silence after the last
+    /// arrival that makes a missing tail suspicious.
     pub nak_interval: Time,
-    /// Ceiling for the backed-off NAK retry interval. Each retry round
-    /// that makes no recovery progress doubles the interval (exponential
-    /// backoff, so NAK storms decay instead of hammering a lossy reverse
-    /// path); any recovery resets it to `nak_interval`.
+    /// Ceiling of the NAK retry interval. Each retry round that makes no
+    /// recovery progress doubles the interval (exponential backoff, so NAK
+    /// storms decay instead of hammering a lossy reverse path); any
+    /// recovery resets the doubling.
     pub nak_interval_max: Time,
     /// Per-sequence NAK retry budget. A sequence NAKed this many times
     /// without recovery is abandoned as lost even before the time-based
@@ -138,12 +142,15 @@ pub struct MmtReceiver {
     tracker: SeqTracker,
     /// First-detected time per gap start (for give-up accounting).
     gap_first_seen: BTreeMap<u64, Time>,
-    /// Seqs we have NAKed at least once (to label recoveries).
-    naked: std::collections::BTreeSet<u64>,
+    /// Outstanding sequences NAKed at least once (an arrival among them
+    /// is a recovery).
+    naked: BTreeMap<u64, Naked>,
     /// Seqs that arrived via NAK recovery (to label late duplicates).
     recovered_seqs: std::collections::BTreeSet<u64>,
-    /// NAK retry count per outstanding sequence.
-    nak_counts: BTreeMap<u64, u32>,
+    /// NAK round trips measured so far.
+    rtt: RttEstimator,
+    /// The latest NAK round that gave a sample (each gives at most one).
+    sampled_round: Option<Time>,
     /// Consecutive NAK rounds without any recovery progress (drives the
     /// exponential retry backoff).
     barren_rounds: u32,
@@ -151,8 +158,8 @@ pub struct MmtReceiver {
     retransmit_source: Option<(Ipv4Address, u16)>,
     /// When the most recent sequenced packet arrived.
     last_arrival: Time,
-    /// The pending NAK wake, if any.
-    nak_wake: Option<NakWake>,
+    /// Whether a NAK wake is pending (there is never more than one).
+    nak_armed: bool,
     /// Delivered messages, in arrival order.
     log: Vec<ReceivedMessage>,
     /// Distinct message indices delivered.
@@ -168,13 +175,14 @@ impl MmtReceiver {
             config,
             tracker: SeqTracker::new(),
             gap_first_seen: BTreeMap::new(),
-            naked: std::collections::BTreeSet::new(),
+            naked: BTreeMap::new(),
             recovered_seqs: std::collections::BTreeSet::new(),
-            nak_counts: BTreeMap::new(),
+            rtt: RttEstimator::new(),
+            sampled_round: None,
             barren_rounds: 0,
             retransmit_source: None,
             last_arrival: Time::ZERO,
-            nak_wake: None,
+            nak_armed: false,
             log: Vec::new(),
             distinct: std::collections::BTreeSet::new(),
             stats: ReceiverStats::default(),
@@ -213,34 +221,41 @@ impl MmtReceiver {
         &self.config
     }
 
-    /// Set the NAK retry interval live — the one writer of the retry
-    /// policy besides [`degrade`](Self::degrade). A pending retry wake that
-    /// the new interval makes due earlier (counted from the NAK round that
-    /// armed it, never before `now`) moves there with a fresh `WakeAt`;
-    /// the old wake is then ignored when it arrives. A longer interval
-    /// takes effect from the next round. The real-time io driver feeds its
-    /// RTO estimate through here; the simulator never does, so
-    /// virtual-time runs are unaffected.
-    pub fn retune(&mut self, now: Time, nak_interval: Time, out: &mut Vec<Output>) {
-        self.config.nak_interval = nak_interval;
-        let Some(wake) = self.nak_wake else { return };
-        let Some(round) = wake.round else { return };
-        let at = (round + self.backoff_interval()).max(now);
-        if at < wake.at {
-            self.nak_wake = Some(NakWake { at, ..wake });
-            out.push(Output::WakeAt {
-                at,
-                token: TOKEN_NAK,
-            });
-        }
+    /// The NAK round trips measured so far.
+    pub fn rtt(&self) -> &RttEstimator {
+        &self.rtt
+    }
+
+    /// How long the next NAK retry waits: the measured RTO
+    /// (`srtt + 4·rttvar`, or `nak_interval` before the first sample)
+    /// clamped to `[nak_interval, nak_interval_max]`, doubled for each
+    /// barren round after the first (RFC 6298 §5.5), and capped at
+    /// `nak_interval_max`.
+    pub fn retry_interval(&self) -> Time {
+        let floor = self.config.nak_interval;
+        let ceiling = self.config.nak_interval_max;
+        let rto = self.rtt.rto().unwrap_or(floor).min(ceiling).max(floor);
+        let shift = self.barren_rounds.saturating_sub(1).min(16);
+        Time::from_nanos(rto.as_nanos().saturating_mul(1 << shift))
+            .min(ceiling)
+            .max(floor)
+    }
+
+    /// Take one extra backoff step, as if a NAK round had gone barren:
+    /// retries armed from now on wait twice as long (up to
+    /// `nak_interval_max`) until a recovery resets the backoff. Used when
+    /// a deadline watchdog sheds load.
+    pub fn back_off(&mut self) {
+        self.barren_rounds = self.barren_rounds.saturating_add(1);
     }
 
     /// Stop persisting: every outstanding sequence gets at most one more
-    /// NAK, and a gap older than `give_up_after` is counted lost at the
-    /// next round. Used when a deadline watchdog degrades the flow.
-    pub fn degrade(&mut self, give_up_after: Time) {
+    /// NAK, and a gap older than the current retry interval is counted
+    /// lost at the next round. Used when a deadline watchdog degrades the
+    /// flow.
+    pub fn degrade(&mut self) {
         self.config.max_nak_retries = 1;
-        self.config.give_up_after = give_up_after;
+        self.config.give_up_after = self.retry_interval();
     }
 
     /// The retransmit source named by the most recent sequenced packet —
@@ -326,20 +341,12 @@ impl MmtReceiver {
         reg.observe_histogram("mmt_receiver_age_ns", &labels, &age);
     }
 
-    /// Arm the NAK wake unless one is pending; `round` marks a retry wake
-    /// (see [`NakWake::round`]).
-    fn arm_nak_timer(
-        &mut self,
-        now: Time,
-        delay: Time,
-        round: Option<Time>,
-        out: &mut Vec<Output>,
-    ) {
-        if self.nak_wake.is_none() {
-            let at = now + delay;
-            self.nak_wake = Some(NakWake { at, round });
+    /// Arm the NAK wake unless one is pending.
+    fn arm_nak_timer(&mut self, now: Time, delay: Time, out: &mut Vec<Output>) {
+        if !self.nak_armed {
+            self.nak_armed = true;
             out.push(Output::WakeAt {
-                at,
+                at: now + delay,
                 token: TOKEN_NAK,
             });
         }
@@ -371,17 +378,6 @@ impl MmtReceiver {
         missing
     }
 
-    /// Retry interval after `barren_rounds` unproductive NAK rounds:
-    /// exponential backoff from `nak_interval`, capped at
-    /// `nak_interval_max`.
-    fn backoff_interval(&self) -> Time {
-        let shift = self.barren_rounds.saturating_sub(1).min(16);
-        let scaled = self.config.nak_interval * (1u64 << shift);
-        scaled
-            .min(self.config.nak_interval_max)
-            .max(self.config.nak_interval)
-    }
-
     /// Send a NAK for outstanding gaps, charging each sequence's retry
     /// budget; sequences whose budget is exhausted are abandoned as lost
     /// instead. Returns whether a NAK went out.
@@ -402,18 +398,20 @@ impl MmtReceiver {
             .flat_map(|r| r.first..=r.last)
             .take(NAK_ROUND_SEQS)
         {
-            let count = self.nak_counts.entry(s).or_insert(0);
-            if *count >= self.config.max_nak_retries {
+            let naked = self.naked.entry(s).or_insert(Naked {
+                rounds: 0,
+                first_round: now,
+            });
+            if naked.rounds >= self.config.max_nak_retries {
                 if self.tracker.record(s) {
                     // Pseudo-fill so this sequence stops being a gap.
                     self.stats.lost += 1;
                     self.stats.nak_retries_exhausted += 1;
                 }
-                self.nak_counts.remove(&s);
+                self.naked.remove(&s);
                 continue;
             }
-            *count += 1;
-            self.naked.insert(s);
+            naked.rounds += 1;
             match ranges.last_mut() {
                 Some(r) if r.last + 1 == s => r.last = s,
                 _ => ranges.push(NakRange { first: s, last: s }),
@@ -455,12 +453,12 @@ impl MmtReceiver {
                 self.tracker.record_range(r.first, r.last);
                 self.stats.lost = self.stats.lost.saturating_add(r.len());
                 let charged: Vec<u64> = self
-                    .nak_counts
+                    .naked
                     .range(r.first..=r.last)
                     .map(|(&s, _)| s)
                     .collect();
                 for s in charged {
-                    self.nak_counts.remove(&s);
+                    self.naked.remove(&s);
                 }
                 self.gap_first_seen.remove(&r.first);
             } else {
@@ -520,13 +518,19 @@ impl MmtReceiver {
                 }
                 return;
             }
-            if self.naked.remove(&s) {
+            if let Some(naked) = self.naked.remove(&s) {
                 recovered = true;
                 self.stats.recovered += 1;
                 self.recovered_seqs.insert(s);
-                self.nak_counts.remove(&s);
                 // Progress: reset the retry backoff.
                 self.barren_rounds = 0;
+                // Karn's rule (RFC 6298 §3), per round: only a sequence
+                // one round alone named times that round, and a round
+                // gives one sample, from its first such recovery.
+                if naked.rounds == 1 && self.sampled_round < Some(naked.first_round) {
+                    self.rtt.observe(now.saturating_sub(naked.first_round));
+                    self.sampled_round = Some(naked.first_round);
+                }
             }
             // Gap filled? Clean up its first-seen entry lazily (handled in
             // age_out_gaps). New gaps — or a known stream length with
@@ -537,7 +541,7 @@ impl MmtReceiver {
                 .expect_messages
                 .is_some_and(|expect| self.tracker.received_count() < expect);
             if self.tracker.gap_count() > 0 || tail_pending {
-                self.arm_nak_timer(now, self.config.reorder_delay, None, out);
+                self.arm_nak_timer(now, self.config.reorder_delay, out);
             }
         }
         // Extract the application message index from the payload prefix —
@@ -560,10 +564,7 @@ impl MmtReceiver {
     }
 
     fn on_nak_timer(&mut self, now: Time, out: &mut Vec<Output>) {
-        if self.nak_wake.is_none_or(|wake| now < wake.at) {
-            return; // superseded by a retune that moved the wake
-        }
-        self.nak_wake = None;
+        self.nak_armed = false;
         let outstanding = self.age_out_gaps(now);
         if outstanding && self.send_nak(now, out) {
             self.barren_rounds = self.barren_rounds.saturating_add(1);
@@ -574,7 +575,7 @@ impl MmtReceiver {
             self.tracker.received_count() > 0 && self.tracker.received_count() < expect
         });
         if outstanding || tail_pending {
-            self.arm_nak_timer(now, self.backoff_interval(), Some(now), out);
+            self.arm_nak_timer(now, self.retry_interval(), out);
         }
     }
 }
@@ -781,46 +782,105 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retuned_retry_supersedes_the_wake_it_replaced() {
-        let mut cfg = ReceiverConfig::wan_defaults(exp(), Ipv4Address::new(10, 0, 0, 8));
-        cfg.nak_interval = Time::from_millis(20);
-        cfg.nak_interval_max = Time::from_secs(1);
-        let mut r = MmtReceiver::new(cfg);
+    const ROUND: Time = Time::from_millis(1);
+
+    fn ms(v: u64) -> Time {
+        Time::from_millis(v)
+    }
+
+    /// Hand `seq` to a sans-io receiver at `now`.
+    fn arrive(r: &mut MmtReceiver, now: Time, seq: u64) {
+        let pkt = wan_frame(seq, seq, false);
+        r.poll(now, Input::Frame { port: 0, pkt }, &mut Vec::new());
+    }
+
+    /// Fire the NAK wake at `now`; the retry interval it arms, if any.
+    fn nak_round(r: &mut MmtReceiver, now: Time) -> Option<Time> {
         let mut out = Vec::new();
-        let nak_timer = || Input::Timer { token: TOKEN_NAK };
-        for s in [0u64, 3] {
-            let pkt = wan_frame(s, s, false);
-            r.poll(
-                Time::from_micros(s),
-                Input::Frame { port: 0, pkt },
-                &mut out,
-            );
-        }
-        let ms = Time::from_millis;
-        // The reorder wait is not a retry: even a tiny interval leaves it.
-        r.retune(Time::from_micros(5), Time::from_micros(1), &mut out);
-        r.retune(Time::from_micros(5), ms(20), &mut out);
-        assert_eq!(out.len(), 1, "only the reorder wake");
-        out.clear();
-        r.poll(ms(1), nak_timer(), &mut out);
+        r.poll(now, Input::Timer { token: TOKEN_NAK }, &mut out);
+        out.iter().find_map(|o| match o {
+            Output::WakeAt { at, .. } => Some(*at - now),
+            _ => None,
+        })
+    }
+
+    /// A sans-io receiver on the WAN defaults (30 ms floor, 240 ms
+    /// ceiling) that got seqs 0 and 3 and named 1–2 in one NAK round at
+    /// `ROUND`.
+    fn named_once() -> MmtReceiver {
+        let mut r = MmtReceiver::new(ReceiverConfig::wan_defaults(
+            exp(),
+            Ipv4Address::new(10, 0, 0, 8),
+        ));
+        arrive(&mut r, Time::ZERO, 0);
+        arrive(&mut r, Time::from_micros(1), 3);
+        assert_eq!(nak_round(&mut r, ROUND), Some(ms(30)), "the floor");
         assert_eq!(r.stats.naks_sent, 1);
-        out.clear();
-        // 15 ms from the round at 1 ms: due at 16 ms, not 21 ms.
-        r.retune(ms(2), ms(15), &mut out);
-        assert!(matches!(out[..], [Output::WakeAt { at, .. }] if at == ms(16)));
-        out.clear();
-        r.poll(ms(16), nak_timer(), &mut out);
-        assert_eq!(r.stats.naks_sent, 2, "the moved wake retries");
-        out.clear();
-        // The replaced wake still arrives at 21 ms, before the next
-        // (backed-off) deadline at 46 ms, with seqs 1-2 still missing:
-        // ignored.
-        r.poll(ms(21), nak_timer(), &mut out);
-        assert!(out.is_empty());
-        assert_eq!(r.stats.naks_sent, 2);
-        r.poll(ms(46), nak_timer(), &mut out);
-        assert_eq!(r.stats.naks_sent, 3);
+        r
+    }
+
+    #[test]
+    fn a_recovery_after_one_round_samples_that_round() {
+        let mut r = named_once();
+        arrive(&mut r, ROUND + ms(20), 1);
+        assert_eq!(r.stats.recovered, 1);
+        assert_eq!(r.rtt().samples(), 1);
+        assert_eq!(r.rtt().srtt_ns(), ms(20).as_nanos(), "now − round");
+        // srtt + 4·rttvar = 20 + 4·10 ms, inside [30, 240] ms.
+        assert_eq!(r.retry_interval(), ms(60));
+    }
+
+    #[test]
+    fn a_sequence_named_by_two_rounds_gives_no_sample() {
+        let mut r = named_once();
+        nak_round(&mut r, ROUND + ms(30));
+        assert_eq!(r.stats.naks_sent, 2, "1–2 named again");
+        arrive(&mut r, ROUND + ms(35), 1);
+        assert_eq!(r.stats.recovered, 1);
+        assert_eq!(r.rtt().samples(), 0, "Karn: which round did it answer?");
+        assert_eq!(r.retry_interval(), ms(30), "backoff reset, no estimate");
+    }
+
+    #[test]
+    fn a_round_gives_at_most_one_sample() {
+        let mut r = named_once();
+        arrive(&mut r, ROUND + ms(20), 1);
+        arrive(&mut r, ROUND + ms(24), 2);
+        assert_eq!(r.stats.recovered, 2);
+        assert_eq!(r.rtt().samples(), 1);
+        assert_eq!(r.rtt().srtt_ns(), ms(20).as_nanos(), "the first recovery");
+        // A later round with a fresh gap (4–5) samples again.
+        arrive(&mut r, ROUND + ms(25), 6);
+        nak_round(&mut r, ROUND + ms(30));
+        arrive(&mut r, ROUND + ms(40), 4);
+        arrive(&mut r, ROUND + ms(41), 5);
+        assert_eq!(r.rtt().samples(), 2);
+        // err 10 ms: srtt = (7·20 + 10)/8 = 18.75 ms.
+        assert_eq!(r.rtt().srtt_ns(), 18_750_000);
+    }
+
+    #[test]
+    fn the_retry_interval_stays_between_floor_and_ceiling() {
+        // A 10 µs round trip measures a 30 µs RTO: the 30 ms floor holds.
+        let mut r = named_once();
+        arrive(&mut r, ROUND + Time::from_micros(10), 1);
+        assert_eq!(r.rtt().rto(), Some(Time::from_micros(30)));
+        assert_eq!(r.retry_interval(), ms(30));
+        // Seq 2 never comes back: barren rounds double up to the ceiling
+        // and stay there.
+        let mut now = ROUND + ms(30);
+        let mut intervals = Vec::new();
+        for _ in 0..6 {
+            let interval = nak_round(&mut r, now).expect("seq 2 stays outstanding");
+            intervals.push(interval);
+            now += interval;
+        }
+        assert_eq!(intervals, [30, 60, 120, 240, 240, 240].map(ms));
+        // A 1 s round trip measures 3 s: the 240 ms ceiling holds.
+        let mut r = named_once();
+        arrive(&mut r, ROUND + Time::from_secs(1), 1);
+        assert_eq!(r.rtt().rto(), Some(Time::from_secs(3)));
+        assert_eq!(r.retry_interval(), ms(240));
     }
 
     #[test]

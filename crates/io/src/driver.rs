@@ -194,26 +194,15 @@ impl ReceiverSide {
         &self.receiver
     }
 
-    /// Set the receiver's NAK retry interval ([`MmtReceiver::retune`]) and
-    /// put any moved wake on the wheel. Returns the new deadline when the
-    /// pending retry wake moved earlier.
-    pub fn retune(&mut self, now: Time, nak_interval: Time) -> Option<Time> {
-        let mut out = std::mem::take(&mut self.scratch);
-        self.receiver.retune(now, nak_interval, &mut out);
-        let mut moved = None;
-        for o in out.drain(..) {
-            if let Output::WakeAt { at, token } = o {
-                self.timers.schedule(at.as_nanos(), (MACH_RECEIVER, token));
-                moved = Some(at);
-            }
-        }
-        self.scratch = out;
-        moved
+    /// One extra step of the receiver's retry backoff
+    /// ([`MmtReceiver::back_off`]).
+    pub fn back_off(&mut self) {
+        self.receiver.back_off();
     }
 
     /// Collapse the receiver's retry budgets ([`MmtReceiver::degrade`]).
-    pub fn degrade(&mut self, give_up_after: Time) {
-        self.receiver.degrade(give_up_after);
+    pub fn degrade(&mut self) {
+        self.receiver.degrade();
     }
 
     fn dispatch(&mut self, now: Time, input: Input, wire: &mut Vec<Packet>) {
@@ -326,81 +315,5 @@ mod tests {
         }
         assert!(rx.receiver().is_complete());
         assert_eq!(rx.receiver().stats.recovered, 1);
-    }
-
-    /// A sending side whose four datagrams (seqs 0..4) are on the wire, and
-    /// a receiver that got seqs 0 and 3, NAKed 1-2 at `T_NAK` with the
-    /// pre-sample 20 ms retry interval, and is waiting to retry.
-    fn nak_pending() -> (SenderSide, ReceiverSide, Vec<Packet>) {
-        let sender = MmtSender::new(SenderConfig::regular(exp(), 256, Time::from_micros(10), 4));
-        let buffer = RetransmitBuffer::with_defaults(
-            exp(),
-            Ipv4Address::new(10, 0, 0, 5),
-            Time::from_secs(10).as_nanos(),
-            1 << 20,
-        );
-        let mut tx = SenderSide::new(sender, buffer);
-        let mut wan = Vec::new();
-        tx.start(Time::ZERO, &mut wan);
-        tx.poll_timers(Time::from_millis(1), &mut wan);
-        assert_eq!(wan.len(), 4);
-        let mut rcfg = ReceiverConfig::wan_defaults(exp(), Ipv4Address::new(10, 0, 0, 8));
-        rcfg.nak_interval = Time::from_millis(20);
-        rcfg.nak_interval_max = Time::from_secs(2);
-        let mut rx = ReceiverSide::new(MmtReceiver::new(rcfg));
-        let mut naks = Vec::new();
-        for i in [0, 3] {
-            rx.wire_in(Time::from_millis(1), wan[i].bytes.clone(), &mut naks);
-        }
-        rx.poll_timers(T_NAK, &mut naks);
-        assert_eq!(naks.len(), 1, "the gap is NAKed");
-        assert_eq!(rx.next_wake(), Some(T_NAK + Time::from_millis(20)));
-        (tx, rx, naks)
-    }
-
-    const T_NAK: Time = Time::from_millis(2);
-
-    /// Serve `naks` through the sending side; the retransmissions.
-    fn serve(tx: &mut SenderSide, now: Time, naks: &mut Vec<Packet>) -> Vec<Packet> {
-        let mut retx = Vec::new();
-        for nak in naks.drain(..) {
-            tx.wire_in(now, nak.bytes, &mut retx);
-        }
-        retx
-    }
-
-    #[test]
-    fn retune_moves_the_pending_retry_to_the_measured_interval() {
-        let ms = Time::from_millis;
-        let (mut tx, mut rx, mut naks) = nak_pending();
-        let retx = serve(&mut tx, T_NAK, &mut naks);
-        assert_eq!(retx.len(), 2, "seqs 1 and 2 come back");
-        // Seq 1's retransmission arrives; seq 2's is lost.
-        rx.wire_in(T_NAK + ms(1), retx[0].bytes.clone(), &mut naks);
-        // The round trip is measured: retry on 5 ms, counted from the NAK.
-        assert_eq!(rx.retune(T_NAK + ms(1), ms(5)), Some(T_NAK + ms(5)));
-        assert_eq!(rx.next_wake(), Some(T_NAK + ms(5)));
-        rx.poll_timers(T_NAK + ms(5), &mut naks);
-        assert_eq!(naks.len(), 1, "one re-NAK at the moved deadline");
-        let retx = serve(&mut tx, T_NAK + ms(5), &mut naks);
-        assert_eq!(retx.len(), 1, "the re-NAK names seq 2 alone");
-        rx.wire_in(T_NAK + ms(6), retx[0].bytes.clone(), &mut naks);
-        // The stale 20 ms wake (and the retry armed by the re-NAK) send
-        // nothing.
-        rx.poll_timers(T_NAK + ms(20), &mut naks);
-        assert!(naks.is_empty());
-        assert_eq!(rx.next_wake(), None);
-        let stats = rx.receiver().stats;
-        assert_eq!(stats.naks_sent, 2, "exactly one re-NAK");
-        assert_eq!((stats.recovered, stats.duplicates), (2, 0));
-    }
-
-    #[test]
-    fn retune_to_a_longer_interval_leaves_the_pending_deadline() {
-        let (_, mut rx, _) = nak_pending();
-        let later = T_NAK + Time::from_millis(1);
-        assert_eq!(rx.retune(later, Time::from_millis(40)), None);
-        assert_eq!(rx.next_wake(), Some(T_NAK + Time::from_millis(20)));
-        assert_eq!(rx.receiver().config().nak_interval, Time::from_millis(40));
     }
 }

@@ -9,7 +9,6 @@
 //! | module       | role |
 //! |--------------|------|
 //! | [`clock`]    | the one place wall-clock time is read; maps `Instant` onto the same [`mmt_netsim::Time`] axis the machines already speak |
-//! | [`rto`]      | RFC 6298-style integer RTO estimator with exponential backoff and a retry budget |
 //! | [`fault`]    | seeded drop/duplicate/delay injection at the datagram boundary |
 //! | [`socket`]   | nonblocking `std::net::UdpSocket` wrapper that routes every send through the fault injector |
 //! | [`watchdog`] | per-flow deadline ladder: shed → degrade → abort |
@@ -27,7 +26,6 @@ pub mod clock;
 pub mod driver;
 pub mod fault;
 pub mod pilot;
-pub mod rto;
 pub mod socket;
 pub mod watchdog;
 
@@ -35,7 +33,6 @@ pub use clock::IoClock;
 pub use driver::{ReceiverSide, SenderSide};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use pilot::{run_connect, run_listen, run_loopback, IoPilotConfig, IoPilotReport};
-pub use rto::RtoEstimator;
 pub use socket::{FaultySocket, SocketStats};
 pub use watchdog::{Watchdog, WatchdogStage};
 

@@ -14,12 +14,11 @@
 //!
 //! Faults are injected on the *data* direction only (at the sending
 //! socket); the NAK path stays clean, modelling a lossy WAN with a
-//! protected control channel. The receiver's NAK retry interval is driven
-//! by the [`RtoEstimator`]: each NAK→recovery round-trip feeds a sample,
-//! each barren retry backs the timeout off, an estimate that shrinks moves
-//! a pending retry earlier, and an exhausted retry budget degrades the
-//! flow early. A [`Watchdog`] ladder guards the configured deadline:
-//! shed → degrade → abort-with-flight-dump.
+//! protected control channel. The NAK retry clock is the receiver's own
+//! ([`MmtReceiver::retry_interval`]), exactly as under the simulator: the
+//! runners only map `rto_min`/`rto_max`/`nak_retries` onto its config. A
+//! [`Watchdog`] ladder guards the configured deadline: shed (one more
+//! backoff step) → degrade → abort-with-flight-dump.
 
 use std::net::UdpSocket;
 
@@ -32,7 +31,6 @@ use mmt_wire::Ipv4Address;
 use crate::clock::IoClock;
 use crate::driver::{ReceiverSide, SenderSide};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
-use crate::rto::RtoEstimator;
 use crate::socket::{FaultySocket, SocketStats};
 use crate::watchdog::{Watchdog, WatchdogStage};
 use crate::IoError;
@@ -58,11 +56,13 @@ pub struct IoPilotConfig {
     pub delay: Time,
     /// Seed for the fault injector rng.
     pub seed: u64,
-    /// RTO floor.
+    /// NAK retry floor, and the retry interval until a NAK round trip is
+    /// measured (the receiver's `nak_interval`).
     pub rto_min: Time,
-    /// RTO ceiling.
+    /// Ceiling of the NAK retry backoff (the receiver's
+    /// `nak_interval_max`).
     pub rto_max: Time,
-    /// Per-sequence NAK retry budget (also the RTO backoff budget).
+    /// Per-sequence NAK retry budget (the receiver's `max_nak_retries`).
     pub nak_retries: u32,
     /// Total flow deadline (drives the watchdog ladder).
     pub deadline: Time,
@@ -72,8 +72,9 @@ pub struct IoPilotConfig {
 
 impl IoPilotConfig {
     /// Defaults sized for a loopback smoke run: 200 × 1 KiB messages at
-    /// a 50 µs pace, 2 s deadline, and a 5 ms RTO floor, which is also
-    /// the NAK retry interval until the first round trip is measured.
+    /// a 50 µs pace, 2 s deadline, and NAK retries between a 5 ms floor
+    /// (also the interval until the first round trip is measured) and a
+    /// 500 ms ceiling.
     pub fn defaults() -> IoPilotConfig {
         IoPilotConfig {
             messages: 200,
@@ -128,11 +129,11 @@ pub struct IoPilotReport {
     pub watchdog_stage: WatchdogStage,
     /// Watchdog transitions taken, with their times.
     pub watchdog_transitions: Vec<(Time, WatchdogStage)>,
-    /// Final smoothed RTT estimate (ns; 0 if no sample).
+    /// The receiver's final smoothed NAK round trip (ns; 0 if no sample).
     pub srtt_ns: u64,
-    /// Final effective RTO (ns).
+    /// The receiver's final NAK retry interval (ns).
     pub rto_ns: u64,
-    /// RTT samples folded into the estimator.
+    /// NAK round trips the receiver sampled.
     pub rto_samples: u64,
     /// Fault-injection counters from the data direction.
     pub faults: FaultStats,
@@ -207,7 +208,7 @@ impl IoPilotReport {
             ),
             (
                 "mmt_io_rto_samples_total",
-                "RTT samples folded into the RTO estimator.",
+                "NAK round trips the receiver sampled.",
                 self.rto_samples,
             ),
         ] {
@@ -216,10 +217,10 @@ impl IoPilotReport {
         }
         reg.describe(
             "mmt_io_srtt_ns",
-            "Final smoothed RTT estimate in nanoseconds.",
+            "Final smoothed NAK round trip in nanoseconds.",
         );
         reg.gauge_set("mmt_io_srtt_ns", &labels, self.srtt_ns as f64);
-        reg.describe("mmt_io_rto_ns", "Final effective RTO in nanoseconds.");
+        reg.describe("mmt_io_rto_ns", "Final NAK retry interval in nanoseconds.");
         reg.gauge_set("mmt_io_rto_ns", &labels, self.rto_ns as f64);
     }
 }
@@ -263,75 +264,9 @@ impl Flight {
     }
 }
 
-/// Receiver-side control bookkeeping: RTO feeding, backoff, degrade.
-struct RxGovernor {
-    rto: RtoEstimator,
-    last_recovered: u64,
-    last_naks: u64,
-    nak_outstanding: Option<Time>,
-    degraded: bool,
-}
-
-impl RxGovernor {
-    fn new(cfg: &IoPilotConfig) -> RxGovernor {
-        RxGovernor {
-            rto: RtoEstimator::new(cfg.rto_min, cfg.rto_max, cfg.nak_retries),
-            last_recovered: 0,
-            last_naks: 0,
-            nak_outstanding: None,
-            degraded: false,
-        }
-    }
-
-    /// Collapse retry budgets so outstanding gaps exhaust quickly and
-    /// are accounted instead of retried past the deadline.
-    fn degrade(&mut self, rx: &mut ReceiverSide, now: Time, flight: &mut Flight) {
-        if self.degraded {
-            return;
-        }
-        self.degraded = true;
-        rx.degrade(self.rto.current());
-        flight.event(now, "io_degrade", 0);
-    }
-
-    /// Fold the receiver's counters into RTO state after an iteration.
-    fn after_iter(&mut self, now: Time, rx: &mut ReceiverSide, flight: &mut Flight) {
-        let stats = rx.receiver().stats;
-        if stats.recovered > self.last_recovered {
-            if let Some(t0) = self.nak_outstanding.take() {
-                self.rto.observe(now.saturating_sub(t0));
-                flight.event(now, "io_rto_sample", self.rto.srtt_ns());
-            }
-            self.last_recovered = stats.recovered;
-            retune(rx, now, self.rto.current(), flight);
-        }
-        if stats.naks_sent > self.last_naks {
-            if self.nak_outstanding.is_some() {
-                // A retry round passed with no recovery: back off.
-                if !self.rto.back_off() {
-                    self.degrade(rx, now, flight);
-                }
-                flight.event(now, "io_rto_backoff", self.rto.current().as_nanos());
-            } else {
-                self.nak_outstanding = Some(now);
-            }
-            self.last_naks = stats.naks_sent;
-            retune(rx, now, self.rto.current(), flight);
-        }
-    }
-}
-
-/// Set the receiver's NAK interval, logging the new deadline when that
-/// moves its pending retry wake earlier.
-fn retune(rx: &mut ReceiverSide, now: Time, nak_interval: Time, flight: &mut Flight) {
-    if let Some(at) = rx.retune(now, nak_interval) {
-        flight.event(now, "io_nak_rearm", at.as_nanos());
-    }
-}
-
 fn apply_watchdog_stage(
     stage: WatchdogStage,
-    rx: Option<&mut RxHalf>,
+    rx: Option<&mut ReceiverSide>,
     now: Time,
     flight: &mut Flight,
 ) {
@@ -340,14 +275,13 @@ fn apply_watchdog_stage(
             flight.event(now, "io_watchdog_shed", 0);
             if let Some(rx) = rx {
                 // Reduce retry pressure on the struggling path.
-                let doubled = rx.side.receiver().config().nak_interval * 2;
-                retune(&mut rx.side, now, doubled, flight);
+                rx.back_off();
             }
         }
         WatchdogStage::Degraded => {
             flight.event(now, "io_watchdog_degrade", 0);
             if let Some(rx) = rx {
-                rx.gov.degrade(&mut rx.side, now, flight);
+                rx.degrade();
             }
         }
         WatchdogStage::Aborted => flight.event(now, "io_watchdog_abort", 0),
@@ -401,41 +335,35 @@ impl TxHalf {
 }
 
 /// The receiving half of a run: the receiver, the socket it hears data on
-/// (and NAKs from), the NAKs waiting for it, and the RTO bookkeeping.
+/// (and NAKs from), and the NAKs waiting for it.
 struct RxHalf {
     side: ReceiverSide,
     sock: FaultySocket,
     wire: Vec<Packet>,
-    gov: RxGovernor,
 }
 
 impl RxHalf {
     fn new(cfg: &IoPilotConfig, sock: FaultySocket) -> RxHalf {
-        let (side, gov) = receiving_side(cfg);
         RxHalf {
-            side,
+            side: receiving_side(cfg),
             sock,
             wire: Vec::new(),
-            gov,
         }
     }
 }
 
-/// The receiver machine of a run and the governor that retunes it.
-fn receiving_side(cfg: &IoPilotConfig) -> (ReceiverSide, RxGovernor) {
+/// The receiver machine of a run, its retry clock set from `cfg`.
+fn receiving_side(cfg: &IoPilotConfig) -> ReceiverSide {
     let exp = ExperimentId::new(2, 0);
     let mut rcfg = ReceiverConfig::wan_defaults(exp, Ipv4Address::new(10, 0, 0, 8));
     rcfg.expect_messages = Some(cfg.messages);
     rcfg.reorder_delay = (cfg.rto_min / 8).max(Time::from_micros(100));
-    let gov = RxGovernor::new(cfg);
-    // The NAK interval starts at the pre-sample RTO (the floor) and is
-    // retuned by the governor as samples arrive.
-    rcfg.nak_interval = gov.rto.current();
-    rcfg.nak_interval_max = cfg.deadline.max(rcfg.nak_interval);
+    rcfg.nak_interval = cfg.rto_min;
+    rcfg.nak_interval_max = cfg.rto_max;
     rcfg.max_nak_retries = cfg.nak_retries;
     // Time-based give-up is the watchdog's job out here.
     rcfg.give_up_after = cfg.deadline;
-    (ReceiverSide::new(MmtReceiver::new(rcfg)), gov)
+    ReceiverSide::new(MmtReceiver::new(rcfg))
 }
 
 /// Hand every datagram waiting at `sock` to `deliver`; whether any came.
@@ -478,8 +406,7 @@ fn sleep_until_next(now: Time, candidates: &[Option<Time>]) {
 /// process holds until the flow is accounted for or the watchdog aborts.
 /// One iteration is always the same steps in the same order: the
 /// watchdog, then each half in turn, sending half first — receive,
-/// timers, send, flush (and the governor after the receiving half). A
-/// half reads its socket before its timers fire, so a timer never
+/// timers, send, flush. A half reads its socket before its timers fire, so a timer never
 /// mistakes datagrams already waiting in the socket for silence; and the
 /// sending half's datagrams are on the wire before the receiving half
 /// reads.
@@ -507,7 +434,7 @@ fn drive(
     let (completed, elapsed) = loop {
         let now = clock.now();
         if let Some(stage) = watchdog.check(now) {
-            apply_watchdog_stage(stage, rx.as_mut(), now, &mut flight);
+            apply_watchdog_stage(stage, rx.as_mut().map(|rx| &mut rx.side), now, &mut flight);
             if stage == WatchdogStage::Aborted {
                 if tx.is_none() && !seen_any {
                     return Err(IoError::NoPeer);
@@ -537,7 +464,6 @@ fn drive(
             }
             moved |= send_all(&mut rx.sock, now, &mut rx.wire)?;
             rx.sock.flush(now)?;
-            rx.gov.after_iter(now, &mut rx.side, &mut flight);
         }
         if moved {
             last_traffic = now;
@@ -581,11 +507,8 @@ fn drive(
 
     flight.event(elapsed, "io_done", 0);
     // A half this process did not hold reports zeros.
-    let stats = rx
-        .as_ref()
-        .map(|rx| rx.side.receiver().stats)
-        .unwrap_or_default();
-    let rto = rx.as_ref().map(|rx| &rx.gov.rto);
+    let receiver = rx.as_ref().map(|rx| rx.side.receiver());
+    let stats = receiver.map(|r| r.stats).unwrap_or_default();
     let data_sock = tx.as_ref().map(|tx| &tx.sock);
     Ok(IoPilotReport {
         messages: cfg.messages,
@@ -600,17 +523,15 @@ fn drive(
         elapsed,
         watchdog_stage: watchdog.stage(),
         watchdog_transitions: watchdog.transitions.clone(),
-        srtt_ns: rto.map_or(0, RtoEstimator::srtt_ns),
-        rto_ns: rto.map_or(0, |rto| rto.current().as_nanos()),
-        rto_samples: rto.map_or(0, RtoEstimator::samples),
+        srtt_ns: receiver.map_or(0, |r| r.rtt().srtt_ns()),
+        rto_ns: receiver.map_or(0, |r| r.retry_interval().as_nanos()),
+        rto_samples: receiver.map_or(0, |r| r.rtt().samples()),
         faults: data_sock.map(FaultySocket::fault_stats).unwrap_or_default(),
         data_socket: data_sock.map(|s| s.stats).unwrap_or_default(),
         control_socket: rx.as_ref().map(|rx| rx.sock.stats).unwrap_or_default(),
         flight: flight.records,
         seed: cfg.seed,
-        delivery_digest: rx
-            .as_ref()
-            .map_or(0, |rx| rx.side.receiver().delivery_digest()),
+        delivery_digest: receiver.map_or(0, MmtReceiver::delivery_digest),
     })
 }
 
@@ -709,16 +630,12 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 3, "stacked backoff", pinned as it is observed today,
-    /// sans-io. On a barren NAK round the governor doubles `rto.current()`
-    /// and retunes the receiver's `nak_interval` to it; the receiver then
-    /// shifts that interval again by `barren_rounds − 1`. So the retry
-    /// interval grows ×4 per barren round, not ×2. (The first step is ×2
-    /// only because each retry is armed before the governor retunes, and a
-    /// longer interval takes effect from the next round.) Item 3 (one
-    /// backoff, owned by the receiver) is expected to flip this test to ×2.
+    /// One backoff, owned by the receiver, sans-io. Nothing is ever
+    /// recovered, so no round trip is measured and the retry interval
+    /// starts at the `rto_min` floor; each barren NAK round doubles it once,
+    /// up to the `rto_max` ceiling (500 ms by default).
     #[test]
-    fn barren_nak_rounds_back_off_twice_over() {
+    fn barren_nak_rounds_back_off_once() {
         let ms = Time::from_millis;
         let mut cfg = IoPilotConfig::defaults();
         cfg.messages = 3;
@@ -737,30 +654,28 @@ mod tests {
         tx.poll_timers(ms(1), &mut wan);
         assert_eq!(wan.len(), 3);
 
-        let (mut rx, mut gov) = receiving_side(&cfg);
-        let mut flight = Flight::new(64);
+        let mut rx = receiving_side(&cfg);
         let mut naks = Vec::new();
         // Seq 1 is lost, and none of the NAKs for it is ever served.
         for i in [0, 2] {
             rx.wire_in(ms(1), wan[i].bytes.clone(), &mut naks);
         }
-        gov.after_iter(ms(1), &mut rx, &mut flight);
         let mut nak_at = Vec::new();
-        let mut retuned = Vec::new();
-        while nak_at.len() < 6 {
+        while nak_at.len() < 10 {
             let now = rx.next_wake().expect("a retry stays pending");
             rx.poll_timers(now, &mut naks);
             if !naks.is_empty() {
                 nak_at.push(now);
                 naks.clear();
             }
-            gov.after_iter(now, &mut rx, &mut flight);
-            retuned.push(rx.receiver().config().nak_interval);
         }
         let intervals: Vec<Time> = nak_at.windows(2).map(|w| w[1] - w[0]).collect();
-        assert_eq!(intervals, [ms(5), ms(10), ms(40), ms(160), ms(640)]);
-        // The governor's own doubling, the first of the two factors.
-        assert_eq!(retuned, [ms(5), ms(10), ms(20), ms(40), ms(80), ms(160)]);
+        assert_eq!(
+            intervals,
+            [5, 10, 20, 40, 80, 160, 320, 500, 500].map(ms),
+            "×2 per barren round, capped at rto_max"
+        );
         assert_eq!(rx.receiver().stats.recovered, 0);
+        assert_eq!(rx.receiver().rtt().samples(), 0);
     }
 }

@@ -24,6 +24,8 @@
 //!   ([`QueueSpec`]) feeding a serializing transmitter.
 //! * [`Simulator`] — the event loop binding everything together.
 //! * [`stats`] — counters and latency histograms collected per link/node.
+//! * [`RttEstimator`] — RFC 6298 SRTT/RTTVAR in integers, the one
+//!   estimator under the MMT receiver's and the TCP baseline's retry clocks.
 //!
 //! ## Example
 //!
@@ -64,6 +66,7 @@ mod node;
 mod packet;
 mod queue;
 mod rng;
+mod rtt;
 pub mod shard;
 mod sim;
 pub mod stats;
@@ -79,6 +82,7 @@ pub use node::{Context, Input, Machine, Node, NodeId, Output, PortId, Sink, Time
 pub use packet::{Packet, PacketMeta, Tail};
 pub use queue::{QueueSpec, TransmitQueue};
 pub use rng::SimRng;
+pub use rtt::RttEstimator;
 pub use shard::{GroupResult, ShardLoad, ShardReport, ShardedSim};
 pub use sim::Simulator;
 pub use time::{Bandwidth, Time};

@@ -50,7 +50,10 @@ pub struct PilotConfig {
     pub credit: Option<CreditConfig>,
     /// Whether the sensor honours credits.
     pub respect_backpressure: bool,
-    /// Receiver loss-recovery tuning.
+    /// The receiver's NAK retry floor (`ReceiverConfig::nak_interval`):
+    /// the retry interval until a NAK round trip is measured, the lower
+    /// clamp of the measured RTO after that, and the silence that makes a
+    /// missing tail suspicious.
     pub receiver_nak_interval: Time,
     /// Give-up horizon for unrecoverable gaps.
     pub receiver_give_up: Time,

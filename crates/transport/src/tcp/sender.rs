@@ -2,7 +2,7 @@
 
 use super::profile::CcProfile;
 use crate::segment::{Segment, SegmentFlags};
-use mmt_netsim::{Context, Node, Packet, PortId, Time, TimerToken};
+use mmt_netsim::{Context, Node, Packet, PortId, RttEstimator, Time, TimerToken};
 use std::collections::BTreeMap;
 
 const TOKEN_RTO: TimerToken = 1;
@@ -79,9 +79,9 @@ pub struct TcpSender {
     cubic_epoch: Option<Time>,
     cubic_k_us: u64,
 
-    // RTT estimation / RTO (integer ns, RFC 6298 shift arithmetic).
-    srtt_ns: u64,
-    rttvar_ns: u64,
+    // RTT estimation / RTO (RFC 6298; floor, initial value and backoff
+    // are this sender's own).
+    rtt: RttEstimator,
     /// Minimum RTT observed (HyStart baseline).
     min_rtt_ns: u64,
     rto: Time,
@@ -140,8 +140,7 @@ impl TcpSender {
             cubic_wmax: 0,
             cubic_epoch: None,
             cubic_k_us: 0,
-            srtt_ns: 0,
-            rttvar_ns: 0,
+            rtt: RttEstimator::new(),
             min_rtt_ns: u64::MAX,
             rto: Time::from_millis(200),
             rto_deadline: None,
@@ -282,11 +281,11 @@ impl TcpSender {
             // growth from dumping multi-megabyte bursts into drop-tail
             // queues.
             let mut gap_ns = self.profile.per_segment_overhead_ns;
-            if self.srtt_ns > 0 {
+            if self.rtt.srtt_ns() > 0 {
                 // pace_ns = len·srtt / (factor·cwnd), factor 2 in slow
                 // start and 6/5 afterwards, computed in u128 so the
                 // len·srtt product cannot overflow.
-                let num = u128::from(len) * u128::from(self.srtt_ns);
+                let num = u128::from(len) * u128::from(self.rtt.srtt_ns());
                 let cwnd = u128::from(self.cwnd.max(1));
                 let pace_ns = if self.cwnd < self.ssthresh {
                     num / (2 * cwnd)
@@ -366,13 +365,12 @@ impl TcpSender {
         self.cwnd_acc = 0;
     }
 
-    /// The un-backed-off RTO from current estimates (RFC 6298).
+    /// The un-backed-off RTO from current estimates (RFC 6298): 200 ms
+    /// before the first sample, floored at 1 ms after it.
     fn base_rto(&self) -> Time {
-        if self.srtt_ns == 0 {
-            return Time::from_millis(200);
-        }
-        let rto_ns = (self.srtt_ns + 4 * self.rttvar_ns).max(1_000_000);
-        Time::from_nanos(rto_ns)
+        self.rtt
+            .rto()
+            .map_or(Time::from_millis(200), |rto| rto.max(Time::from_millis(1)))
     }
 
     fn update_rtt(&mut self, sample: Time) {
@@ -388,18 +386,8 @@ impl TcpSender {
         {
             self.ssthresh = self.cwnd;
         }
-        if self.srtt_ns == 0 {
-            self.srtt_ns = s;
-            self.rttvar_ns = s / 2;
-        } else {
-            // RFC 6298 shift arithmetic: rttvar ← ¾·rttvar + ¼·|err|,
-            // srtt ← ⅞·srtt + ⅛·sample.
-            let err = self.srtt_ns.abs_diff(s);
-            self.rttvar_ns = (3 * self.rttvar_ns + err) / 4;
-            self.srtt_ns = (7 * self.srtt_ns + s) / 8;
-        }
-        let rto_ns = (self.srtt_ns + 4 * self.rttvar_ns).max(1_000_000); // ≥1 ms
-        self.rto = Time::from_nanos(rto_ns);
+        self.rtt.observe(sample);
+        self.rto = self.base_rto();
     }
 
     /// Merge a SACK block into the scoreboard.
@@ -530,7 +518,7 @@ impl TcpSender {
             // Completion?
             if self.snd_una >= self.total_bytes && self.stats.completed_at.is_none() {
                 self.stats.completed_at = Some(ctx.now());
-                self.stats.srtt_ns = self.srtt_ns;
+                self.stats.srtt_ns = self.rtt.srtt_ns();
                 self.rto_deadline = None;
                 return;
             }
