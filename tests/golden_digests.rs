@@ -53,12 +53,12 @@ const FAULTED_PILOT: [Row; 8] = [
 const CRASH_ADAPTIVE_PILOT: [Row; 8] = [
     [1, 0x7639c58c775b46d4, 0xdf274e7fcfa22df8, 0x0927ec1df8a29de9],
     [2, 0x2144704a071d37ea, 0x3b24f82de8d08497, 0x509149972f14f208],
-    [3, 0xb41100b928183a45, 0x68f99c04e7b08b9d, 0x75817689e5b4bdb1],
+    [3, 0x8113ec0f3d8ddfa0, 0x68f99c04e7b08b9d, 0x2b976095317716ee],
     [4, 0xfcbadffab8c3f421, 0xfb23256fb8336b2a, 0x509149972f14f208],
     [5, 0x0899f6a7b7c3a542, 0xf05c4ed41faab03c, 0x17cd0b743be0e876],
     [6, 0x9c02e0bf5a87f543, 0x44b4ef88497429a3, 0xf8939b518095c3e3],
     [7, 0x0bc277de8a485c23, 0x0b68b11ba107fb04, 0x509149972f14f208],
-    [8, 0x8aa19ba44468da36, 0x70e19ed25507cde9, 0x27aec24e2cfd6971],
+    [8, 0x97acd013cf5cfb6b, 0x70e19ed25507cde9, 0xb47a0b2aee6f2cda],
 ];
 
 #[rustfmt::skip]
