@@ -19,11 +19,11 @@
 use crate::machine::{Input, Machine, Output};
 use crate::store::{RetransmitStore, Served};
 use mmt_dataplane::action::Intrinsics;
-use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
+use mmt_dataplane::parser::{build_eth_control_frame, ParsedPacket};
 use mmt_dataplane::pipeline::Pipeline;
 use mmt_dataplane::programs::{self, BorderConfig};
 use mmt_netsim::{Packet, PacketMeta, PortId, Time, TimerToken};
-use mmt_wire::mmt::{BackpressureRepr, ControlRepr, ExperimentId, MmtRepr, ModeChangeRepr};
+use mmt_wire::mmt::{BackpressureRepr, ControlRepr, ExperimentId, ModeChangeRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 
 const TOKEN_CREDIT: TimerToken = 0x42;
@@ -339,19 +339,15 @@ impl RetransmitBuffer {
     }
 
     fn send_credit(&mut self, out: &mut Vec<Output>, grant: u32) {
-        let ctrl = ControlRepr::Backpressure(BackpressureRepr {
-            level: 1,
-            window: grant,
-            origin: Ipv4Address::UNSPECIFIED,
-        })
-        .emit_packet(self.experiment);
-        // mmt-lint: allow(P1, "parsing bytes emitted one line above; emit/parse are inverses")
-        let repr = MmtRepr::parse(&ctrl).expect("just built");
-        let frame = build_eth_mmt_frame(
+        let frame = build_eth_control_frame(
             EthernetAddress([0x02, 0, 0, 0, 0, 0x10]),
             EthernetAddress::BROADCAST,
-            &repr,
-            &ctrl[repr.header_len()..],
+            self.experiment,
+            &ControlRepr::Backpressure(BackpressureRepr {
+                level: 1,
+                window: grant,
+                origin: Ipv4Address::UNSPECIFIED,
+            }),
         );
         let mut pkt = Packet::new(frame);
         pkt.meta.control = true;
@@ -479,8 +475,9 @@ impl Machine for RetransmitBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_dataplane::parser::build_eth_mmt_frame;
     use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Sink};
-    use mmt_wire::mmt::{Features, NakRange, NakRepr};
+    use mmt_wire::mmt::{Features, MmtRepr, NakRange, NakRepr};
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

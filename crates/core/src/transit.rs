@@ -16,9 +16,9 @@
 
 use crate::machine::{Input, Machine, Output};
 use crate::store::{RetransmitStore, Served};
-use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
+use mmt_dataplane::parser::{build_eth_control_frame, FrameView};
 use mmt_netsim::{Packet, PortId, Time};
-use mmt_wire::mmt::{ControlRepr, CoreHeader, MmtRepr, NakRange, NakRepr, RetransmitExt};
+use mmt_wire::mmt::{ControlRepr, CoreHeader, NakRange, NakRepr, RetransmitExt};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 
 /// Port facing the source.
@@ -119,14 +119,11 @@ impl TransitBuffer {
             requester_port: nak.requester_port,
             ranges,
         };
-        let ctrl = ControlRepr::Nak(upstream_nak).emit_packet(experiment);
-        // mmt-lint: allow(P1, "parsing bytes emitted one line above; emit/parse are inverses")
-        let repr = MmtRepr::parse(&ctrl).expect("just built");
-        let frame = build_eth_mmt_frame(
+        let frame = build_eth_control_frame(
             EthernetAddress([0x02, 0, 0, 0, 0, 0x30]),
             EthernetAddress::BROADCAST,
-            &repr,
-            &ctrl[repr.header_len()..],
+            experiment,
+            &ControlRepr::Nak(upstream_nak),
         );
         out.push(Output::Transmit {
             port: PORT_UP,
@@ -194,9 +191,9 @@ impl Machine for TransitBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_dataplane::parser::ParsedPacket;
+    use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
     use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
-    use mmt_wire::mmt::ExperimentId;
+    use mmt_wire::mmt::{ExperimentId, MmtRepr};
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

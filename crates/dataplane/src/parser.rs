@@ -10,7 +10,7 @@
 use mmt_netsim::{Packet, PacketMeta, Tail};
 use mmt_wire::ethernet::{self, EtherType, Frame};
 use mmt_wire::ipv4::{self, Packet as Ipv4Packet, Protocol};
-use mmt_wire::mmt::{CoreHeader, ExtLayout, Features, MmtRepr};
+use mmt_wire::mmt::{ControlRepr, CoreHeader, ExtLayout, Features, MmtRepr};
 use std::borrow::Cow;
 
 /// Which encapsulation layers were found in a frame.
@@ -470,6 +470,27 @@ pub fn build_eth_mmt_frame(
     build_head(src, dst, Framing::Ethernet, mmt, payload, 0)
 }
 
+/// Build an Ethernet+MMT control frame: Ethernet, the control header for
+/// `experiment` and the body of `ctrl`, written into one buffer.
+pub fn build_eth_control_frame(
+    src: mmt_wire::EthernetAddress,
+    dst: mmt_wire::EthernetAddress,
+    experiment: mmt_wire::mmt::ExperimentId,
+    ctrl: &ControlRepr,
+) -> Vec<u8> {
+    let mut buf = vec![0u8; ethernet::HEADER_LEN + ctrl.packet_len()];
+    let eth = mmt_wire::ethernet::EthernetRepr {
+        dst,
+        src,
+        ethertype: EtherType::Mmt,
+    };
+    // mmt-lint: allow(P1, "buffer sized from the Ethernet header and packet_len above")
+    eth.emit(&mut buf)
+        .and_then(|()| ctrl.emit_packet_into(experiment, &mut buf[ethernet::HEADER_LEN..]))
+        .expect("sized above");
+    buf
+}
+
 /// Build an Ethernet+IPv4+MMT frame (WAN framing).
 pub fn build_ip_mmt_frame(
     eth_src: mmt_wire::EthernetAddress,
@@ -543,6 +564,53 @@ mod tests {
         );
         assert_eq!(p.mmt_repr().unwrap().experiment, ExperimentId::new(2, 0));
         assert_eq!(p.mmt().unwrap().payload(), b"payload");
+    }
+
+    #[test]
+    fn control_frame_matches_emit_parse_and_frame() {
+        use mmt_wire::mmt::{
+            BackpressureRepr, DeadlineExceededRepr, ModeChangeRepr, NakRange, NakRepr,
+        };
+        let (s, d) = macs();
+        let exp = ExperimentId::new(7, 3);
+        let addr = Ipv4Address::new(10, 0, 0, 9);
+        for ctrl in [
+            ControlRepr::Nak(NakRepr {
+                requester: addr,
+                requester_port: 47_001,
+                ranges: vec![
+                    NakRange { first: 3, last: 4 },
+                    NakRange {
+                        first: 9,
+                        last: u64::MAX,
+                    },
+                ],
+            }),
+            ControlRepr::DeadlineExceeded(DeadlineExceededRepr {
+                sequence: 11,
+                deadline_ns: 5_000,
+                observed_age_ns: 6_000,
+                reporter: addr,
+            }),
+            ControlRepr::Backpressure(BackpressureRepr {
+                level: 1,
+                window: 64,
+                origin: addr,
+            }),
+            ControlRepr::ModeChange(ModeChangeRepr {
+                config_id: 0,
+                features: Features::SEQUENCE | Features::RETRANSMIT,
+                retransmit_source: addr,
+                retransmit_port: 47_002,
+                window: 0,
+            }),
+        ] {
+            // The three steps every control sender used to take.
+            let packet = ctrl.emit_packet(exp);
+            let repr = MmtRepr::parse(&packet).unwrap();
+            let old = build_eth_mmt_frame(s, d, &repr, &packet[repr.header_len()..]);
+            assert_eq!(build_eth_control_frame(s, d, exp, &ctrl), old, "{ctrl:?}");
+        }
     }
 
     #[test]

@@ -7,14 +7,14 @@ use mmt_core::flowtable::{FlowId, FlowTable};
 use mmt_core::receiver::{MmtReceiver, ReceiverConfig, ReceiverStats};
 use mmt_core::sender::{MmtSender, SenderConfig, SenderStats};
 use mmt_core::standby::{StandbyBuffer, StandbyBufferStats};
-use mmt_dataplane::parser::build_eth_mmt_frame;
+use mmt_dataplane::parser::build_eth_control_frame;
 use mmt_dataplane::programs::{self, BorderConfig};
 use mmt_dataplane::{DataplaneElement, ElementStats};
 use mmt_netsim::stats::LatencyHistogram;
 use mmt_netsim::{
     Bandwidth, FaultSpec, LinkId, LinkSpec, LossModel, NodeId, Packet, Simulator, Time,
 };
-use mmt_wire::mmt::{ControlRepr, ExperimentId, Features, MmtRepr, ModeChangeRepr};
+use mmt_wire::mmt::{ControlRepr, ExperimentId, Features, ModeChangeRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 
 /// Configuration for a pilot run.
@@ -493,14 +493,11 @@ impl Pilot {
     /// Deliver a mode-change control message to `node` at the current
     /// virtual time — the out-of-band SDN control channel.
     fn inject_mode_change(&mut self, node: NodeId, port: usize, mc: ModeChangeRepr) {
-        let ctrl = ControlRepr::ModeChange(mc).emit_packet(self.config.experiment);
-        // mmt-lint: allow(P1, "parsing bytes emitted one line above; emit/parse are inverses")
-        let repr = MmtRepr::parse(&ctrl).expect("just built");
-        let mut pkt = Packet::new(build_eth_mmt_frame(
+        let mut pkt = Packet::new(build_eth_control_frame(
             EthernetAddress([0x02, 0, 0, 0, 0, 0xCC]),
             EthernetAddress::BROADCAST,
-            &repr,
-            &ctrl[repr.header_len()..],
+            self.config.experiment,
+            &ControlRepr::ModeChange(mc),
         ));
         pkt.meta.control = true;
         self.sim.inject(self.sim.now(), node, port, pkt);

@@ -332,18 +332,32 @@ impl ControlRepr {
         Ok((hdr.experiment, repr))
     }
 
+    /// Length of the full control packet (MMT header + body).
+    pub fn packet_len(&self) -> usize {
+        // A control header carries no extensions.
+        super::CORE_HEADER_LEN + self.body_len()
+    }
+
+    /// Emit a full control packet (MMT header + body) for `experiment`
+    /// into the first [`ControlRepr::packet_len`] bytes of `buf`.
+    pub fn emit_packet_into(&self, experiment: ExperimentId, buf: &mut [u8]) -> Result<()> {
+        let hdr = MmtRepr::control(experiment, self.control_type() as u8);
+        hdr.emit(buf)?;
+        let body = &mut buf[hdr.header_len()..];
+        match self {
+            ControlRepr::Nak(n) => n.emit(body),
+            ControlRepr::DeadlineExceeded(d) => d.emit(body),
+            ControlRepr::Backpressure(b) => b.emit(body),
+            ControlRepr::ModeChange(m) => m.emit(body),
+        }
+    }
+
     /// Emit a full control packet (MMT header + body) for `experiment`.
     pub fn emit_packet(&self, experiment: ExperimentId) -> Vec<u8> {
-        let hdr = MmtRepr::control(experiment, self.control_type() as u8);
-        let hlen = hdr.header_len();
-        let mut buf = vec![0u8; hlen + self.body_len()];
-        hdr.emit(&mut buf).expect("sized above"); // mmt-lint: allow(P1, "buffer sized with header_len + body_len above")
-        match self {
-            ControlRepr::Nak(n) => n.emit(&mut buf[hlen..]).expect("sized above"), // mmt-lint: allow(P1, "buffer sized with body_len above")
-            ControlRepr::DeadlineExceeded(d) => d.emit(&mut buf[hlen..]).expect("sized above"), // mmt-lint: allow(P1, "buffer sized with body_len above")
-            ControlRepr::Backpressure(b) => b.emit(&mut buf[hlen..]).expect("sized above"), // mmt-lint: allow(P1, "buffer sized with body_len above")
-            ControlRepr::ModeChange(m) => m.emit(&mut buf[hlen..]).expect("sized above"), // mmt-lint: allow(P1, "buffer sized with body_len above")
-        }
+        let mut buf = vec![0u8; self.packet_len()];
+        // mmt-lint: allow(P1, "buffer sized with packet_len above")
+        self.emit_packet_into(experiment, &mut buf)
+            .expect("sized above");
         buf
     }
 }
