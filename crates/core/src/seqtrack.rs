@@ -126,21 +126,30 @@ impl SeqTracker {
     /// leading gap `[0, first-1]` when the first received sequence is not
     /// 0 — streams are numbered from 0, so those packets were lost too.
     pub fn missing_ranges(&self, max_ranges: usize) -> Vec<NakRange> {
+        self.missing_ranges_from(0, max_ranges)
+    }
+
+    /// [`SeqTracker::missing_ranges`] restricted to sequences at or above
+    /// `from`: a range straddling `from` is cut to start there.
+    pub fn missing_ranges_from(&self, from: u64, max_ranges: usize) -> Vec<NakRange> {
         let mut out = Vec::new();
-        let mut prev_end: Option<u64> = Some(0);
-        for (&s, &e) in &self.ranges {
-            if let Some(pe) = prev_end {
-                if pe < s {
-                    if out.len() >= max_ranges {
-                        break;
-                    }
-                    out.push(NakRange {
-                        first: pe,
-                        last: s - 1,
-                    });
+        // End of the received range that starts at or below `from`.
+        let mut prev_end = self
+            .ranges
+            .range(..=from)
+            .next_back()
+            .map_or(from, |(_, &e)| e.max(from));
+        for (&s, &e) in self.ranges.range(from.saturating_add(1)..) {
+            if prev_end < s {
+                if out.len() >= max_ranges {
+                    break;
                 }
+                out.push(NakRange {
+                    first: prev_end,
+                    last: s - 1,
+                });
             }
-            prev_end = Some(e);
+            prev_end = e;
         }
         out
     }
@@ -214,6 +223,26 @@ mod tests {
         let missing = t.missing_ranges(5);
         assert_eq!(missing.len(), 5);
         assert_eq!(missing[0], NakRange { first: 1, last: 1 });
+    }
+
+    #[test]
+    fn missing_ranges_from_cuts_at_from() {
+        let mut t = SeqTracker::new();
+        for s in [3, 4, 9, 20] {
+            t.record(s);
+        }
+        let r = |first, last| NakRange { first, last };
+        let all = vec![r(0, 2), r(5, 8), r(10, 19)];
+        assert_eq!(t.missing_ranges_from(0, usize::MAX), all);
+        assert_eq!(
+            t.missing_ranges_from(1, usize::MAX),
+            [r(1, 2), r(5, 8), r(10, 19)]
+        );
+        assert_eq!(t.missing_ranges_from(3, usize::MAX), [r(5, 8), r(10, 19)]);
+        assert_eq!(t.missing_ranges_from(6, 1), [r(6, 8)]);
+        assert_eq!(t.missing_ranges_from(9, usize::MAX), [r(10, 19)]);
+        assert_eq!(t.missing_ranges_from(20, usize::MAX), []);
+        assert_eq!(t.missing_ranges_from(u64::MAX, usize::MAX), []);
     }
 
     #[test]

@@ -299,7 +299,8 @@ mod tests {
                 rx.wire_in(now, pkt.bytes, &mut naks);
             }
         }
-        // Let the reorder-delay NAK timer fire.
+        // Let the NAK wakes fire: the gap round NAKs seq 1, the first
+        // retry round finds it named already.
         now += Time::from_millis(1);
         rx.poll_timers(now, &mut naks);
         assert_eq!(naks.len(), 1, "gap triggers one NAK");

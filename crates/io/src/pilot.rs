@@ -14,11 +14,15 @@
 //!
 //! Faults are injected on the *data* direction only (at the sending
 //! socket); the NAK path stays clean, modelling a lossy WAN with a
-//! protected control channel. The NAK retry clock is the receiver's own
-//! ([`MmtReceiver::retry_interval`]), exactly as under the simulator: the
-//! runners only map `rto_min`/`rto_max`/`nak_retries` onto its config. A
-//! [`Watchdog`] ladder guards the configured deadline: shed (one more
-//! backoff step) → degrade → abort-with-flight-dump.
+//! protected control channel. Recovery is the receiver's own, exactly as
+//! under the simulator: a gap is NAKed in the loop iteration that reads
+//! the datagram opening it (until reordering is seen, then
+//! `reorder_delay` = `max(rto_min / 8, 100 µs)` later), and the retry
+//! clock ([`MmtReceiver::retry_interval`]) re-NAKs what stays missing.
+//! The runners only map `rto_min`/`rto_max`/`nak_retries` onto the
+//! receiver's config. A [`Watchdog`] ladder guards the configured
+//! deadline: shed (one more backoff step) → degrade →
+//! abort-with-flight-dump.
 
 use std::net::UdpSocket;
 
@@ -582,6 +586,7 @@ pub fn run_listen(cfg: &IoPilotConfig, addr: &str) -> Result<IoPilotReport, IoEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_wire::mmt::{ControlRepr, NakRange};
 
     #[test]
     fn loopback_clean_run_delivers_exactly_once() {
@@ -630,18 +635,12 @@ mod tests {
         }
     }
 
-    /// One backoff, owned by the receiver, sans-io. Nothing is ever
-    /// recovered, so no round trip is measured and the retry interval
-    /// starts at the `rto_min` floor; each barren NAK round doubles it once,
-    /// up to the `rto_max` ceiling (500 ms by default).
-    #[test]
-    fn barren_nak_rounds_back_off_once() {
-        let ms = Time::from_millis;
-        let mut cfg = IoPilotConfig::defaults();
-        cfg.messages = 3;
+    /// The sending host of a sans-io test, its first `n` datagrams
+    /// already on the wire.
+    fn sent_burst(cfg: &IoPilotConfig, n: usize) -> Vec<Packet> {
         let exp = ExperimentId::new(2, 0);
         let mut tx = SenderSide::new(
-            MmtSender::new(SenderConfig::regular(exp, cfg.message_len, cfg.gap, 3)),
+            MmtSender::new(SenderConfig::regular(exp, cfg.message_len, cfg.gap, n)),
             RetransmitBuffer::with_defaults(
                 exp,
                 Ipv4Address::new(10, 0, 0, 5),
@@ -651,8 +650,36 @@ mod tests {
         );
         let mut wan = Vec::new();
         tx.start(Time::ZERO, &mut wan);
-        tx.poll_timers(ms(1), &mut wan);
-        assert_eq!(wan.len(), 3);
+        tx.poll_timers(Time::from_millis(10), &mut wan);
+        assert_eq!(wan.len(), n);
+        wan
+    }
+
+    /// The ranges of every NAK in `wire`.
+    fn nak_ranges(wire: &[Packet]) -> Vec<Vec<NakRange>> {
+        wire.iter()
+            .map(|pkt| {
+                match ControlRepr::parse_packet(&pkt.bytes[mmt_wire::ethernet::HEADER_LEN..]) {
+                    Ok((_, ControlRepr::Nak(nak))) => nak.ranges,
+                    other => panic!("expected a NAK, got {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    /// One backoff, owned by the receiver, sans-io. The gap round names
+    /// seq 1 at the arrival that opened its gap; the retry wake keeps its
+    /// schedule (first at `reorder_delay`, which finds seq 1 asked for
+    /// already and sends nothing). Nothing is ever recovered, so no round
+    /// trip is measured and the retry interval starts at the `rto_min`
+    /// floor; each barren NAK round doubles it once, up to the `rto_max`
+    /// ceiling (500 ms by default).
+    #[test]
+    fn barren_nak_rounds_back_off_once() {
+        let ms = Time::from_millis;
+        let mut cfg = IoPilotConfig::defaults();
+        cfg.messages = 3;
+        let wan = sent_burst(&cfg, 3);
 
         let mut rx = receiving_side(&cfg);
         let mut naks = Vec::new();
@@ -661,7 +688,7 @@ mod tests {
             rx.wire_in(ms(1), wan[i].bytes.clone(), &mut naks);
         }
         let mut nak_at = Vec::new();
-        while nak_at.len() < 10 {
+        while nak_at.len() < 11 {
             let now = rx.next_wake().expect("a retry stays pending");
             rx.poll_timers(now, &mut naks);
             if !naks.is_empty() {
@@ -669,7 +696,10 @@ mod tests {
                 naks.clear();
             }
         }
-        let intervals: Vec<Time> = nak_at.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(nak_at[0], ms(1), "the gap round, at the arrival");
+        let reorder_delay = Time::from_micros(625);
+        assert_eq!(nak_at[1], ms(1) + reorder_delay + ms(5), "first retry");
+        let intervals: Vec<Time> = nak_at[1..].windows(2).map(|w| w[1] - w[0]).collect();
         assert_eq!(
             intervals,
             [5, 10, 20, 40, 80, 160, 320, 500, 500].map(ms),
@@ -677,5 +707,32 @@ mod tests {
         );
         assert_eq!(rx.receiver().stats.recovered, 0);
         assert_eq!(rx.receiver().rtt().samples(), 0);
+    }
+
+    /// With no reordering seen, a loss is NAKed at the arrival that shows
+    /// it, not a reorder delay later: the poll loop fires the gap wake in
+    /// the same iteration that read the datagram.
+    #[test]
+    fn a_burst_naks_a_drop_at_the_next_arrival() {
+        let mut cfg = IoPilotConfig::defaults();
+        cfg.messages = 32;
+        let wan = sent_burst(&cfg, 32);
+        let mut rx = receiving_side(&cfg);
+        let mut wire = Vec::new();
+        for (seq, pkt) in wan.iter().enumerate() {
+            let now = Time::from_micros(100 + seq as u64);
+            if seq == 5 {
+                continue;
+            }
+            rx.wire_in(now, pkt.bytes.clone(), &mut wire);
+            rx.poll_timers(now, &mut wire);
+            if seq < 6 {
+                assert!(wire.is_empty(), "nothing missing yet at seq {seq}");
+            } else if seq == 6 {
+                assert_eq!(nak_ranges(&wire), [[NakRange { first: 5, last: 5 }]]);
+            }
+        }
+        assert_eq!(rx.receiver().stats.naks_sent, 1, "one NAK for one drop");
+        assert_eq!(rx.receiver().stats.delivered, 31);
     }
 }

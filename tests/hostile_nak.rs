@@ -368,24 +368,28 @@ fn receiver_naks_a_bounded_slice_of_any_gap() {
                     &mut out,
                 );
             }
-            // Fire the NAK timer at each wake it asks for (the tail waits
-            // one retry interval to turn quiet before its first NAK).
+            // Fire every wake it asks for, earliest first and ties in the
+            // order armed, as `ReceiverSide::poll_timers` does (the tail
+            // waits one retry interval to turn quiet before its first NAK).
+            let mut wakes = Vec::new();
             let mut naks = Vec::new();
-            while naks.len() < ROUNDS {
-                let Some((at, token)) = out.iter().find_map(|o| match o {
-                    Output::WakeAt { at, token } => Some((*at, *token)),
-                    _ => None,
-                }) else {
-                    break;
+            loop {
+                for o in out.drain(..) {
+                    match o {
+                        Output::WakeAt { at, token } => wakes.push((at, token)),
+                        Output::Transmit { pkt, .. } => naks.push(pkt),
+                        Output::DeliverLocal { .. } => {}
+                    }
+                }
+                if naks.len() >= ROUNDS {
+                    break naks;
+                }
+                let Some(next) = (0..wakes.len()).min_by_key(|&i| wakes[i].0) else {
+                    break naks;
                 };
-                out.clear();
+                let (at, token) = wakes.remove(next);
                 machine.poll(at, Input::Timer { token }, &mut out);
-                naks.extend(out.iter().filter_map(|o| match o {
-                    Output::Transmit { pkt, .. } => Some(pkt.clone()),
-                    _ => None,
-                }));
             }
-            naks
         });
         assert_eq!(nak_ranges(&naks), bounded_rounds(first), "{label}");
     }
