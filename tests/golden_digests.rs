@@ -27,38 +27,38 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=8;
 
 #[rustfmt::skip]
 const DEFAULT_PILOT: [Row; 8] = [
-    [1, 0x568ddaaf7c1a074a, 0x45f2b84daa613bae, 0x32c440aa0cd306f0],
-    [2, 0xe0ce77ed5c3f0a0f, 0x18cf0bd60745621c, 0x879ea56ce443c434],
-    [3, 0xa4b85cd3a51d4a93, 0x1c49746aaa3717a5, 0x23896ae13831aa66],
-    [4, 0xfda55eeb8cb0478e, 0x720d30324659387f, 0x32c440aa0cd306f0],
-    [5, 0xdd5cdfa34e2d5bf6, 0xa3cd79f8e6dcb097, 0x879ea56ce443c434],
-    [6, 0x4d8e897c52050ec7, 0x681f85cdc76aa5bc, 0x879ea56ce443c434],
-    [7, 0x8acf565b2eb6f883, 0x4bcbc1024d0b7b53, 0x879ea56ce443c434],
+    [1, 0xe48d979ca30bb8ad, 0x82f54534dfcd8ca1, 0x13b356e58ec6f3f4],
+    [2, 0xe48d979ca30bb8ad, 0x20ac70dbfa7d076a, 0x4880829b5839985a],
+    [3, 0x7e53951ad4c01d15, 0x656effaddbd003bc, 0x806337610b811555],
+    [4, 0xe48d979ca30bb8ad, 0x01beb3ead4e297d9, 0x13b356e58ec6f3f4],
+    [5, 0xe48d979ca30bb8ad, 0xa53116b14a8d1fb0, 0x4880829b5839985a],
+    [6, 0xe48d979ca30bb8ad, 0x6385f0cfa3d79ac1, 0x4880829b5839985a],
+    [7, 0xe48d979ca30bb8ad, 0xe32720f49e38dce2, 0x123583ce6e27dbe9],
     [8, 0x25c237f65ed82cf5, 0x0249dffcaf8b9bba, 0xaf7a87772715c180],
 ];
 
 #[rustfmt::skip]
 const FAULTED_PILOT: [Row; 8] = [
-    [1, 0x43fa49b9e9922c61, 0xb7eb7d5a7e495189, 0x38b65f9098cdf974],
-    [2, 0x62f748167ae2681b, 0xbffdbb5f5c9670e8, 0x75c596db96881fb9],
-    [3, 0x93c1780811bd8af3, 0xa07a277c7bb24e5b, 0xc7b6589b0e377e50],
-    [4, 0x7ee2552334e8d493, 0x8cde477fe7abe15b, 0xee4f052f41596638],
-    [5, 0x70c6d003505a9a5b, 0xc43a7c485b1356a7, 0x9191fd9e2acfc9ff],
-    [6, 0xa25cbddcf5e21077, 0xea6afa7066c22068, 0x49b70f83feb455ad],
-    [7, 0x217a9e611c019f8a, 0xfdbb3366ed9d3e83, 0x2dae1ab154e0f60d],
-    [8, 0x4bd19b6898e90376, 0xdcf5e1d8381aff10, 0x6dfa08f822a620d0],
+    [1, 0xe2d3701c6c23c31e, 0xb0e6f54d626781d8, 0xc6a39b7e417ee981],
+    [2, 0x5a36748c73ff8f8b, 0x7ca89732d82679e9, 0x610a5880b774a1c1],
+    [3, 0x98848ad5b1995e9f, 0xd4ef1c9eeb0ddb93, 0x8fada8108cc0b5c1],
+    [4, 0x2f7c1bdfec9848d3, 0x9cc5fe07188f69ef, 0xed0260f9daedab4d],
+    [5, 0xe18b2d0de92d6965, 0xf40771d39187a875, 0x735010589ae0b14b],
+    [6, 0xc9424295fc7fdc5e, 0x2f7589ceaa829992, 0x0fbb8c278835a1b0],
+    [7, 0x3eefb84d641c6511, 0x72e486800d504b25, 0x5937dfe8d1cdc0a7],
+    [8, 0x74cfacab9ceb0998, 0x6726c3a2e30f436b, 0x9b104b74cc834e37],
 ];
 
 #[rustfmt::skip]
 const CRASH_ADAPTIVE_PILOT: [Row; 8] = [
-    [1, 0x7639c58c775b46d4, 0xdf274e7fcfa22df8, 0x0927ec1df8a29de9],
-    [2, 0x2144704a071d37ea, 0x3b24f82de8d08497, 0x509149972f14f208],
-    [3, 0x8113ec0f3d8ddfa0, 0x68f99c04e7b08b9d, 0x2b976095317716ee],
-    [4, 0xfcbadffab8c3f421, 0xfb23256fb8336b2a, 0x509149972f14f208],
-    [5, 0x0899f6a7b7c3a542, 0xf05c4ed41faab03c, 0x17cd0b743be0e876],
-    [6, 0x9c02e0bf5a87f543, 0x44b4ef88497429a3, 0xf8939b518095c3e3],
-    [7, 0x0bc277de8a485c23, 0x0b68b11ba107fb04, 0x509149972f14f208],
-    [8, 0x97acd013cf5cfb6b, 0x70e19ed25507cde9, 0xb47a0b2aee6f2cda],
+    [1, 0x34e9061768e9a237, 0x8b7fe280a5d975d6, 0xe29bdb83c6732507],
+    [2, 0x88923597005393a8, 0x6ec5b321934bbd8f, 0x79e97c4f0d9bb2a4],
+    [3, 0x34e9061768e9a237, 0x8f0545a45e39daa3, 0xe29bdb83c6732507],
+    [4, 0x88923597005393a8, 0x2fe2d9d87e794fa4, 0x79e97c4f0d9bb2a4],
+    [5, 0x724c7bf2cdcf6640, 0xae7f0d20804a0219, 0x4727110230023605],
+    [6, 0x88923597005393a8, 0xde62b000921b0af8, 0x79e97c4f0d9bb2a4],
+    [7, 0x88923597005393a8, 0xc0329fd42b14bfd8, 0x79e97c4f0d9bb2a4],
+    [8, 0x724c7bf2cdcf6640, 0xf957c0a3600e6b1b, 0x4727110230023605],
 ];
 
 #[rustfmt::skip]
