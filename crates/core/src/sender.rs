@@ -373,4 +373,27 @@ mod tests {
         );
         assert!(out.is_empty(), "no WakeAt, no datagram: {out:?}");
     }
+
+    /// ROADMAP item 5, "a lost credit stalls the sender", as the outcome
+    /// it should have. One grant of 10 arrives and the next one is lost.
+    /// The sender should get going again on its own (a zero-window persist
+    /// probe). Observed today: it sends 11 of 50 (message 0 went before the
+    /// grant), parks at `Some(0)` with no wake armed, and is still stalled
+    /// at the deadline.
+    #[test]
+    #[ignore = "ROADMAP item 5: one lost credit grant stalls the sender until the deadline"]
+    fn one_lost_credit_grant_does_not_stall_the_sender_until_the_deadline() {
+        let mut sim = Simulator::new(1);
+        let exp = ExperimentId::new(2, 0);
+        let mut cfg = SenderConfig::regular(exp, 1024, Time::from_micros(1), 50);
+        cfg.respect_backpressure = true;
+        let s = sim.add_node("s", Box::new(MmtSender::new(cfg)));
+        let d = sim.add_node("d", Box::new(Sink));
+        sim.add_oneway(s, 0, d, 0, LinkSpec::new(Bandwidth::gbps(100), Time::ZERO));
+        sim.inject(Time::ZERO, s, 0, Packet::new(backpressure_frame(exp, 10)));
+        // The grant that would have followed never arrives.
+        sim.run_until(Time::from_secs(1));
+        let stats = sim.node_as::<MmtSender>(s).unwrap().stats;
+        assert_eq!(stats.sent, 50, "stalled at {} of 50", stats.sent);
+    }
 }

@@ -18,8 +18,11 @@
 //! under the simulator: a gap is NAKed in the loop iteration that reads
 //! the datagram opening it (until reordering is seen, then
 //! `reorder_delay` = `max(rto_min / 8, 100 µs)` later), and the retry
-//! clock ([`MmtReceiver::retry_interval`]) re-NAKs what stays missing.
-//! The runners only map `rto_min`/`rto_max`/`nak_retries` onto the
+//! clock ([`MmtReceiver::retry_interval`]) re-NAKs what stays missing. A
+//! lost tail is NAKed once the stream has been quiet for
+//! [`MmtReceiver::tail_quiet`]: `rto_min` until a NAK round trip and the
+//! stream's pacing have been measured, then about two loopback round
+//! trips. The runners only map `rto_min`/`rto_max`/`nak_retries` onto the
 //! receiver's config. A [`Watchdog`] ladder guards the configured
 //! deadline: shed (one more backoff step) → degrade →
 //! abort-with-flight-dump.
@@ -117,6 +120,9 @@ pub struct IoPilotReport {
     pub duplicates: u64,
     /// NAKs the receiver sent.
     pub naks_sent: u64,
+    /// Of those, tail rounds: NAKs for a missing tail after the stream
+    /// went quiet.
+    pub tail_rounds: u64,
     /// Sequences recovered via NAK.
     pub recovered: u64,
     /// Sequences abandoned as lost.
@@ -214,6 +220,11 @@ impl IoPilotReport {
                 "mmt_io_rto_samples_total",
                 "NAK round trips the receiver sampled.",
                 self.rto_samples,
+            ),
+            (
+                "mmt_io_tail_rounds_total",
+                "Tail rounds the receiver ran: NAKs for a missing tail after the stream went quiet.",
+                self.tail_rounds,
             ),
         ] {
             reg.describe(name, help);
@@ -519,6 +530,7 @@ fn drive(
         delivered: stats.delivered,
         duplicates: stats.duplicates,
         naks_sent: stats.naks_sent,
+        tail_rounds: stats.tail_rounds,
         recovered: stats.recovered,
         lost: stats.lost,
         nak_retries_exhausted: stats.nak_retries_exhausted,
@@ -734,5 +746,82 @@ mod tests {
         }
         assert_eq!(rx.receiver().stats.naks_sent, 1, "one NAK for one drop");
         assert_eq!(rx.receiver().stats.delivered, 31);
+    }
+
+    /// The tail of a 32-burst that lost its last datagram.
+    const SEQ_31: NakRange = NakRange {
+        first: 31,
+        last: 31,
+    };
+
+    /// Feed a 32-burst to a fresh receiving side, seq `s` at `100 + s` µs
+    /// except those in `drop`, plus an `(at, seq)` answer to a NAK; then
+    /// fire wakes in order until the first NAK for the tail (seq 31). That
+    /// NAK's time and ranges, and the side.
+    fn first_tail_nak(
+        drop: &[usize],
+        answer: Option<(Time, usize)>,
+    ) -> (Time, Vec<NakRange>, ReceiverSide) {
+        let mut cfg = IoPilotConfig::defaults();
+        cfg.messages = 32;
+        let wan = sent_burst(&cfg, 32);
+        let mut rx = receiving_side(&cfg);
+        let mut arrivals: Vec<(Time, usize)> = (0..32)
+            .filter(|s| !drop.contains(s))
+            .map(|s| (Time::from_micros(100 + s as u64), s))
+            .chain(answer)
+            .collect();
+        arrivals.sort_by_key(|&(at, _)| at);
+        let mut wire = Vec::new();
+        for (now, seq) in arrivals {
+            rx.wire_in(now, wan[seq].bytes.clone(), &mut wire);
+            rx.poll_timers(now, &mut wire);
+            wire.clear();
+        }
+        loop {
+            let now = rx.next_wake().expect("the tail stays pending");
+            rx.poll_timers(now, &mut wire);
+            let tail_nak = nak_ranges(&wire)
+                .into_iter()
+                .find(|ranges| ranges.iter().any(|r| r.last == 31));
+            if let Some(ranges) = tail_nak {
+                return (now, ranges, rx);
+            }
+            wire.clear();
+        }
+    }
+
+    /// Until a NAK round trip has been measured the tail check is the
+    /// retry wake's, as before the tail probe: first `reorder_delay` after
+    /// the first arrival, then every `rto_min`, NAKing the tail at the
+    /// first wake `rto_min` or more after the last arrival.
+    #[test]
+    fn an_unmeasured_lost_tail_waits_rto_min() {
+        let (at, ranges, rx) = first_tail_nak(&[31], None);
+        let last_arrival = Time::from_micros(130);
+        let first_retry = Time::from_micros(100 + 625);
+        assert!(at >= last_arrival + Time::from_millis(5));
+        assert_eq!(at, first_retry + Time::from_millis(5));
+        assert_eq!(ranges, [SEQ_31]);
+        assert_eq!(rx.receiver().stats.tail_rounds, 0);
+    }
+
+    /// Once a gap's recovery has measured a round trip, a lost tail is
+    /// probed `2·srtt` after the last arrival instead of waiting `rto_min`.
+    #[test]
+    fn a_measured_lost_tail_is_probed_after_two_round_trips() {
+        // The gap round names seq 5 at seq 6's arrival; the answer takes
+        // `rtt`.
+        let rtt = Time::from_micros(20);
+        let answer = (Time::from_micros(106) + rtt, 5);
+        let (at, ranges, rx) = first_tail_nak(&[5, 31], Some(answer));
+        let r = rx.receiver();
+        assert_eq!(r.rtt().samples(), 1);
+        assert_eq!(r.rtt().srtt_ns(), rtt.as_nanos());
+        let last_arrival = Time::from_micros(130);
+        assert!(at <= last_arrival + rtt * 2, "{at}");
+        assert_eq!(ranges, [SEQ_31]);
+        assert_eq!(r.stats.tail_rounds, 1);
+        assert_eq!(r.stats.naks_sent, 2, "the gap round, then the tail round");
     }
 }
