@@ -27,38 +27,38 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=8;
 
 #[rustfmt::skip]
 const DEFAULT_PILOT: [Row; 8] = [
-    [1, 0xe48d979ca30bb8ad, 0x82f54534dfcd8ca1, 0x13b356e58ec6f3f4],
-    [2, 0xe48d979ca30bb8ad, 0x20ac70dbfa7d076a, 0x4880829b5839985a],
-    [3, 0x7e53951ad4c01d15, 0x656effaddbd003bc, 0x806337610b811555],
-    [4, 0xe48d979ca30bb8ad, 0x01beb3ead4e297d9, 0x13b356e58ec6f3f4],
-    [5, 0xe48d979ca30bb8ad, 0xa53116b14a8d1fb0, 0x4880829b5839985a],
-    [6, 0xe48d979ca30bb8ad, 0x6385f0cfa3d79ac1, 0x4880829b5839985a],
-    [7, 0xe48d979ca30bb8ad, 0xe32720f49e38dce2, 0x123583ce6e27dbe9],
-    [8, 0x25c237f65ed82cf5, 0x0249dffcaf8b9bba, 0xaf7a87772715c180],
+    [1, 0xdee086358a41d8a3, 0x82f54534dfcd8ca1, 0x13b356e58ec6f3f4],
+    [2, 0xdee086358a41d8a3, 0x20ac70dbfa7d076a, 0x4880829b5839985a],
+    [3, 0x4a998d63e095e4af, 0x656effaddbd003bc, 0x806337610b811555],
+    [4, 0xdee086358a41d8a3, 0x01beb3ead4e297d9, 0x13b356e58ec6f3f4],
+    [5, 0xdee086358a41d8a3, 0xa53116b14a8d1fb0, 0x4880829b5839985a],
+    [6, 0xdee086358a41d8a3, 0x6385f0cfa3d79ac1, 0x4880829b5839985a],
+    [7, 0xdee086358a41d8a3, 0xe32720f49e38dce2, 0x123583ce6e27dbe9],
+    [8, 0x6c45c1ef8fa8c807, 0x0249dffcaf8b9bba, 0xaf7a87772715c180],
 ];
 
 #[rustfmt::skip]
 const FAULTED_PILOT: [Row; 8] = [
-    [1, 0xe2d3701c6c23c31e, 0xb0e6f54d626781d8, 0xc6a39b7e417ee981],
-    [2, 0x5a36748c73ff8f8b, 0x7ca89732d82679e9, 0x610a5880b774a1c1],
-    [3, 0x98848ad5b1995e9f, 0xd4ef1c9eeb0ddb93, 0x8fada8108cc0b5c1],
-    [4, 0x2f7c1bdfec9848d3, 0x9cc5fe07188f69ef, 0xed0260f9daedab4d],
-    [5, 0xe18b2d0de92d6965, 0xf40771d39187a875, 0x735010589ae0b14b],
-    [6, 0xc9424295fc7fdc5e, 0x2f7589ceaa829992, 0x0fbb8c278835a1b0],
-    [7, 0x3eefb84d641c6511, 0x72e486800d504b25, 0x5937dfe8d1cdc0a7],
-    [8, 0x74cfacab9ceb0998, 0x6726c3a2e30f436b, 0x9b104b74cc834e37],
+    [1, 0xb7d0f83b8ed0cf98, 0x59473c3d92b91e43, 0x6ef312e1dccbc30d],
+    [2, 0x82accb772d2459cd, 0xcc178f59e6dec675, 0x8b367ee9e160a8d6],
+    [3, 0x0a944528830cb7d5, 0x579a55d688b85be9, 0x2f0e24f5894468a9],
+    [4, 0x6408d55866281e80, 0xe68663f5861d8f2f, 0x41c75943f9d2ff9f],
+    [5, 0x07b82997a93165f7, 0x2bbafcc6616ba376, 0x3153b3f86d0637e4],
+    [6, 0x429cad8c35f9cccb, 0x7bac8b32fe8cc3aa, 0x1433ba6bff3dbbff],
+    [7, 0x2b1b22e1502848a1, 0x0fe9eca63bcbd900, 0xa3ee4513138ce6c9],
+    [8, 0x239b2974e3fb7934, 0x7782ea711bbc2701, 0x7cfbb2a297cedff7],
 ];
 
 #[rustfmt::skip]
 const CRASH_ADAPTIVE_PILOT: [Row; 8] = [
-    [1, 0x34e9061768e9a237, 0x8b7fe280a5d975d6, 0xe29bdb83c6732507],
-    [2, 0x88923597005393a8, 0x6ec5b321934bbd8f, 0x79e97c4f0d9bb2a4],
-    [3, 0x34e9061768e9a237, 0x8f0545a45e39daa3, 0xe29bdb83c6732507],
-    [4, 0x88923597005393a8, 0x2fe2d9d87e794fa4, 0x79e97c4f0d9bb2a4],
-    [5, 0x724c7bf2cdcf6640, 0xae7f0d20804a0219, 0x4727110230023605],
-    [6, 0x88923597005393a8, 0xde62b000921b0af8, 0x79e97c4f0d9bb2a4],
-    [7, 0x88923597005393a8, 0xc0329fd42b14bfd8, 0x79e97c4f0d9bb2a4],
-    [8, 0x724c7bf2cdcf6640, 0xf957c0a3600e6b1b, 0x4727110230023605],
+    [1, 0xc0f0579f7a97c915, 0x8b7fe280a5d975d6, 0xe29bdb83c6732507],
+    [2, 0xdaa4c523004244a6, 0x6ec5b321934bbd8f, 0x79e97c4f0d9bb2a4],
+    [3, 0xc0f0579f7a97c915, 0x8f0545a45e39daa3, 0xe29bdb83c6732507],
+    [4, 0xdaa4c523004244a6, 0x2fe2d9d87e794fa4, 0x79e97c4f0d9bb2a4],
+    [5, 0x70afdbf0e1a1c296, 0xae7f0d20804a0219, 0x4727110230023605],
+    [6, 0xdaa4c523004244a6, 0xde62b000921b0af8, 0x79e97c4f0d9bb2a4],
+    [7, 0xdaa4c523004244a6, 0xc0329fd42b14bfd8, 0x79e97c4f0d9bb2a4],
+    [8, 0x70afdbf0e1a1c296, 0xf957c0a3600e6b1b, 0x4727110230023605],
 ];
 
 #[rustfmt::skip]
