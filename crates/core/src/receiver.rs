@@ -33,6 +33,7 @@
 use crate::machine::{Input, Machine, Output};
 use crate::seqtrack::SeqTracker;
 use mmt_dataplane::parser::{build_eth_control_frame, FrameView};
+use mmt_netsim::stats::LatencyHistogram;
 use mmt_netsim::{Packet, RttEstimator, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, NakRange, NakRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
@@ -52,6 +53,11 @@ const TOKEN_TAIL: TimerToken = 0x19;
 /// number can open a gap of 2⁶⁴). The widest round any golden or table
 /// run makes is 1 807 sequences (E12's flap tail), so none is cut short.
 pub const NAK_ROUND_SEQS: usize = 4096;
+
+/// Most missing ranges one NAK round takes from the sequence tracker,
+/// lowest first. Gaps past the 32nd wait for a later round, so a round's
+/// walk of the tracker is bounded however fragmented the stream is.
+pub const NAK_ROUND_RANGES: usize = 32;
 
 /// NAK bookkeeping of one outstanding sequence.
 #[derive(Debug, Clone, Copy)]
@@ -96,8 +102,6 @@ pub struct ReceiverConfig {
     pub max_nak_retries: u32,
     /// Give up on a gap after this long and count it lost.
     pub give_up_after: Time,
-    /// Maximum ranges per NAK message.
-    pub max_ranges_per_nak: usize,
     /// Expected message count (None = open-ended stream).
     pub expect_messages: Option<u64>,
 }
@@ -113,7 +117,6 @@ impl ReceiverConfig {
             nak_interval_max: Time::from_millis(240),
             max_nak_retries: 64,
             give_up_after: Time::from_secs(2),
-            max_ranges_per_nak: 32,
             expect_messages: None,
         }
     }
@@ -360,8 +363,9 @@ impl MmtReceiver {
     }
 
     /// Export the receiver's counters — and the end-to-end latency and
-    /// in-network age distributions over everything delivered so far —
-    /// into a metric registry, labeled by `node`.
+    /// in-network age distributions over everything delivered so far
+    /// ([`MmtReceiver::latency`], [`MmtReceiver::age`]) — into a metric
+    /// registry, labeled by `node`.
     pub fn export_metrics(&self, node: &str, reg: &mut mmt_telemetry::MetricRegistry) {
         let labels = [("node", node)];
         for (name, help, value) in [
@@ -419,24 +423,42 @@ impl MmtReceiver {
             reg.describe(name, help);
             reg.counter_add(name, &labels, value);
         }
-        let mut e2e = mmt_telemetry::NsHistogram::new();
-        let mut age = mmt_telemetry::NsHistogram::new();
-        for m in &self.log {
-            e2e.record(m.arrived_at.saturating_sub(m.created_at).as_nanos());
-            if let Some(a) = m.age_ns {
-                age.record(a);
-            }
-        }
         reg.describe(
             "mmt_receiver_e2e_latency_ns",
             "Source-creation to delivery latency per message, nanoseconds.",
         );
-        reg.observe_histogram("mmt_receiver_e2e_latency_ns", &labels, &e2e);
+        reg.observe_histogram(
+            "mmt_receiver_e2e_latency_ns",
+            &labels,
+            self.latency().sketch(),
+        );
         reg.describe(
             "mmt_receiver_age_ns",
             "In-network age carried by delivered headers, nanoseconds.",
         );
-        reg.observe_histogram("mmt_receiver_age_ns", &labels, &age);
+        reg.observe_histogram("mmt_receiver_age_ns", &labels, self.age().sketch());
+    }
+
+    /// End-to-end latency of every delivered message: arrival minus
+    /// source creation.
+    pub fn latency(&self) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for m in &self.log {
+            h.record(m.arrived_at.saturating_sub(m.created_at));
+        }
+        h
+    }
+
+    /// In-network age of every delivered message whose header carried
+    /// one.
+    pub fn age(&self) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for m in &self.log {
+            if let Some(age) = m.age_ns {
+                h.record(Time::from_nanos(age));
+            }
+        }
+        h
     }
 
     /// Arm the NAK wake unless one is pending.
@@ -502,7 +524,7 @@ impl MmtReceiver {
     /// budget; sequences whose budget is exhausted are abandoned as lost
     /// instead. Returns whether a NAK went out.
     fn send_nak(&mut self, now: Time, out: &mut Vec<Output>) -> bool {
-        let missing = self.outstanding_ranges(self.config.max_ranges_per_nak, now);
+        let missing = self.outstanding_ranges(NAK_ROUND_RANGES, now);
         if missing.is_empty() {
             return false;
         }
@@ -552,9 +574,7 @@ impl MmtReceiver {
         self.gap_armed = false;
         let from = self.fresh_from;
         self.fresh_from = self.tracker.highest().map_or(0, |h| h.saturating_add(1));
-        let gaps = self
-            .tracker
-            .missing_ranges_from(from, self.config.max_ranges_per_nak);
+        let gaps = self.tracker.missing_ranges_from(from, NAK_ROUND_RANGES);
         let seqs = gaps.iter().flat_map(|r| r.first..=r.last);
         self.name_fresh(now, seqs, false, out);
     }
@@ -1488,18 +1508,53 @@ mod tests {
         assert_eq!(r.log()[0].age_ns, Some(1_000));
     }
 
-    #[test]
-    fn unsequenced_mode0_traffic_delivers_without_tracking() {
-        let (mut sim, rcv, net) = setup();
+    /// An unsequenced mode-0 data frame carrying message `msg_index`.
+    fn mode0_frame(msg_index: u64) -> Packet {
         let mut payload = vec![0u8; 64];
-        payload[..8].copy_from_slice(&7u64.to_be_bytes());
-        let frame = build_eth_mmt_frame(
+        payload[..8].copy_from_slice(&msg_index.to_be_bytes());
+        Packet::new(build_eth_mmt_frame(
             EthernetAddress([2, 0, 0, 0, 0, 1]),
             EthernetAddress([2, 0, 0, 0, 0, 8]),
             &MmtRepr::data(exp()),
             &payload,
+        ))
+    }
+
+    #[test]
+    fn latency_and_age_count_each_delivery_once() {
+        // Every frame was created at 0, and each mode-2 one carries age 1 µs.
+        let mut r = expecting(3);
+        arrive(&mut r, ms(1), 0);
+        arrive(&mut r, ms(2), 2);
+        assert_eq!(naks(&gap_round(&mut r, ms(2))), [[range(1, 1)]]);
+        arrive(&mut r, ms(3), 1);
+        // A copy of the recovered sequence, and a plain duplicate.
+        arrive(&mut r, ms(4), 1);
+        arrive(&mut r, ms(5), 2);
+        let stats = r.stats;
+        assert_eq!((stats.delivered, stats.recovered), (3, 1));
+        assert_eq!((stats.duplicates, stats.dup_after_recovery), (2, 1));
+        // An unsequenced mode-0 message has a latency but no age.
+        r.poll(
+            ms(6),
+            Input::Frame {
+                port: 0,
+                pkt: mode0_frame(7),
+            },
+            &mut Vec::new(),
         );
-        sim.inject(Time::ZERO, rcv, 0, Packet::new(frame));
+        let (latency, age) = (r.latency(), r.age());
+        assert_eq!(latency.count(), 4);
+        assert_eq!(latency.sum_ns(), ms(1 + 2 + 3 + 6).as_nanos());
+        assert_eq!((latency.min(), latency.max()), (Some(ms(1)), Some(ms(6))));
+        assert_eq!(age.count(), 3);
+        assert_eq!(age.sum_ns(), 3_000);
+    }
+
+    #[test]
+    fn unsequenced_mode0_traffic_delivers_without_tracking() {
+        let (mut sim, rcv, net) = setup();
+        sim.inject(Time::ZERO, rcv, 0, mode0_frame(7));
         sim.run();
         let r = sim.node_as::<MmtReceiver>(rcv).unwrap();
         assert_eq!(r.stats.delivered, 1);

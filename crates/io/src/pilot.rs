@@ -27,6 +27,7 @@
 //! deadline: shed (one more backoff step) → degrade →
 //! abort-with-flight-dump.
 
+use std::collections::VecDeque;
 use std::net::UdpSocket;
 
 use mmt_core::{MmtReceiver, MmtSender, ReceiverConfig, RetransmitBuffer, SenderConfig};
@@ -240,31 +241,35 @@ impl IoPilotReport {
     }
 }
 
-/// Bounded flight recorder for io runs.
+/// Bounded flight recorder for io runs: a ring that keeps the newest
+/// `cap` records, as the simulator's `Trace::with_capacity` does, so an
+/// abort dump ends with the abort.
 struct Flight {
-    records: Vec<TraceRecord>,
+    records: VecDeque<TraceRecord>,
     cap: usize,
-    dropped: u64,
+    /// Records offered so far, kept or not; each record's `packet_id` is
+    /// its rank among them.
     next_id: u64,
 }
 
 impl Flight {
     fn new(cap: usize) -> Flight {
         Flight {
-            records: Vec::new(),
+            records: VecDeque::new(),
             cap,
-            dropped: 0,
             next_id: 0,
         }
     }
 
     fn event(&mut self, now: Time, kind: &str, len_bytes: u64) {
         self.next_id += 1;
-        if self.records.len() >= self.cap {
-            self.dropped += 1;
+        if self.cap == 0 {
             return;
         }
-        self.records.push(TraceRecord {
+        if self.records.len() == self.cap {
+            self.records.pop_front();
+        }
+        self.records.push_back(TraceRecord {
             ts_ns: now.as_nanos(),
             kind: kind.to_string(),
             node: None,
@@ -304,14 +309,14 @@ fn apply_watchdog_stage(
     }
 }
 
-fn abort_error(flight: &Flight, seed: u64, now: Time) -> IoError {
+fn abort_error(flight: &mut Flight, seed: u64, now: Time) -> IoError {
     IoError::WatchdogAbort {
         flight: flight::render(
             "watchdog_abort",
             seed,
             now.as_nanos(),
-            flight.records.len() as u64 + flight.dropped,
-            &flight.records,
+            flight.next_id,
+            flight.records.make_contiguous(),
         ),
         elapsed_ns: now.as_nanos(),
     }
@@ -454,7 +459,7 @@ fn drive(
                 if tx.is_none() && !seen_any {
                     return Err(IoError::NoPeer);
                 }
-                return Err(abort_error(&flight, cfg.seed, now));
+                return Err(abort_error(&mut flight, cfg.seed, now));
             }
         }
         let mut moved = false;
@@ -545,7 +550,7 @@ fn drive(
         faults: data_sock.map(FaultySocket::fault_stats).unwrap_or_default(),
         data_socket: data_sock.map(|s| s.stats).unwrap_or_default(),
         control_socket: rx.as_ref().map(|rx| rx.sock.stats).unwrap_or_default(),
-        flight: flight.records,
+        flight: flight.records.into(),
         seed: cfg.seed,
         delivery_digest: receiver.map_or(0, MmtReceiver::delivery_digest),
     })
@@ -642,6 +647,32 @@ mod tests {
                 assert!(flight.contains("\"flight\":\"v1\""));
                 assert!(flight.contains("watchdog_abort"));
                 assert!(elapsed_ns >= Time::from_millis(50).as_nanos());
+            }
+            other => panic!("expected watchdog abort, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_full_flight_ring_keeps_the_newest_record() {
+        let mut cfg = IoPilotConfig::defaults();
+        cfg.loss = 1.0;
+        cfg.deadline = Time::from_millis(50);
+        cfg.flight_cap = 1;
+        match run_loopback(&cfg) {
+            Err(IoError::WatchdogAbort { flight, .. }) => {
+                let lines: Vec<&str> = flight.lines().collect();
+                assert_eq!(lines.len(), 2, "the header and one record: {flight}");
+                assert!(lines[0].contains("\"records\":1"), "{}", lines[0]);
+                // `events` still counts io_start, the watchdog steps and
+                // the abort.
+                let events = lines[0].split("\"events\":").nth(1).unwrap();
+                let events: u64 = events[..events.find(',').unwrap()].parse().unwrap();
+                assert!(events >= 2, "{}", lines[0]);
+                assert!(
+                    lines[1].contains("\"kind\":\"io_watchdog_abort\""),
+                    "{}",
+                    lines[1]
+                );
             }
             other => panic!("expected watchdog abort, got {other:?}"),
         }

@@ -1,4 +1,5 @@
-//! Measurement helpers: latency histograms and online summary statistics.
+//! Measurement helpers: the latency histogram and the exact nearest-rank
+//! quantile it is checked against.
 
 use crate::time::Time;
 use mmt_telemetry::QuantileSketch;
@@ -130,56 +131,6 @@ impl LatencyHistogram {
     /// Merge another histogram into this one (commutative).
     pub fn merge(&mut self, other: &LatencyHistogram) {
         self.sketch.merge(&other.sketch);
-    }
-}
-
-/// Online mean/variance (Welford) for unbounded streams of f64 metrics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> OnlineStats {
-        OnlineStats::default()
-    }
-
-    /// Add a sample.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        // mmt-lint: allow(F1, "Welford update is +,-,*,/ only — IEEE-exact ops, bit-identical on all platforms; summary stats never enter digests")
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0.0 with <2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            // mmt-lint: allow(F1, "exact zero constant; division below is a single IEEE-exact op on report-side values")
-            0.0
-        } else {
-            // mmt-lint: allow(F1, "exact zero constant; division below is a single IEEE-exact op on report-side values")
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 }
 
@@ -348,19 +299,5 @@ mod tests {
             assert_eq!(quantile_sorted(&sorted, q), Some(expected), "q={q}");
         }
         assert_eq!(quantile_sorted(&[], 0.5), None);
-    }
-
-    #[test]
-    fn online_stats() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
     }
 }

@@ -585,10 +585,6 @@ impl Pilot {
         let rcv = self.node::<MmtReceiver>(self.receiver);
         let receiver: ReceiverStats = rcv.stats;
         let receiver_retransmit_source = rcv.retransmit_source();
-        let mut latency = LatencyHistogram::new();
-        for m in rcv.log() {
-            latency.record(m.arrived_at.saturating_sub(m.created_at));
-        }
         let wan = *self.sim.link_stats(self.wan_link);
         let wan_rev = *self.sim.link_stats(self.wan_link_rev);
         let dtn1_egress = *self.sim.link_stats(self.dtn1_egress);
@@ -602,7 +598,7 @@ impl Pilot {
             receiver,
             receiver_retransmit_source,
             completed_at: receiver.completed_at,
-            latency,
+            latency: rcv.latency(),
             wan_corruption_losses: wan.corruption_losses,
             wan_queue_drops: wan.queue_drops,
             wan_tx_bytes: wan.tx_bytes,

@@ -12,7 +12,7 @@
 //! the per-series cost is one ordered-map insert — no string allocation
 //! at all.
 
-use crate::histogram::NsHistogram;
+use crate::sketch::QuantileSketch;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -60,8 +60,9 @@ pub enum MetricValue {
     Counter(u64),
     /// Point-in-time gauge.
     Gauge(f64),
-    /// Latency histogram (nanosecond samples).
-    Histogram(NsHistogram),
+    /// Latency histogram over nanosecond samples: a fixed-memory sketch
+    /// with exact count, sum, min and max.
+    Histogram(QuantileSketch),
 }
 
 type SeriesMap = BTreeMap<LabelSet, MetricValue>;
@@ -163,42 +164,36 @@ impl MetricRegistry {
         self.gauge_set_set(name, &LabelSet::new(labels), value);
     }
 
-    /// Record one nanosecond observation into a histogram.
-    pub fn observe_ns(&mut self, name: &'static str, labels: &[(&str, &str)], ns: u64) {
-        if !self.enabled {
-            return;
-        }
+    /// The histogram series `(name, labels)`, created empty if absent.
+    fn sketch_mut(&mut self, name: &'static str, labels: &[(&str, &str)]) -> &mut QuantileSketch {
         let entry = self
             .metrics
             .entry(Cow::Borrowed(name))
             .or_default()
             .entry(LabelSet::new(labels))
-            .or_insert_with(|| MetricValue::Histogram(NsHistogram::new()));
+            .or_insert_with(|| MetricValue::Histogram(QuantileSketch::new()));
         match entry {
-            MetricValue::Histogram(h) => h.record(ns),
+            MetricValue::Histogram(h) => h,
             _ => panic!("metric {name} is not a histogram"), // mmt-lint: allow(P1, "API-misuse guard; metric names are compile-time constants")
         }
     }
 
-    /// Merge a whole histogram into a metric.
+    /// Record one nanosecond observation into a histogram.
+    pub fn observe_ns(&mut self, name: &'static str, labels: &[(&str, &str)], ns: u64) {
+        if self.enabled {
+            self.sketch_mut(name, labels).record(ns);
+        }
+    }
+
+    /// Merge a whole sketch into a histogram.
     pub fn observe_histogram(
         &mut self,
         name: &'static str,
         labels: &[(&str, &str)],
-        hist: &NsHistogram,
+        hist: &QuantileSketch,
     ) {
-        if !self.enabled {
-            return;
-        }
-        let entry = self
-            .metrics
-            .entry(Cow::Borrowed(name))
-            .or_default()
-            .entry(LabelSet::new(labels))
-            .or_insert_with(|| MetricValue::Histogram(NsHistogram::new()));
-        match entry {
-            MetricValue::Histogram(h) => h.merge(hist),
-            _ => panic!("metric {name} is not a histogram"), // mmt-lint: allow(P1, "API-misuse guard; metric names are compile-time constants")
+        if self.enabled {
+            self.sketch_mut(name, labels).merge(hist);
         }
     }
 
@@ -225,7 +220,7 @@ impl MetricRegistry {
     }
 
     /// Read a histogram, if present.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&NsHistogram> {
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&QuantileSketch> {
         match self.get(name, labels) {
             Some(MetricValue::Histogram(h)) => Some(h),
             _ => None,
@@ -389,6 +384,27 @@ mod tests {
         assert_eq!(a.gauge("g", &[]), Some(9.0));
         assert_eq!(a.histogram("h", &[]).unwrap().count(), 1);
         assert_eq!(a.help("c"), Some("a counter"));
+    }
+
+    #[test]
+    fn absorbed_histograms_equal_one_series_fed_both_streams() {
+        let streams: [&[u64]; 2] = [&[3, 40, 40, 9_000, 1 << 40], &[7, 40, 123_456, 2]];
+        let fed = |stream: &[u64]| {
+            let mut reg = MetricRegistry::new();
+            for &v in stream {
+                reg.observe_ns("h", &[("node", "rx")], v);
+            }
+            reg
+        };
+        let both = fed(&streams.concat());
+        let want = both.histogram("h", &[("node", "rx")]).unwrap();
+        for (a, b) in [(0, 1), (1, 0)] {
+            let mut reg = fed(streams[a]);
+            reg.absorb(&fed(streams[b]));
+            let got = reg.histogram("h", &[("node", "rx")]).unwrap();
+            assert_eq!(got.digest(), want.digest(), "absorb order {a}, {b}");
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! element-wise bucket add — commutative and associative — so sharded
 //! runs can fold per-group sketches in any order and still produce
 //! byte-identical quantiles and digests. Everything is integer-only
-//! except the quantile rank computation, which mirrors the nearest-rank
-//! definition used by the exact path (`round((n − 1) · q)`; NaN `q`
-//! degrades to 0, out-of-range `q` is clamped).
+//! except the quantile rank computation, the nearest-rank definition
+//! `round((n − 1) · q)` (NaN `q` degrades to 0, out-of-range `q` is
+//! clamped).
 
 /// log₂ of the sub-buckets per octave (32 ⇒ ≤ 1/32 relative error).
 const SUB_BITS: u32 = 5;
@@ -66,7 +66,7 @@ fn bucket_upper_edge(idx: usize) -> u64 {
 /// See the module docs for the error bound and merge semantics. `count`,
 /// `sum`, `min`, and `max` are tracked exactly; only quantiles are
 /// approximate (biased upward, never below the true value).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
     buckets: Vec<u64>,
     count: u64,
@@ -158,7 +158,7 @@ impl QuantileSketch {
     /// Returns the upper edge of the bucket holding the rank-`⌊(n−1)·q⌉`
     /// sample, clamped into `[min, max]` — so `v ≤ estimate ≤ v + v/32`
     /// for the true nearest-rank value `v`. NaN `q` degrades to 0 and
-    /// out-of-range `q` is clamped, matching the exact path.
+    /// out-of-range `q` is clamped.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
