@@ -114,8 +114,11 @@ impl RetransmitBuffer {
     /// Set the per-sequence retransmission holdoff: NAKs for a sequence
     /// retransmitted less than `holdoff` ago are suppressed (counted in
     /// `retx_suppressed`) instead of amplifying a NAK storm. Pick a value
-    /// below the receiver's NAK retry interval so legitimate retries are
-    /// still served.
+    /// below the receiver's probe timeout
+    /// ([`crate::MmtReceiver::tail_quiet`] once measured), the soonest it
+    /// re-asks for a sequence, so legitimate re-asks are still served; a
+    /// longer holdoff swallows the probe, and a lost retransmission then
+    /// waits for the next retry round.
     pub fn with_retx_holdoff(mut self, holdoff: Time) -> RetransmitBuffer {
         self.retx_holdoff = holdoff;
         self

@@ -119,7 +119,9 @@ pub fn run_one(p: &FaultParams, scenario: &FaultScenario) -> FaultResult {
     cfg.seed = p.seed;
     cfg.wan_fault = scenario.fault;
     // Defensive posture under faults: holdoff below the NAK retry
-    // interval, so storms are damped but legitimate retries served.
+    // interval, so storms are damped but legitimate retries served. Where
+    // it exceeds the receiver's probe timeout, a probe round re-asking a
+    // sequence served under 2 ms ago is held off.
     cfg.retx_holdoff = Time::from_millis(2);
     let mut pilot = Pilot::build(cfg);
     pilot.run(Time::from_secs(120));
