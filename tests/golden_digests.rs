@@ -29,38 +29,38 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=8;
 
 #[rustfmt::skip]
 const DEFAULT_PILOT: [Row; 8] = [
-    [1, 0xdc67141fff94a8ab, 0x82f54534dfcd8ca1, 0x13b356e58ec6f3f4],
-    [2, 0xdc67141fff94a8ab, 0x20ac70dbfa7d076a, 0x4880829b5839985a],
-    [3, 0x0866db8d82a9b2f6, 0x656effaddbd003bc, 0x806337610b811555],
-    [4, 0xdc67141fff94a8ab, 0x01beb3ead4e297d9, 0x13b356e58ec6f3f4],
-    [5, 0xdc67141fff94a8ab, 0xa53116b14a8d1fb0, 0x4880829b5839985a],
-    [6, 0xdc67141fff94a8ab, 0x6385f0cfa3d79ac1, 0x4880829b5839985a],
-    [7, 0xdc67141fff94a8ab, 0xe32720f49e38dce2, 0x123583ce6e27dbe9],
-    [8, 0x6c45c1ef8fa8c807, 0x0249dffcaf8b9bba, 0xaf7a87772715c180],
+    [1, 0x7966d2882f8ee879, 0x82f54534dfcd8ca1, 0x13b356e58ec6f3f4],
+    [2, 0x7966d2882f8ee879, 0x20ac70dbfa7d076a, 0x4880829b5839985a],
+    [3, 0x491fd5db919ee15e, 0x656effaddbd003bc, 0x413d36dfeed47ce9],
+    [4, 0x7966d2882f8ee879, 0x01beb3ead4e297d9, 0x13b356e58ec6f3f4],
+    [5, 0x7966d2882f8ee879, 0xa53116b14a8d1fb0, 0x4880829b5839985a],
+    [6, 0x7966d2882f8ee879, 0x6385f0cfa3d79ac1, 0x4880829b5839985a],
+    [7, 0x7966d2882f8ee879, 0xe32720f49e38dce2, 0x123583ce6e27dbe9],
+    [8, 0x863c0afc22c600f9, 0x0249dffcaf8b9bba, 0xaf7a87772715c180],
 ];
 
 #[rustfmt::skip]
 const FAULTED_PILOT: [Row; 8] = [
-    [1, 0xae740950dc4b40ef, 0x59473c3d92b91e43, 0x6ef312e1dccbc30d],
-    [2, 0x71d761aad210291f, 0xcc178f59e6dec675, 0x8b367ee9e160a8d6],
-    [3, 0x7e96ec2f9731f823, 0x579a55d688b85be9, 0x2f0e24f5894468a9],
-    [4, 0xbd19e9612edc9946, 0xe68663f5861d8f2f, 0x41c75943f9d2ff9f],
-    [5, 0x68ea42ab054f98ff, 0x2bbafcc6616ba376, 0x3153b3f86d0637e4],
-    [6, 0x33071a6f66aa0a27, 0x7bac8b32fe8cc3aa, 0x1433ba6bff3dbbff],
-    [7, 0x9b84c6099c3be60a, 0x0fe9eca63bcbd900, 0xa3ee4513138ce6c9],
-    [8, 0xb3466f36c8725a13, 0x7782ea711bbc2701, 0x7cfbb2a297cedff7],
+    [1, 0xfed8bde2f28ec71c, 0x87774847334b80ec, 0x05eff6e731f2ca15],
+    [2, 0x4cd647124fc062e1, 0x7976e2d55ac7942d, 0x6fda4cf1f3550f6f],
+    [3, 0xf715288eaa75de4f, 0xd356af82c7116e73, 0x2ef0967c1b6d86fb],
+    [4, 0x6adf8b9350a1e1f3, 0x7f1b10ef956d4a23, 0x62248d19873940a2],
+    [5, 0x12a3053a99303226, 0x15a70402dcc01657, 0xcca18d9635877bdf],
+    [6, 0x504ae2374a4c2f6a, 0x880d71ac18f61398, 0xcb2bce60e6647ca0],
+    [7, 0xe0da047fd7dc7ccf, 0xfbea3dbb4937283d, 0xa0ceea3556bb5907],
+    [8, 0x66ece4e5fbe27974, 0x32489bfa624cd506, 0xdbdfeacb34541203],
 ];
 
 #[rustfmt::skip]
 const CRASH_ADAPTIVE_PILOT: [Row; 8] = [
-    [1, 0x62db5f7dd3859c8d, 0x8b7fe280a5d975d6, 0xe29bdb83c6732507],
-    [2, 0x41c1a0aec007c51f, 0x6ec5b321934bbd8f, 0x79e97c4f0d9bb2a4],
-    [3, 0x62db5f7dd3859c8d, 0x8f0545a45e39daa3, 0xe29bdb83c6732507],
-    [4, 0x41c1a0aec007c51f, 0x2fe2d9d87e794fa4, 0x79e97c4f0d9bb2a4],
-    [5, 0xbd56a298ed77fccf, 0xae7f0d20804a0219, 0x4727110230023605],
-    [6, 0x41c1a0aec007c51f, 0xde62b000921b0af8, 0x79e97c4f0d9bb2a4],
-    [7, 0x41c1a0aec007c51f, 0xc0329fd42b14bfd8, 0x79e97c4f0d9bb2a4],
-    [8, 0xbd56a298ed77fccf, 0xf957c0a3600e6b1b, 0x4727110230023605],
+    [1, 0x4d10cecc52dad2ea, 0x8b7fe280a5d975d6, 0xd4307a8df0c4f06a],
+    [2, 0x53f7afb5d1efa3a4, 0x6ec5b321934bbd8f, 0xa2215f657bae820d],
+    [3, 0x4d10cecc52dad2ea, 0x8f0545a45e39daa3, 0xd4307a8df0c4f06a],
+    [4, 0x53f7afb5d1efa3a4, 0x2fe2d9d87e794fa4, 0xa2215f657bae820d],
+    [5, 0xd7ba2c75a24a7df6, 0xae7f0d20804a0219, 0xa2b264c30d631d3e],
+    [6, 0x53f7afb5d1efa3a4, 0xde62b000921b0af8, 0xa2215f657bae820d],
+    [7, 0x53f7afb5d1efa3a4, 0xc0329fd42b14bfd8, 0xa2215f657bae820d],
+    [8, 0xd7ba2c75a24a7df6, 0xf957c0a3600e6b1b, 0xa2b264c30d631d3e],
 ];
 
 #[rustfmt::skip]
