@@ -12,7 +12,6 @@
 //! Everything is integer arithmetic on deterministic inputs, so a seeded
 //! run replays byte-identically.
 
-use crate::flowtable::ModeWord;
 use mmt_wire::Ipv4Address;
 
 /// Thresholds and hysteresis knobs for a [`ModeController`].
@@ -146,16 +145,18 @@ impl ControllerStats {
 /// The per-segment mode state machine. Feed it one [`HealthSample`] per
 /// control interval via [`ModeController::observe`]; apply the returned
 /// transitions in order.
-///
-/// The mutable state is one packed [`ModeWord`] — the same 8 bytes a
-/// [`crate::FlowTable`] mode column stores per flow — so a controller can
-/// be parked in a flow table between control intervals
-/// ([`ModeController::word`] / [`ModeController::load_word`]) and this
-/// struct carries only the logic.
 #[derive(Debug)]
 pub struct ModeController {
     config: ControllerConfig,
-    word: ModeWord,
+    /// Smoothed loss rate, parts per million.
+    loss_ewma_ppm: u64,
+    /// Consecutive clean intervals seen while degraded.
+    clean_intervals: u32,
+    /// Consecutive intervals the primary buffer has been dead.
+    dead_intervals: u32,
+    degraded: bool,
+    rehomed: bool,
+    shedding: bool,
     stats: ControllerStats,
 }
 
@@ -164,7 +165,12 @@ impl ModeController {
     pub fn new(config: ControllerConfig) -> ModeController {
         ModeController {
             config,
-            word: ModeWord::new(),
+            loss_ewma_ppm: 0,
+            clean_intervals: 0,
+            dead_intervals: 0,
+            degraded: false,
+            rehomed: false,
+            shedding: false,
             stats: ControllerStats::default(),
         }
     }
@@ -176,32 +182,22 @@ impl ModeController {
 
     /// Whether the segment is currently in the degraded (duplicated) mode.
     pub fn is_degraded(&self) -> bool {
-        self.word.degraded()
+        self.degraded
     }
 
     /// Whether the stream has been re-homed to the standby.
     pub fn is_rehomed(&self) -> bool {
-        self.word.rehomed()
+        self.rehomed
     }
 
     /// Whether backpressure shedding is currently engaged.
     pub fn is_shedding(&self) -> bool {
-        self.word.shedding()
+        self.shedding
     }
 
     /// Current smoothed loss rate, parts per million.
     pub fn loss_ewma_ppm(&self) -> u64 {
-        self.word.loss_ewma_ppm()
-    }
-
-    /// The packed mutable state, ready to park in a flow-table column.
-    pub fn word(&self) -> ModeWord {
-        self.word
-    }
-
-    /// Restore mutable state previously saved with [`ModeController::word`].
-    pub fn load_word(&mut self, word: ModeWord) {
-        self.word = word;
+        self.loss_ewma_ppm
     }
 
     /// Cumulative transition counts.
@@ -223,47 +219,42 @@ impl ModeController {
             .checked_div(s.wan_tx)
             .unwrap_or(0);
         let shift = self.config.loss_ewma_shift;
-        self.word.set_loss_ewma_ppm(
-            (self.word.loss_ewma_ppm() * ((1u64 << shift) - 1) + sample_ppm) >> shift,
-        );
+        self.loss_ewma_ppm = (self.loss_ewma_ppm * ((1u64 << shift) - 1) + sample_ppm) >> shift;
 
         // Degrade / recover with hysteresis: hard failures (retry
         // exhaustion, deadline misses) trip the degrade immediately and
         // reset the clean streak.
         let hard_failure = s.nak_retries_exhausted > 0 || s.deadline_misses > 0;
-        let lossy = self.word.loss_ewma_ppm() >= self.config.degrade_loss_ppm;
-        let clean = self.word.loss_ewma_ppm() < self.config.recover_loss_ppm && !hard_failure;
-        if !self.word.degraded() {
+        let lossy = self.loss_ewma_ppm >= self.config.degrade_loss_ppm;
+        let clean = self.loss_ewma_ppm < self.config.recover_loss_ppm && !hard_failure;
+        if !self.degraded {
             if lossy || hard_failure {
-                self.word.set_degraded(true);
-                self.word.set_clean_intervals(0);
+                self.degraded = true;
+                self.clean_intervals = 0;
                 self.stats.degrades += 1;
                 out.push(ModeTransition::Degrade);
             }
         } else if clean {
-            self.word
-                .set_clean_intervals(self.word.clean_intervals() + 1);
-            if self.word.clean_intervals() >= self.config.recover_clean_intervals {
-                self.word.set_degraded(false);
-                self.word.set_clean_intervals(0);
+            self.clean_intervals = self.clean_intervals.saturating_add(1);
+            if self.clean_intervals >= self.config.recover_clean_intervals {
+                self.degraded = false;
+                self.clean_intervals = 0;
                 self.stats.recovers += 1;
                 out.push(ModeTransition::Recover);
             }
         } else {
-            self.word.set_clean_intervals(0);
+            self.clean_intervals = 0;
         }
 
         // Re-home: sticky, standby-gated, and debounced — a single missed
         // health probe must not move the stream.
         if s.primary_alive {
-            self.word.set_dead_intervals(0);
+            self.dead_intervals = 0;
         } else {
-            self.word.set_dead_intervals(self.word.dead_intervals() + 1);
-            if !self.word.rehomed()
-                && self.word.dead_intervals() >= self.config.rehome_dead_intervals
-            {
+            self.dead_intervals = self.dead_intervals.saturating_add(1);
+            if !self.rehomed && self.dead_intervals >= self.config.rehome_dead_intervals {
                 if let Some((source, port)) = self.config.standby {
-                    self.word.set_rehomed(true);
+                    self.rehomed = true;
                     self.stats.rehomes += 1;
                     out.push(ModeTransition::ReHome { source, port });
                 }
@@ -271,16 +262,16 @@ impl ModeController {
         }
 
         // Shed / unshed on the occupancy watermarks.
-        if !self.word.shedding() {
+        if !self.shedding {
             if s.buffer_occupancy_bytes >= self.config.shed_highwater_bytes {
-                self.word.set_shedding(true);
+                self.shedding = true;
                 self.stats.sheds += 1;
                 out.push(ModeTransition::Shed {
                     window: self.config.shed_window,
                 });
             }
         } else if s.buffer_occupancy_bytes <= self.config.shed_lowwater_bytes {
-            self.word.set_shedding(false);
+            self.shedding = false;
             self.stats.unsheds += 1;
             out.push(ModeTransition::Unshed);
         }
@@ -315,7 +306,7 @@ impl ModeController {
         reg.gauge_set(
             "mmt_controller_loss_ewma_ppm",
             &[("segment", segment)],
-            self.word.loss_ewma_ppm() as f64,
+            self.loss_ewma_ppm as f64,
         );
         reg.describe(
             "mmt_controller_samples_total",
@@ -530,30 +521,6 @@ mod tests {
         );
         assert_eq!(ModeTransition::Shed { window: 1 }.kind(), "shed");
         assert_eq!(ModeTransition::Unshed.kind(), "unshed");
-    }
-
-    #[test]
-    fn word_round_trip_preserves_hysteresis_streaks() {
-        let mut parked = ModeController::new(cfg());
-        let mut resident = ModeController::new(cfg());
-        // Drive both controllers with the same sample stream, but park the
-        // first one's state in a ModeWord between every interval, as a
-        // flow-table mode column would.
-        let drive = |c: &mut ModeController, s: &HealthSample| c.observe(s);
-        let mut samples = vec![lossy_sample(30); 3];
-        samples.extend(vec![clean_sample(); 6]);
-        for s in &samples {
-            let word = parked.word();
-            let mut thawed = ModeController::new(cfg());
-            thawed.load_word(word);
-            let a = drive(&mut thawed, s);
-            parked.load_word(thawed.word());
-            let b = drive(&mut resident, s);
-            assert_eq!(a, b, "parked and resident controllers diverged");
-        }
-        assert_eq!(parked.word(), resident.word());
-        assert_eq!(parked.loss_ewma_ppm(), resident.loss_ewma_ppm());
-        assert!(!resident.is_degraded(), "clean streak must have recovered");
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   per-segment health observations and emits hysteresis-damped mode
 //!   transitions (degrade/recover/re-home/shed).
 //! * [`flowtable`] — dense struct-of-arrays per-flow state (generation
-//!   checked `u32` ids, parallel columns for seq cursors, mode words,
-//!   deadlines, occupancy) so a million flows cost tens of bytes each
+//!   checked `u32` ids, parallel columns for sequence cursors and
+//!   remaining counters) so a million flows cost tens of bytes each
 //!   instead of a boxed object graph.
 //! * [`resourcemap`] — the §6 future-work sketch: a shared map of
 //!   in-network programmable resources and a mode planner that assigns
@@ -60,7 +60,7 @@ pub use buffer::{RetransmitBuffer, RetransmitBufferStats};
 pub use controller::{
     ControllerConfig, ControllerStats, HealthSample, ModeController, ModeTransition,
 };
-pub use flowtable::{FlowId, FlowTable, FlowTableStats, ModeWord, NO_RETX_SLOT};
+pub use flowtable::{FlowId, FlowTable, FlowTableStats};
 pub use machine::{Input, Machine, Output};
 pub use mode::{Mode, ModeParams};
 pub use receiver::{MmtReceiver, ReceivedMessage, ReceiverConfig, ReceiverStats};

@@ -154,8 +154,6 @@ pub struct ReceivedMessage {
     pub age_ns: Option<u64>,
     /// Whether the aged flag was set.
     pub aged: bool,
-    /// Whether this was an in-network duplicate copy.
-    pub duplicated: bool,
     /// Whether this message arrived via NAK recovery.
     pub recovered: bool,
 }
@@ -920,7 +918,6 @@ impl MmtReceiver {
             arrived_at: now,
             age_ns: repr.age().map(|a| a.age_ns),
             aged: repr.age().is_some_and(|a| a.aged),
-            duplicated: repr.features.contains(mmt_wire::mmt::Features::DUPLICATED),
             recovered,
         };
         self.deliver(msg, now);

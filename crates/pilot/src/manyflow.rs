@@ -18,8 +18,8 @@
 //! ## Flow-state layout: struct-of-arrays
 //!
 //! A group's sensors are one [`SensorFleet`] node whose per-flow state
-//! (sequence cursor, remaining-packet counter, delivery occupancy) lives
-//! in a dense [`FlowTable`] — tens of bytes per flow — and whose frames
+//! (sequence cursor and remaining-packet counter) lives in a dense
+//! [`FlowTable`] — tens of bytes per flow — and whose frames
 //! carry their multi-KB payloads as *virtual tails* (only the MMT header
 //! is resident). Staggers are drawn in flow order from the shared
 //! simulator stream and link parameters from the frozen wiring stream;
@@ -135,7 +135,7 @@ struct SensorFleet {
     /// Header template; per-packet emission adds the sequence number.
     header: MmtRepr,
     arena: Rc<RefCell<PacketArena>>,
-    table: Rc<RefCell<FlowTable>>,
+    table: FlowTable,
     /// Flow handles in sensor order: timer token `i` drives `flows[i]`,
     /// which sends on port `i` over sensor `i`'s own link.
     flows: Vec<FlowId>,
@@ -148,7 +148,7 @@ impl Node for SensorFleet {
         // Staggers drawn in flow order from the shared simulator stream.
         for i in 0..self.flows.len() {
             let id = self.flows[i];
-            if self.table.borrow().remaining(id).unwrap_or(0) > 0 {
+            if self.table.remaining(id).unwrap_or(0) > 0 {
                 let stagger =
                     Time::from_nanos(ctx.rng().next_bounded(SENSOR_GAP.as_nanos().max(1)));
                 ctx.set_timer(stagger, i as TimerToken);
@@ -161,12 +161,8 @@ impl Node for SensorFleet {
         let Some(&id) = self.flows.get(i) else {
             return;
         };
-        let (seq, remaining) = {
-            let t = self.table.borrow();
-            match (t.seq(id), t.remaining(id)) {
-                (Some(s), Some(r)) => (s, r),
-                _ => return,
-            }
+        let (Some(seq), Some(remaining)) = (self.table.seq(id), self.table.remaining(id)) else {
+            return;
         };
         if remaining == 0 {
             return;
@@ -186,11 +182,8 @@ impl Node for SensorFleet {
         }
         pkt.meta.seq = Some(seq);
         ctx.send(i, pkt);
-        {
-            let mut t = self.table.borrow_mut();
-            t.set_seq(id, seq.wrapping_add(1));
-            t.set_remaining(id, remaining - 1);
-        }
+        self.table.set_seq(id, seq.wrapping_add(1));
+        self.table.set_remaining(id, remaining - 1);
         if remaining > 1 {
             ctx.set_timer(SENSOR_GAP, token);
         }
@@ -209,11 +202,6 @@ struct Dtn {
     decode_errors: u64,
     latency: LatencyHistogram,
     arena: Rc<RefCell<PacketArena>>,
-    /// Per-flow delivery occupancy is mirrored into the table's
-    /// occupancy column, keyed by the low 32 bits of the packet's flow
-    /// label.
-    table: Rc<RefCell<FlowTable>>,
-    flows: Vec<FlowId>,
 }
 
 impl Node for Dtn {
@@ -225,10 +213,6 @@ impl Node for Dtn {
                 self.bytes += (payload.len() + pkt.tail.len()) as u64;
                 self.latency
                     .record(ctx.now().saturating_sub(pkt.meta.created_at));
-                let s = (pkt.meta.flow & 0xFFFF_FFFF) as usize;
-                if let Some(&id) = self.flows.get(s) {
-                    self.table.borrow_mut().add_occupancy(id, 1);
-                }
             }
             Err(_) => self.decode_errors += 1,
         }
@@ -241,7 +225,6 @@ impl Node for Dtn {
 struct GroupSim {
     sim: Simulator,
     arena: Rc<RefCell<PacketArena>>,
-    table: Rc<RefCell<FlowTable>>,
     dtn: NodeId,
 }
 
@@ -269,7 +252,6 @@ fn build_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupSim 
             flows.push(id);
         }
     }
-    let table = Rc::new(RefCell::new(table));
     let dtn = sim.add_node(
         "dtn",
         Box::new(Dtn {
@@ -278,8 +260,6 @@ fn build_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupSim 
             decode_errors: 0,
             latency: LatencyHistogram::new(),
             arena: Rc::clone(&arena),
-            table: Rc::clone(&table),
-            flows: flows.clone(),
         }),
     );
     let fleet = sim.add_node(
@@ -289,7 +269,7 @@ fn build_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupSim 
             payload_bytes: cfg.payload_bytes,
             header: MmtRepr::data(experiment),
             arena: Rc::clone(&arena),
-            table: Rc::clone(&table),
+            table,
             flows,
         }),
     );
@@ -301,12 +281,7 @@ fn build_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupSim 
         let spec = LinkSpec::new(Bandwidth::gbps(10), prop).with_mtu(9018);
         sim.add_oneway(fleet, s, dtn, s, spec);
     }
-    GroupSim {
-        sim,
-        arena,
-        table,
-        dtn,
-    }
+    GroupSim { sim, arena, dtn }
 }
 
 /// Run one flow group (DTN `group` and its sensors) to completion and
@@ -316,7 +291,6 @@ pub fn run_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupRe
     let GroupSim {
         mut sim,
         arena,
-        table,
         dtn,
     } = build_group(cfg, group, group_seed);
     sim.run();
@@ -330,13 +304,6 @@ pub fn run_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupRe
         ),
         None => (0, 0, 0, Time::ZERO, Time::ZERO),
     };
-    // The occupancy column is the flow table's view of delivery; it must
-    // agree with the DTN's own counter flow-for-flow.
-    debug_assert_eq!(
-        table.borrow().occupancy_total(),
-        delivered,
-        "flow-table occupancy diverged from DTN delivery count"
-    );
     let group_s = group.to_string();
     // Prefix each sampled row with the group label so merged JSONL rows
     // stay attributable (and unique) after ascending-group-order concat.
@@ -529,7 +496,10 @@ mod tests {
     fn group_flow_table_is_sized_to_its_sensors() {
         let cfg = ManyFlowConfig::quick(1);
         let group = build_group(&cfg, 0, 42);
-        let table = group.table.borrow();
+        let fleet = (0..group.sim.node_count())
+            .find_map(|n| group.sim.node_as::<SensorFleet>(NodeId(n)))
+            .expect("every group has a sensor fleet");
+        let table = &fleet.table;
         assert_eq!(table.live(), cfg.sensors_in_group(0));
         assert_eq!(table.stats().fresh as usize, cfg.sensors_in_group(0));
     }

@@ -3,7 +3,6 @@
 use mmt_core::buffer::{CreditConfig, RetransmitBufferStats};
 use mmt_core::buffer::{RetransmitBuffer, PORT_DAQ, PORT_WAN};
 use mmt_core::controller::{HealthSample, ModeController, ModeTransition};
-use mmt_core::flowtable::{FlowId, FlowTable};
 use mmt_core::receiver::{MmtReceiver, ReceiverConfig, ReceiverStats};
 use mmt_core::sender::{MmtSender, SenderConfig, SenderStats};
 use mmt_core::standby::{StandbyBuffer, StandbyBufferStats};
@@ -39,8 +38,9 @@ pub struct PilotConfig {
     /// Fault injection on the WAN crossing (both directions, so the NAK
     /// reverse path suffers the same reordering/outages as data).
     pub wan_fault: FaultSpec,
-    /// DTN 1 per-sequence retransmission holdoff (`Time::ZERO` = serve
-    /// every NAK; see `RetransmitBuffer::with_retx_holdoff`).
+    /// Per-sequence retransmission holdoff of DTN 1 and, when the topology
+    /// has one, the standby (`Time::ZERO` = serve every NAK; see
+    /// `RetransmitBuffer::with_retx_holdoff`).
     pub retx_holdoff: Time,
     /// Delivery budget from creation (the mode-2 deadline).
     pub deadline_budget: Time,
@@ -146,14 +146,6 @@ pub struct Pilot {
     /// DTN 1's WAN-facing egress link (dtn1 → tofino) — where drops land
     /// when the sensor overcommits the WAN (experiment E7).
     pub dtn1_egress: LinkId,
-    /// Dense per-flow state for the pilot stream: the mode word is
-    /// parked here between control intervals, the deadline column holds
-    /// the mode-2 budget, occupancy mirrors the retransmit buffer, and
-    /// the retransmit-source slot records which buffer (0 = primary
-    /// DTN 1, 1 = standby) currently serves NAKs.
-    pub flow_table: FlowTable,
-    /// The pilot stream's row in [`Pilot::flow_table`].
-    pub stream_flow: FlowId,
     config: PilotConfig,
 }
 
@@ -312,16 +304,6 @@ impl Pilot {
             }
         }
 
-        // --- flow-state row ---
-        let mut flow_table = FlowTable::with_capacity(1);
-        let stream_flow = flow_table
-            .alloc()
-            .expect("an empty table has room for one flow"); // mmt-lint: allow(P1, "alloc only fails when the 2^32 id space is exhausted; this table was created one line up")
-        flow_table.set_deadline_ns(stream_flow, config.deadline_budget.as_nanos());
-        // Slot 0 = the primary retransmit buffer (DTN 1); a re-home flips
-        // this to 1 (the standby).
-        flow_table.set_retx_slot(stream_flow, 0);
-
         Pilot {
             sim,
             sensor,
@@ -333,8 +315,6 @@ impl Pilot {
             wan_link,
             wan_link_rev,
             dtn1_egress,
-            flow_table,
-            stream_flow,
             config,
         }
     }
@@ -364,10 +344,6 @@ impl Pilot {
         let mut prev_exhausted = 0u64;
         let mut prev_aged = 0u64;
         let mut applied = 0u64;
-        // Seed the flow row from the incoming controller so the first
-        // thaw below hands back exactly the state the caller passed in.
-        let id = self.stream_flow;
-        self.flow_table.set_mode_word(id, controller.word());
         while self.sim.now() < horizon {
             let t = (self.sim.now() + interval).min(horizon);
             self.sim.run_until(t);
@@ -390,24 +366,7 @@ impl Pilot {
             prev_lost = lost;
             prev_exhausted = rcv_stats.nak_retries_exhausted;
             prev_aged = rcv_stats.aged_deliveries;
-            // Thaw the parked mode word, decide, park it again — the
-            // storage round-trip a flow-table-resident fleet performs per
-            // control interval. The word written back is the word read
-            // plus this observation.
-            if let Some(word) = self.flow_table.mode_word(id) {
-                controller.load_word(word);
-            }
             let transitions = controller.observe(&sample);
-            self.flow_table.set_mode_word(id, controller.word());
-            self.flow_table
-                .set_occupancy(id, occupancy.min(u64::from(u32::MAX)) as u32);
-            if transitions
-                .iter()
-                .any(|t| matches!(t, ModeTransition::ReHome { .. }))
-            {
-                // The stream's NAK service moved to the standby.
-                self.flow_table.set_retx_slot(id, 1);
-            }
             if !transitions.is_empty() {
                 applied += transitions.len() as u64;
                 self.apply_transitions(&transitions, controller);
@@ -764,29 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_table_row_mirrors_the_controller() {
-        use mmt_core::controller::ControllerConfig;
-        let mut cfg = PilotConfig::default_run();
-        cfg.message_count = 300;
-        cfg.wan_loss = LossModel::Random(0.05); // push the loss EWMA around
-        let mut pilot = Pilot::build(cfg.clone());
-        let mut controller = ModeController::new(ControllerConfig::default());
-        pilot.run_adaptive(Time::from_secs(5), Time::from_millis(5), &mut controller);
-        assert_ne!(
-            controller.word().loss_ewma_ppm(),
-            0,
-            "the run must move the controller off its initial word"
-        );
-        let (table, id) = (&pilot.flow_table, pilot.stream_flow);
-        assert_eq!(table.mode_word(id), Some(controller.word()));
-        assert_eq!(table.deadline_ns(id), Some(cfg.deadline_budget.as_nanos()));
-        let stored = pilot.node::<RetransmitBuffer>(pilot.dtn1).stored_bytes();
-        assert_eq!(table.occupancy(id), Some(stored as u32));
-        assert_eq!(table.retx_slot(id), Some(0), "no re-home: still primary");
-    }
-
-    #[test]
-    fn rehome_flips_the_flow_table_retx_slot() {
+    fn rehome_moves_the_receiver_to_the_standby() {
         let mut cfg = PilotConfig::default_run();
         cfg.message_count = 300;
         cfg.wan_loss = LossModel::Random(1e-2);
@@ -796,12 +733,11 @@ mod tests {
         let mut pilot = Pilot::build(cfg);
         let mut controller = ModeController::new(crate::experiments::failover::controller_config());
         pilot.run_adaptive(Time::from_secs(5), Time::from_millis(5), &mut controller);
-        assert!(controller.word().rehomed(), "dead primary must re-home");
-        assert_eq!(pilot.flow_table.retx_slot(pilot.stream_flow), Some(1));
+        assert!(controller.is_rehomed(), "dead primary must re-home");
         assert_eq!(
             pilot.report().receiver_retransmit_source,
             Some((addrs::STANDBY, STANDBY_NAK_PORT)),
-            "the table's slot mirrors where the receiver now NAKs"
+            "the receiver must now NAK the standby"
         );
     }
 

@@ -18,26 +18,13 @@
 use std::collections::BTreeMap;
 
 use mmt::netsim::SimRng;
-use mmt::protocol::{FlowId, FlowTable, NO_RETX_SLOT};
+use mmt::protocol::{FlowId, FlowTable};
 
 /// Reference model: what a live flow's columns should read back.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ModelRow {
     seq: u64,
     remaining: u32,
-    retx_slot: u32,
-    occupancy: u32,
-}
-
-impl ModelRow {
-    fn fresh() -> ModelRow {
-        ModelRow {
-            seq: 0,
-            remaining: 0,
-            retx_slot: NO_RETX_SLOT,
-            occupancy: 0,
-        }
-    }
 }
 
 /// Check every live model row against the table and every stale id
@@ -55,25 +42,14 @@ fn check_against_model(
             Some(row.remaining),
             "remaining of live id {key}"
         );
-        assert_eq!(
-            table.retx_slot(*id),
-            Some(row.retx_slot),
-            "retx slot of live id {key}"
-        );
-        assert_eq!(
-            table.occupancy(*id),
-            Some(row.occupancy),
-            "occupancy of live id {key}"
-        );
     }
     for id in stale {
         assert!(!table.contains(*id), "stale id must not be present");
         assert_eq!(table.seq(*id), None, "stale id must not read a seq");
-        assert_eq!(table.mode_word(*id), None, "stale id must not read a mode");
         assert_eq!(
-            table.occupancy(*id),
+            table.remaining(*id),
             None,
-            "stale id must not read occupancy"
+            "stale id must not read a remaining count"
         );
     }
 }
@@ -94,11 +70,10 @@ fn random_interleavings_match_reference_model() {
                         Some(id) => id,
                         None => unreachable!("small tables never exhaust the u32 space"),
                     };
-                    // Freshly allocated rows are zeroed with no retx slot.
+                    // Freshly allocated rows are zeroed.
                     assert_eq!(table.seq(id), Some(0), "seed {seed} step {step}");
-                    assert_eq!(table.retx_slot(id), Some(NO_RETX_SLOT));
-                    assert_eq!(table.occupancy(id), Some(0));
-                    live.insert(next_key, (id, ModelRow::fresh()));
+                    assert_eq!(table.remaining(id), Some(0));
+                    live.insert(next_key, (id, ModelRow::default()));
                     next_key += 1;
                 }
                 // Release a random live flow.
@@ -137,12 +112,8 @@ fn random_interleavings_match_reference_model() {
                     let v = rng.next_u64();
                     assert!(table.set_seq(*id, v));
                     assert!(table.set_remaining(*id, v as u32));
-                    assert!(table.set_retx_slot(*id, (v % 3) as u32));
-                    assert!(table.add_occupancy(*id, 1));
                     row.seq = v;
                     row.remaining = v as u32;
-                    row.retx_slot = (v % 3) as u32;
-                    row.occupancy += 1;
                 }
             }
             if step % 256 == 0 {
@@ -151,12 +122,10 @@ fn random_interleavings_match_reference_model() {
         }
         check_against_model(&table, &live, &stale);
         assert_eq!(table.live(), live.len(), "seed {seed}: live count");
-        let total: u64 = live.values().map(|(_, r)| u64::from(r.occupancy)).sum();
-        assert_eq!(table.occupancy_total(), total, "seed {seed}: occupancy sum");
         // Writes through stale ids must all refuse.
         for id in &stale {
             assert!(!table.set_seq(*id, 99));
-            assert!(!table.add_occupancy(*id, 1));
+            assert!(!table.set_remaining(*id, 99));
         }
         check_against_model(&table, &live, &stale);
     }

@@ -119,8 +119,8 @@ fn crash_pilot(seed: u64) -> PilotConfig {
 
 /// One pilot run folded into a row. `adaptive` engages E13's closed
 /// adaptation loop (standby configured as the re-home target), which
-/// parks the controller's mode word in the flow table and thaws it back
-/// every control interval.
+/// samples the WAN segment and pushes the controller's transitions to
+/// the data plane every control interval.
 fn pilot_row(cfg: PilotConfig, adaptive: bool) -> Row {
     let seed = cfg.seed;
     let mut pilot = Pilot::build(cfg);
