@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 pub struct SeqTracker {
     /// Merged received ranges: start → end (exclusive).
     ranges: BTreeMap<u64, u64>,
+    /// Sum of the ranges' widths, kept as they merge.
+    received: u64,
     /// How many `record` calls hit an already-received sequence.
     duplicate_hits: u64,
 }
@@ -33,6 +35,7 @@ impl SeqTracker {
         // 0-based counter, so `seq` never reaches u64::MAX in practice;
         // saturating keeps the interval invariants intact if it did.
         let seq_end = seq.saturating_add(1);
+        self.received += seq_end - seq;
         let prev = self
             .ranges
             .range(..=seq)
@@ -83,10 +86,12 @@ impl SeqTracker {
             .collect();
         for (s, e) in touching {
             self.ranges.remove(&s);
+            self.received -= e - s;
             start = start.min(s);
             end = end.max(e);
         }
         self.ranges.insert(start, end);
+        self.received += end - start;
     }
 
     /// Whether `seq` has been received.
@@ -104,7 +109,7 @@ impl SeqTracker {
 
     /// Count of distinct sequence numbers received.
     pub fn received_count(&self) -> u64 {
-        self.ranges.iter().map(|(&s, &e)| e - s).sum()
+        self.received
     }
 
     /// How many `record` calls were suppressed as duplicates (fault

@@ -40,6 +40,35 @@ fn seqtracker_matches_naive_model() {
     }
 }
 
+/// `received_count` is a running count: after every `record` and every
+/// `record_range` (whose spans overlap, abut and swallow stored ranges,
+/// like a pseudo-fill over a partly received gap) it equals the model's
+/// size.
+#[test]
+fn seqtracker_count_matches_naive_model_under_range_fills() {
+    let mut rng = SimRng::new(0xC04E_0004);
+    for _ in 0..100 {
+        let mut tracker = SeqTracker::new();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        for _ in 0..rng.next_bounded(200) {
+            if rng.next_bounded(5) == 0 {
+                // Sometimes empty (first > last): a no-op.
+                let first = rng.next_bounded(600);
+                let last = (first + rng.next_bounded(60)).saturating_sub(10);
+                tracker.record_range(first, last);
+                model.extend(first..=last);
+            } else {
+                let s = rng.next_bounded(600);
+                assert_eq!(tracker.record(s), model.insert(s), "record({s})");
+            }
+            assert_eq!(tracker.received_count(), model.len() as u64);
+        }
+        for probe in 0..600u64 {
+            assert_eq!(tracker.contains(probe), model.contains(&probe));
+        }
+    }
+}
+
 /// Gap count equals the number of maximal missing runs.
 #[test]
 fn gap_count_consistent() {

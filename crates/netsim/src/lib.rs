@@ -20,8 +20,9 @@
 //! * [`Node`] / [`Machine`] — the one component contract: a sans-io
 //!   [`Machine`] (`poll(now, input, out)`) is a [`Node`] through a blanket
 //!   impl; simulator-only components implement [`Node`] directly.
-//! * [`Link`] / [`LinkSpec`] — unidirectional links with an output queue
-//!   ([`QueueSpec`]) feeding a serializing transmitter.
+//! * [`LinkSpec`] — unidirectional links with an output queue
+//!   ([`QueueSpec`]) feeding a serializing transmitter; a packet waits in
+//!   the queue only while the transmitter is busy.
 //! * [`Simulator`] — the event loop binding everything together.
 //! * [`stats`] — counters and latency histograms collected per link/node.
 //! * [`RttEstimator`] — RFC 6298 SRTT/RTTVAR in integers, the one
@@ -76,7 +77,7 @@ pub mod wheel;
 
 pub use arena::{ArenaStats, PacketArena, PacketRef};
 pub use fault::{FaultSpec, FaultState, FaultVerdict, PeriodicOutage, RandomOutage};
-pub use link::{Link, LinkId, LinkSpec, LossModel, LossState};
+pub use link::{LinkId, LinkSpec, LossModel, LossState};
 pub use linkstats::LinkStatsBlock;
 pub use node::{Context, Input, Machine, Node, NodeId, Output, PortId, Sink, TimerToken};
 pub use packet::{Packet, PacketMeta, Tail};

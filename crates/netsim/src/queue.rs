@@ -60,14 +60,30 @@ fn default_classifier(_: &Packet) -> u8 {
 }
 
 /// The runtime state of an output queue.
+///
+/// The packet count and the spec lead the struct, so a link's hop (an
+/// admission test on an idle link, an empty `dequeue`) reads them beside
+/// the link's other hot fields and never touches the bands. The bands are
+/// allocated by the first `enqueue`: a link whose transmitter is never
+/// busy never allocates them.
 #[derive(Debug)]
+#[repr(C)]
 pub struct TransmitQueue {
+    /// Packets queued across every band.
+    len: usize,
     spec: QueueSpec,
+    bands: Vec<Band>,
     classifier: Classifier,
-    bands: Vec<VecDeque<Packet>>,
-    bytes: usize,
     dropped: u64,
     shed_aged: u64,
+}
+
+/// One FIFO band and the bytes it holds (strict priority admits each
+/// band against its own capacity).
+#[derive(Debug, Default)]
+struct Band {
+    packets: VecDeque<Packet>,
+    bytes: usize,
 }
 
 impl TransmitQueue {
@@ -78,28 +94,37 @@ impl TransmitQueue {
 
     /// Create a queue with a custom classifier.
     pub fn with_classifier(spec: QueueSpec, classifier: Classifier) -> TransmitQueue {
-        let bands = match spec {
-            QueueSpec::StrictPriority { .. } => PRIORITY_BANDS,
-            _ => 1,
-        };
         TransmitQueue {
+            len: 0,
             spec,
+            bands: Vec::new(),
             classifier,
-            bands: (0..bands).map(|_| VecDeque::new()).collect(),
-            bytes: 0,
             dropped: 0,
             shed_aged: 0,
         }
     }
 
+    /// Replace the classifier.
+    ///
+    /// # Panics
+    /// Panics if packets are queued: the bands they sit in were chosen by
+    /// the old classifier.
+    pub fn set_classifier(&mut self, classifier: Classifier) {
+        assert!(
+            self.is_empty(),
+            "classifier must be installed before traffic flows"
+        );
+        self.classifier = classifier;
+    }
+
     /// Bytes currently queued.
     pub fn occupancy_bytes(&self) -> usize {
-        self.bytes
+        self.bands.iter().map(|b| b.bytes).sum()
     }
 
     /// Packets currently queued.
     pub fn occupancy_packets(&self) -> usize {
-        self.bands.iter().map(VecDeque::len).sum()
+        self.len
     }
 
     /// Packets dropped by this queue so far (tail drops + sheds).
@@ -115,66 +140,85 @@ impl TransmitQueue {
 
     /// Whether the queue holds no packets.
     pub fn is_empty(&self) -> bool {
-        self.bands.iter().all(VecDeque::is_empty)
+        self.len == 0
+    }
+
+    /// Offer a `len`-byte packet that an idle transmitter takes at once,
+    /// so it never waits here. Returns whether this (empty) queue would
+    /// have admitted it; a refusal counts as a drop, exactly as
+    /// [`TransmitQueue::enqueue`] counts it. Every discipline reduces to
+    /// the same test on an empty queue: nothing to shed, no band fuller
+    /// than another.
+    pub fn pass_through(&mut self, len: usize) -> bool {
+        debug_assert!(self.is_empty(), "only an empty queue passes through");
+        let (QueueSpec::DropTailFifo { capacity_bytes }
+        | QueueSpec::StrictPriority { capacity_bytes }
+        | QueueSpec::DeadlineAware { capacity_bytes }) = self.spec;
+        if len > capacity_bytes {
+            self.dropped += 1;
+            return false;
+        }
+        true
     }
 
     /// Offer a packet. Returns `true` if enqueued, `false` if dropped.
     pub fn enqueue(&mut self, pkt: Packet) -> bool {
-        match self.spec {
-            QueueSpec::DropTailFifo { capacity_bytes } => {
-                if self.bytes + pkt.len() > capacity_bytes {
-                    self.dropped += 1;
-                    return false;
-                }
-                self.bytes += pkt.len();
-                self.bands[0].push_back(pkt);
-                true
-            }
-            QueueSpec::StrictPriority { capacity_bytes } => {
-                let band = usize::from((self.classifier)(&pkt)).min(PRIORITY_BANDS - 1);
-                let band_bytes: usize = self.bands[band].iter().map(Packet::len).sum();
-                if band_bytes + pkt.len() > capacity_bytes {
-                    self.dropped += 1;
-                    return false;
-                }
-                self.bytes += pkt.len();
-                self.bands[band].push_back(pkt);
-                true
-            }
+        if self.bands.is_empty() {
+            let bands = match self.spec {
+                QueueSpec::StrictPriority { .. } => PRIORITY_BANDS,
+                _ => 1,
+            };
+            self.bands.resize_with(bands, Band::default);
+        }
+        let (band, capacity_bytes) = match self.spec {
+            QueueSpec::DropTailFifo { capacity_bytes } => (0, capacity_bytes),
+            QueueSpec::StrictPriority { capacity_bytes } => (
+                usize::from((self.classifier)(&pkt)).min(PRIORITY_BANDS - 1),
+                capacity_bytes,
+            ),
             QueueSpec::DeadlineAware { capacity_bytes } => {
-                let needed = pkt.len();
                 // Shed aged packets (classifier band 255) from the front
                 // until the arrival fits.
-                while self.bytes + needed > capacity_bytes {
-                    let Some(pos) = self.bands[0]
+                let fifo = &mut self.bands[0];
+                while fifo.bytes + pkt.len() > capacity_bytes {
+                    let Some(pos) = fifo
+                        .packets
                         .iter()
                         .position(|p| (self.classifier)(p) == 255)
                     else {
                         break;
                     };
-                    let Some(removed) = self.bands[0].remove(pos) else {
+                    let Some(removed) = fifo.packets.remove(pos) else {
                         break; // unreachable: pos came from position() above
                     };
-                    self.bytes -= removed.len();
+                    fifo.bytes -= removed.len();
+                    self.len -= 1;
                     self.dropped += 1;
                     self.shed_aged += 1;
                 }
-                if self.bytes + needed > capacity_bytes {
-                    self.dropped += 1;
-                    return false;
-                }
-                self.bytes += needed;
-                self.bands[0].push_back(pkt);
-                true
+                (0, capacity_bytes)
             }
+        };
+        let target = &mut self.bands[band];
+        if target.bytes + pkt.len() > capacity_bytes {
+            self.dropped += 1;
+            return false;
         }
+        target.bytes += pkt.len();
+        target.packets.push_back(pkt);
+        self.len += 1;
+        true
     }
 
     /// Take the next packet to transmit (highest priority band first).
     pub fn dequeue(&mut self) -> Option<Packet> {
-        for band in (0..self.bands.len()).rev() {
-            if let Some(pkt) = self.bands[band].pop_front() {
-                self.bytes -= pkt.len();
+        if self.len == 0 {
+            return None;
+        }
+        for band in self.bands.iter_mut().rev() {
+            if let Some(pkt) = band.packets.pop_front() {
+                band.bytes -= pkt.len();
+                self.len -= 1;
                 return Some(pkt);
             }
         }
@@ -289,6 +333,92 @@ mod tests {
         assert_eq!(q.dropped(), 1);
         let order: Vec<u8> = std::iter::from_fn(|| q.dequeue().map(|p| p.bytes[0])).collect();
         assert_eq!(order, vec![0x01, 0x02, 0x03]);
+    }
+
+    #[test]
+    fn an_empty_queue_never_touches_its_bands() {
+        let mut q = TransmitQueue::new(QueueSpec::default_fifo());
+        assert!(q.is_empty());
+        assert!(q.dequeue().is_none());
+        assert!(q.pass_through(1500));
+        assert_eq!((q.occupancy_packets(), q.occupancy_bytes()), (0, 0));
+        assert!(q.bands.is_empty(), "no band storage until a packet waits");
+        // The count and the spec lead the struct, beside the link's hot
+        // fields (see `link::tests`).
+        assert_eq!(std::mem::offset_of!(TransmitQueue, len), 0);
+        assert_eq!(
+            std::mem::offset_of!(TransmitQueue, spec),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn pass_through_admits_what_an_empty_queue_would() {
+        for spec in [
+            QueueSpec::DropTailFifo {
+                capacity_bytes: 100,
+            },
+            QueueSpec::StrictPriority {
+                capacity_bytes: 100,
+            },
+            QueueSpec::DeadlineAware {
+                capacity_bytes: 100,
+            },
+        ] {
+            for len in [1, 99, 100, 101, 9000] {
+                let mut passed = TransmitQueue::new(spec);
+                let mut queued = TransmitQueue::new(spec);
+                assert_eq!(
+                    passed.pass_through(len),
+                    queued.enqueue(pkt(len)),
+                    "{spec:?} len {len}"
+                );
+                assert_eq!(passed.dropped(), queued.dropped());
+                assert_eq!(passed.shed_aged(), queued.shed_aged());
+                assert!(passed.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn counts_match_the_bands_under_random_traffic() {
+        fn by_first_byte(p: &Packet) -> u8 {
+            p.bytes[0]
+        }
+        let mut rng = crate::rng::SimRng::new(0x0517_0033);
+        for spec in [
+            QueueSpec::DropTailFifo {
+                capacity_bytes: 4000,
+            },
+            QueueSpec::StrictPriority {
+                capacity_bytes: 2000,
+            },
+            QueueSpec::DeadlineAware {
+                capacity_bytes: 4000,
+            },
+        ] {
+            let mut q = TransmitQueue::with_classifier(spec, by_first_byte);
+            for _ in 0..5_000 {
+                if rng.next_bounded(3) == 0 {
+                    q.dequeue();
+                } else {
+                    // Bands 0–3, or 255 ("aged") for the deadline-aware shed.
+                    let class = [0, 1, 2, 3, 255][rng.next_bounded(5) as usize];
+                    let len = 1 + rng.next_bounded(600) as usize;
+                    let mut bytes = vec![0u8; len];
+                    bytes[0] = class;
+                    q.enqueue(Packet::new(bytes));
+                }
+                let packets: usize = q.bands.iter().map(|b| b.packets.len()).sum();
+                assert_eq!(q.occupancy_packets(), packets, "{spec:?}");
+                assert_eq!(q.is_empty(), packets == 0);
+                for band in &q.bands {
+                    let bytes: usize = band.packets.iter().map(Packet::len).sum();
+                    assert_eq!(band.bytes, bytes, "{spec:?}");
+                }
+            }
+            assert!(q.dropped() > 0, "{spec:?} never filled");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::fault::FaultVerdict;
 use crate::link::{Link, LinkId, LinkSpec, LinkStats};
 use crate::node::{Context, Node, NodeId, Output, PortId, TimerToken};
 use crate::packet::Packet;
+use crate::queue::Classifier;
 use crate::rng::SimRng;
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent, TraceKind};
@@ -154,13 +155,13 @@ impl Simulator {
                     t_ns,
                     "mmt_link_delivered_packets_total",
                     &labels,
-                    link.stats.delivered_packets,
+                    link.delivered_packets,
                 ));
                 rows.push(SeriesRow::counter(
                     t_ns,
                     "mmt_link_tx_bytes_total",
                     &labels,
-                    link.stats.tx_bytes,
+                    link.tx_bytes,
                 ));
                 rows.push(SeriesRow::gauge(
                     t_ns,
@@ -351,7 +352,7 @@ impl Simulator {
             self.now
         };
         for (idx, link) in self.links.iter().enumerate() {
-            let s = &link.stats;
+            let s = link.stats();
             // Cell order is pinned by `linkstats::LINK_COUNTERS` /
             // `LINK_GAUGES`; materialization re-applies the sparse
             // (nonzero-only) export rule, so the rendered rows are
@@ -470,14 +471,24 @@ impl Simulator {
         LinkId(link_idx)
     }
 
-    /// Mutable access to a link (to install classifiers, inspect specs).
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.0]
+    /// Install a queue classifier on a link (e.g. an MMT-aware one).
+    ///
+    /// # Panics
+    /// Panics once packets are queued on the link.
+    pub fn set_link_classifier(&mut self, id: LinkId, classifier: Classifier) {
+        self.links[id.0].queue.set_classifier(classifier);
     }
 
-    /// A link's statistics.
-    pub fn link_stats(&self, id: LinkId) -> &LinkStats {
-        &self.links[id.0].stats
+    /// Packets a link's output queue dropped: tail drops plus the
+    /// deadline-aware discipline's sheds (a shed admits the arrival, so
+    /// the link's `queue_drops` counter alone misses it).
+    pub fn link_queue_dropped(&self, id: LinkId) -> u64 {
+        self.links[id.0].queue.dropped()
+    }
+
+    /// A snapshot of a link's statistics.
+    pub fn link_stats(&self, id: LinkId) -> LinkStats {
+        self.links[id.0].stats()
     }
 
     /// Inject a packet so it *arrives at* `node`'s `port` at time `at`
@@ -662,10 +673,10 @@ impl Simulator {
             return;
         };
         let link = &mut self.links[link_idx];
-        link.stats.offered_packets += 1;
-        link.stats.offered_bytes += pkt.len() as u64;
-        if pkt.len() > link.spec.mtu {
-            link.stats.mtu_drops += 1;
+        link.offered_packets += 1;
+        link.offered_bytes += pkt.len() as u64;
+        if pkt.len() > link.mtu {
+            link.mtu_drops += 1;
             self.trace.record(TraceEvent {
                 time: self.now,
                 kind: TraceKind::MtuDrop,
@@ -681,8 +692,16 @@ impl Simulator {
         }
         let meta = pkt.meta;
         let len = pkt.len();
-        if !link.queue.enqueue(pkt) {
-            link.stats.queue_drops += 1;
+        // A packet waits in the queue only while the transmitter is busy.
+        // An idle link's queue is empty, so the packet is admitted exactly
+        // when an empty queue would take it, and goes straight to the wire.
+        let (admitted, idle_pkt) = if link.busy {
+            (link.queue.enqueue(pkt), None)
+        } else {
+            (link.queue.pass_through(len), Some(pkt))
+        };
+        if !admitted {
+            link.queue_drops += 1;
             self.trace.record(TraceEvent {
                 time: self.now,
                 kind: TraceKind::QueueDrop,
@@ -710,42 +729,37 @@ impl Simulator {
                 config: meta.config.map(u64::from),
             });
         }
-        if !self.links[link_idx].busy {
-            self.start_tx(link_idx);
+        if let Some(pkt) = idle_pkt {
+            self.transmit(link_idx, pkt);
         }
     }
 
-    /// Begin serializing the next queued packet on a link.
-    fn start_tx(&mut self, link_idx: usize) {
+    /// Serialize `pkt` onto an idle link: the one path from a send on an
+    /// idle link and from a `TxComplete` that finds the queue non-empty.
+    fn transmit(&mut self, link_idx: usize, pkt: Packet) {
         let link = &mut self.links[link_idx];
-        let Some(pkt) = link.queue.dequeue() else {
-            return;
-        };
+        debug_assert!(!link.busy, "transmit on a busy link");
         link.busy = true;
-        let tx = link.spec.bandwidth.tx_time(pkt.len());
-        link.stats.busy_ns += tx.as_nanos();
-        link.stats.tx_packets += 1;
-        link.stats.tx_bytes += pkt.len() as u64;
-        let lost = link
-            .spec
-            .loss
-            .lose(&mut link.rng, pkt.len(), &mut link.loss_state);
-        let arrive_at = self.now + tx + link.spec.propagation;
-        let tx_done = self.now + tx;
-        let (dst_node, dst_port) = (link.dst_node, link.dst_port);
         let meta = pkt.meta;
         let len = pkt.len();
+        let tx = link.bandwidth.tx_time(len);
+        link.busy_ns += tx.as_nanos();
+        link.tx_packets += 1;
+        link.tx_bytes += len as u64;
+        let lost = !link.lossless && link.loss.lose(&mut link.rng, len, &mut link.loss_state);
+        let arrive_at = self.now + tx + link.propagation;
+        let tx_done = self.now + tx;
+        let (dst_node, dst_port) = (link.dst_node, link.dst_port);
         // The fault layer only sees packets the loss model spared; its
         // verdict is drawn from a dedicated RNG stream.
-        let verdict = if lost || link.spec.fault.is_none() {
+        let verdict = if lost || link.fault_free {
             FaultVerdict::Deliver {
                 extra_delay: Time::ZERO,
                 duplicate_after: None,
                 reordered: false,
             }
         } else {
-            let fault = link.spec.fault;
-            link.fault_state.apply(&fault, self.now, meta.control)
+            link.fault_state.apply(&link.fault, self.now, meta.control)
         };
         let fault_trace = |kind: TraceKind| TraceEvent {
             time: tx_done,
@@ -759,7 +773,7 @@ impl Simulator {
             config: meta.config.map(u64::from),
         };
         if lost {
-            link.stats.corruption_losses += 1;
+            link.corruption_losses += 1;
             self.trace.record(TraceEvent {
                 time: self.now,
                 kind: TraceKind::CorruptionLoss,
@@ -774,11 +788,11 @@ impl Simulator {
         } else {
             match verdict {
                 FaultVerdict::FlapDrop => {
-                    link.stats.flap_drops += 1;
+                    link.flap_drops += 1;
                     self.trace.record(fault_trace(TraceKind::FlapDrop));
                 }
                 FaultVerdict::ControlDrop => {
-                    link.stats.control_drops += 1;
+                    link.control_drops += 1;
                     self.trace.record(fault_trace(TraceKind::ControlDrop));
                 }
                 FaultVerdict::Deliver {
@@ -786,13 +800,13 @@ impl Simulator {
                     duplicate_after,
                     reordered,
                 } => {
-                    link.stats.delivered_packets += 1;
+                    link.delivered_packets += 1;
                     if reordered {
-                        link.stats.reordered += 1;
+                        link.reordered += 1;
                     }
                     if let Some(lag) = duplicate_after {
-                        link.stats.delivered_packets += 1;
-                        link.stats.dup_injected += 1;
+                        link.delivered_packets += 1;
+                        link.dup_injected += 1;
                         let copy = pkt.clone();
                         self.trace.record(fault_trace(TraceKind::DupInject));
                         self.push_event(
@@ -881,8 +895,11 @@ impl Simulator {
                 self.call_node(node, |n, ctx| n.on_packet(ctx, port, pkt));
             }
             EventKind::TxComplete { link } => {
-                self.links[link].busy = false;
-                self.start_tx(link);
+                let l = &mut self.links[link];
+                l.busy = false;
+                if let Some(pkt) = l.queue.dequeue() {
+                    self.transmit(link, pkt);
+                }
             }
             EventKind::Timer { node, token } => {
                 if self.nodes[node].crashed {
@@ -1438,6 +1455,133 @@ mod tests {
             .map(|r| r.t_ns)
             .collect();
         assert_eq!(ts, vec![0, 10_000, 20_000], "boundaries ≤ deadline");
+    }
+
+    /// Source that sends `n` 1500-byte packets at start, the k-th (from
+    /// 1) filled with byte k.
+    struct Numbered(u8);
+    impl Node for Numbered {
+        fn on_packet(&mut self, _: &mut Context<'_>, _: PortId, _: Packet) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for i in 1..=self.0 {
+                ctx.send(0, Packet::new(vec![i; 1500]));
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_link_transmits_at_once_with_the_same_trace() {
+        let mut sim = Simulator::new(1);
+        sim.enable_trace();
+        let src = sim.add_node("src", Box::new(Numbered(1)));
+        let dst = sim.add_node("dst", Box::new(Sink));
+        let link = sim.add_oneway(src, 0, dst, 0, gbit_link(10));
+        sim.run();
+        // 1500 B at 1 Gb/s = 12 µs, then 10 ms of propagation.
+        let arrive = Time::from_micros(12) + Time::from_millis(10);
+        let records: Vec<_> = sim
+            .trace()
+            .events()
+            .iter()
+            .map(|e| (e.kind, e.time, e.node, e.link, e.len))
+            .collect();
+        assert_eq!(
+            records,
+            vec![
+                // The packet never waited, yet its Enqueue record stays.
+                (TraceKind::Enqueue, Time::ZERO, Some(0), Some(0), 1500),
+                (TraceKind::Arrive, arrive, Some(1), None, 1500),
+                (TraceKind::LocalDeliver, arrive, Some(1), None, 1500),
+            ]
+        );
+        let stats = sim.link_stats(link);
+        assert_eq!((stats.tx_packets, stats.delivered_packets), (1, 1));
+        assert_eq!(stats.busy_ns, 12_000);
+        assert!(!sim.links[link.0].busy);
+        assert_eq!(sim.events_processed(), 2, "TxComplete and Arrive");
+    }
+
+    #[test]
+    fn a_busy_link_queues_in_fifo_order() {
+        let mut sim = Simulator::new(1);
+        sim.enable_trace();
+        let src = sim.add_node("src", Box::new(Numbered(3)));
+        let dst = sim.add_node("dst", Box::new(Sink));
+        let link = sim.add_oneway(src, 0, dst, 0, gbit_link(0));
+        sim.run_until(Time::from_micros(5));
+        // The first packet is on the wire; the other two wait.
+        let l = &sim.links[link.0];
+        assert!(l.busy);
+        assert_eq!(l.queue.occupancy_packets(), 2);
+        assert_eq!(l.queue.occupancy_bytes(), 3000);
+        sim.run();
+        let got: Vec<(Time, u8)> = sim
+            .local_deliveries(dst)
+            .iter()
+            .map(|(t, p)| (*t, p.bytes[0]))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (Time::from_micros(12), 1),
+                (Time::from_micros(24), 2),
+                (Time::from_micros(36), 3),
+            ]
+        );
+        assert_eq!(sim.trace().count(TraceKind::Enqueue), 3);
+        assert!(sim.links[link.0].queue.is_empty());
+        assert!(!sim.links[link.0].busy);
+    }
+
+    #[test]
+    fn an_oversize_packet_on_an_idle_link_is_a_queue_drop() {
+        let mut sim = Simulator::new(1);
+        sim.enable_trace();
+        let src = sim.add_node("src", Box::new(Numbered(1)));
+        let dst = sim.add_node("dst", Box::new(Sink));
+        let spec = gbit_link(0).with_queue(QueueSpec::DropTailFifo {
+            capacity_bytes: 1000,
+        });
+        let link = sim.add_oneway(src, 0, dst, 0, spec);
+        sim.run();
+        // The transmitter was idle, but an empty 1000-byte queue could
+        // not have held 1500 bytes: dropped, counted and traced as before.
+        let stats = sim.link_stats(link);
+        assert_eq!((stats.offered_packets, stats.queue_drops), (1, 1));
+        assert_eq!(stats.tx_packets, 0);
+        assert_eq!(sim.link_queue_dropped(link), 1);
+        let drops: Vec<_> = sim
+            .trace()
+            .events()
+            .iter()
+            .map(|e| (e.kind, e.node, e.link, e.len))
+            .collect();
+        assert_eq!(drops, vec![(TraceKind::QueueDrop, Some(0), Some(0), 1500)]);
+        assert!(sim.local_deliveries(dst).is_empty());
+        assert!(!sim.links[link.0].busy);
+    }
+
+    #[test]
+    fn a_crash_flush_leaves_the_queue_count_at_zero() {
+        let mut sim = Simulator::new(1);
+        let src = sim.add_node("src", Box::new(Numbered(10)));
+        let dst = sim.add_node("dst", Box::new(Sink));
+        let link = sim.add_oneway(src, 0, dst, 0, gbit_link(0));
+        // 12 µs per packet: at 30 µs two are out, the third is on the
+        // wire and seven wait.
+        sim.schedule_crash(src, Time::from_micros(30), None);
+        sim.run_until(Time::from_micros(30));
+        let q = &sim.links[link.0].queue;
+        assert!(q.is_empty());
+        assert_eq!((q.occupancy_packets(), q.occupancy_bytes()), (0, 0));
+        assert!(
+            sim.links[link.0].busy,
+            "the third packet is still on the wire"
+        );
+        sim.run();
+        assert_eq!(sim.crashed_drops(src), 7);
+        assert_eq!(sim.local_deliveries(dst).len(), 3);
+        assert!(!sim.links[link.0].busy, "TxComplete found nothing queued");
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn link_conserves_packets() {
                 }),
         );
         sim.run();
-        let s = *sim.link_stats(link);
+        let s = sim.link_stats(link);
         assert_eq!(s.offered_packets, sizes.len() as u64);
         assert_eq!(
             s.delivered_packets + s.corruption_losses + s.queue_drops + s.mtu_drops,
@@ -227,7 +227,7 @@ fn faulted_link_conserves_packets() {
             .with_jitter(Time::from_micros(1 + rng.next_bounded(100)))
             .with_random_outage(Time::from_micros(500), Time::from_micros(100));
         let sim = fault_topology(seed, &sizes, fault);
-        let s = *sim.link_stats(mmt_netsim::LinkId(0));
+        let s = sim.link_stats(mmt_netsim::LinkId(0));
         assert_eq!(s.offered_packets, sizes.len() as u64, "seed {seed:#x}");
         assert_eq!(
             s.delivered_packets
@@ -248,7 +248,7 @@ fn full_duplication_doubles_deliveries() {
     let sizes = vec![1000; 50];
     let fault = FaultSpec::none().with_duplication(1.0, Time::from_micros(5));
     let sim = fault_topology(7, &sizes, fault);
-    let s = *sim.link_stats(mmt_netsim::LinkId(0));
+    let s = sim.link_stats(mmt_netsim::LinkId(0));
     assert_eq!(s.dup_injected, 50);
     assert_eq!(s.delivered_packets, 100);
 }
@@ -264,7 +264,7 @@ fn scheduled_outage_windows_gate_delivery() {
         period: Time::from_secs(2000),
     });
     let sim = fault_topology(7, &sizes, always_down);
-    let s = *sim.link_stats(mmt_netsim::LinkId(0));
+    let s = sim.link_stats(mmt_netsim::LinkId(0));
     assert_eq!(s.flap_drops, 20);
     assert_eq!(s.delivered_packets, 0);
 
@@ -274,7 +274,7 @@ fn scheduled_outage_windows_gate_delivery() {
         period: Time::from_secs(2000),
     });
     let sim = fault_topology(7, &sizes, never_down);
-    let s = *sim.link_stats(mmt_netsim::LinkId(0));
+    let s = sim.link_stats(mmt_netsim::LinkId(0));
     assert_eq!(s.flap_drops, 0);
     assert_eq!(s.delivered_packets, 20);
 }
@@ -294,7 +294,7 @@ fn control_loss_spares_data_plane() {
             .with_fault(FaultSpec::none().with_control_loss(1.0)),
     );
     sim.run();
-    let s = *sim.link_stats(mmt_netsim::LinkId(0));
+    let s = sim.link_stats(mmt_netsim::LinkId(0));
     assert_eq!(s.control_drops, 20, "all 20 control packets dropped");
     assert_eq!(s.delivered_packets, 20, "all 20 data packets delivered");
 }

@@ -104,16 +104,12 @@ pub fn run_aqm(deadline_aware: bool, packets_per_kind: usize, seed: u64) -> AqmR
         LinkSpec::new(Bandwidth::gbps(1), Time::from_micros(10)).with_queue(queue),
     );
     if deadline_aware {
-        sim.link_mut(link)
-            .set_classifier(classify::aged_shed_classifier);
+        sim.set_link_classifier(link, classify::aged_shed_classifier);
     }
     sim.run();
     let fresh = count_kind(&sim, dst, false);
     let aged = count_kind(&sim, dst, true);
-    // The queue's own counter covers both tail drops and deadline-aware
-    // sheds (a shed admits the arrival, so the link-level drop counter
-    // alone would miss it).
-    let drops = sim.link_mut(link).queue.dropped();
+    let drops = sim.link_queue_dropped(link);
     AqmResult {
         queue: if deadline_aware {
             "deadline-aware"
@@ -197,8 +193,7 @@ pub fn run_priority(strict_priority: bool, seed: u64) -> PriorityResult {
         LinkSpec::new(Bandwidth::gbps(10), Time::from_micros(10)).with_queue(queue),
     );
     if strict_priority {
-        sim.link_mut(link)
-            .set_classifier(classify::priority_class_classifier);
+        sim.set_link_classifier(link, classify::priority_class_classifier);
     }
     sim.run();
     let mut worst = Time::ZERO;

@@ -544,9 +544,9 @@ impl Pilot {
         let rcv = self.node::<MmtReceiver>(self.receiver);
         let receiver: ReceiverStats = rcv.stats;
         let receiver_retransmit_source = rcv.retransmit_source();
-        let wan = *self.sim.link_stats(self.wan_link);
-        let wan_rev = *self.sim.link_stats(self.wan_link_rev);
-        let dtn1_egress = *self.sim.link_stats(self.dtn1_egress);
+        let wan = self.sim.link_stats(self.wan_link);
+        let wan_rev = self.sim.link_stats(self.wan_link_rev);
+        let dtn1_egress = self.sim.link_stats(self.dtn1_egress);
         let elapsed = self.sim.now();
         PilotReport {
             sender,

@@ -152,3 +152,22 @@ fn group_seeds_are_shard_independent() {
         assert_eq!(sim.group_seed(5), ShardedSim::new(7, 1).group_seed(5));
     }
 }
+
+#[test]
+fn fleet_spends_three_events_per_packet() {
+    // Each packet costs exactly one sensor timer, one TxComplete and one
+    // Arrive: a link hop that gains or loses an event breaks this, on the
+    // small fleet and on a 2 000-sensor one alike.
+    for cfg in [ManyFlowConfig::quick(9), ManyFlowConfig::fleet(2_000, 1, 9)] {
+        let report = manyflow::run(&cfg);
+        assert_eq!(report.shard.packets, report.offered, "clean links");
+        assert_eq!(
+            report.shard.events,
+            3 * report.shard.packets,
+            "{} sensors: {} events for {} packets",
+            cfg.sensors,
+            report.shard.events,
+            report.shard.packets
+        );
+    }
+}
