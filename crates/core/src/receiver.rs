@@ -139,7 +139,7 @@ impl ReceiverConfig {
     }
 }
 
-/// One delivered message's record.
+/// One delivered message, as a [`MmtReceiver::tap`] sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceivedMessage {
     /// Application message index (from the payload prefix).
@@ -191,6 +191,9 @@ pub struct ReceiverStats {
     pub completed_at: Option<Time>,
 }
 
+/// What [`MmtReceiver::tap`] installs.
+type Tap = dyn FnMut(&ReceivedMessage) + Send;
+
 /// The consuming endpoint node (port 0 faces the network).
 pub struct MmtReceiver {
     config: ReceiverConfig,
@@ -201,7 +204,7 @@ pub struct MmtReceiver {
     /// is a recovery).
     naked: BTreeMap<u64, Naked>,
     /// Seqs that arrived via NAK recovery (to label late duplicates).
-    recovered_seqs: std::collections::BTreeSet<u64>,
+    recovered_seqs: SeqTracker,
     /// NAK round trips measured so far.
     rtt: RttEstimator,
     /// The latest NAK round that gave a sample (each gives at most one).
@@ -240,10 +243,16 @@ pub struct MmtReceiver {
     /// copy of a recovered sequence (the NAK was spurious). Until then a
     /// gap is NAKed the moment it opens.
     reordering_seen: bool,
-    /// Delivered messages, in arrival order.
-    log: Vec<ReceivedMessage>,
     /// Distinct message indices delivered.
-    distinct: std::collections::BTreeSet<u64>,
+    distinct: SeqTracker,
+    /// End-to-end latency of every delivery.
+    latency: LatencyHistogram,
+    /// In-network age of every delivery whose header carried one.
+    age: LatencyHistogram,
+    /// FNV-1a over the `(msg_index, seq)` pairs delivered so far.
+    digest: u64,
+    /// Called with every delivery, once installed.
+    tap: Option<Box<Tap>>,
     /// Counters.
     pub stats: ReceiverStats,
 }
@@ -256,7 +265,7 @@ impl MmtReceiver {
             tracker: SeqTracker::new(),
             gap_first_seen: BTreeMap::new(),
             naked: BTreeMap::new(),
-            recovered_seqs: std::collections::BTreeSet::new(),
+            recovered_seqs: SeqTracker::new(),
             rtt: RttEstimator::new(),
             sampled_round: None,
             spacing: RttEstimator::new(),
@@ -270,15 +279,20 @@ impl MmtReceiver {
             gap_armed: false,
             fresh_from: 0,
             reordering_seen: false,
-            log: Vec::new(),
-            distinct: std::collections::BTreeSet::new(),
+            distinct: SeqTracker::new(),
+            latency: LatencyHistogram::new(),
+            age: LatencyHistogram::new(),
+            digest: 0xcbf2_9ce4_8422_2325,
+            tap: None,
             stats: ReceiverStats::default(),
         }
     }
 
-    /// The delivery log, in arrival order.
-    pub fn log(&self) -> &[ReceivedMessage] {
-        &self.log
+    /// Install `tap`, called with every message delivered from now on; it
+    /// replaces any tap installed before. There is none by default: the
+    /// receiver records what it reports on delivery and keeps no message.
+    pub fn tap(&mut self, tap: impl FnMut(&ReceivedMessage) + Send + 'static) {
+        self.tap = Some(Box::new(tap));
     }
 
     /// Whether all expected messages have been delivered.
@@ -286,21 +300,12 @@ impl MmtReceiver {
         self.stats.completed_at.is_some()
     }
 
-    /// Order-sensitive digest of the delivery log: FNV-1a over the
+    /// Order-sensitive digest of the deliveries: FNV-1a over the
     /// `(msg_index, seq)` pairs in arrival order. Deliberately excludes
     /// timestamps, so the virtual-time and real-time drivers of the same
     /// machines can compare end-to-end delivery byte-for-byte.
     pub fn delivery_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for m in &self.log {
-            for v in [m.msg_index, m.seq.map_or(u64::MAX, |s| s)] {
-                for b in v.to_le_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-        h
+        self.digest
     }
 
     /// The live configuration.
@@ -461,35 +466,25 @@ impl MmtReceiver {
         reg.observe_histogram(
             "mmt_receiver_e2e_latency_ns",
             &labels,
-            self.latency().sketch(),
+            self.latency.sketch(),
         );
         reg.describe(
             "mmt_receiver_age_ns",
             "In-network age carried by delivered headers, nanoseconds.",
         );
-        reg.observe_histogram("mmt_receiver_age_ns", &labels, self.age().sketch());
+        reg.observe_histogram("mmt_receiver_age_ns", &labels, self.age.sketch());
     }
 
     /// End-to-end latency of every delivered message: arrival minus
     /// source creation.
-    pub fn latency(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for m in &self.log {
-            h.record(m.arrived_at.saturating_sub(m.created_at));
-        }
-        h
+    pub fn latency(&self) -> &LatencyHistogram {
+        &self.latency
     }
 
     /// In-network age of every delivered message whose header carried
     /// one.
-    pub fn age(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for m in &self.log {
-            if let Some(age) = m.age_ns {
-                h.record(Time::from_nanos(age));
-            }
-        }
-        h
+    pub fn age(&self) -> &LatencyHistogram {
+        &self.age
     }
 
     /// Arm the NAK wake unless one is pending.
@@ -794,25 +789,10 @@ impl MmtReceiver {
         }
         outstanding
     }
-
-    fn deliver(&mut self, msg: ReceivedMessage, now: Time) {
-        if msg.aged {
-            self.stats.aged_deliveries += 1;
-        }
-        self.distinct.insert(msg.msg_index);
-        self.log.push(msg);
-        self.stats.delivered += 1;
-        if let Some(expect) = self.config.expect_messages {
-            if self.distinct.len() as u64 >= expect && self.stats.completed_at.is_none() {
-                self.stats.completed_at = Some(now);
-            }
-        }
-    }
 }
 
 impl MmtReceiver {
     fn on_frame(&mut self, now: Time, pkt: Packet, out: &mut Vec<Output>) {
-        let meta = pkt.meta;
         let parsed = FrameView::of(&pkt);
         let Some(mmt) = parsed.mmt_bytes() else {
             return;
@@ -841,7 +821,7 @@ impl MmtReceiver {
             let highest = self.tracker.highest();
             if !self.tracker.record(s) {
                 self.stats.duplicates += 1;
-                if self.recovered_seqs.contains(&s) {
+                if self.recovered_seqs.contains(s) {
                     // The original came after all: the NAK was spurious.
                     self.stats.dup_after_recovery += 1;
                     self.reordering_seen = true;
@@ -862,7 +842,7 @@ impl MmtReceiver {
             if let Some(naked) = named {
                 recovered = true;
                 self.stats.recovered += 1;
-                self.recovered_seqs.insert(s);
+                self.recovered_seqs.record(s);
                 // Progress: reset the retry backoff.
                 self.barren_rounds = 0;
                 // Karn's rule (RFC 6298 §3), per round: only a sequence
@@ -910,17 +890,36 @@ impl MmtReceiver {
         let Some(prefix) = parsed.payload().and_then(|p| p.prefix::<8>()) else {
             return;
         };
-        let msg_index = u64::from_be_bytes(prefix);
         let msg = ReceivedMessage {
-            msg_index,
+            msg_index: u64::from_be_bytes(prefix),
             seq,
-            created_at: meta.created_at,
+            created_at: pkt.meta.created_at,
             arrived_at: now,
             age_ns: repr.age().map(|a| a.age_ns),
             aged: repr.age().is_some_and(|a| a.aged),
             recovered,
         };
-        self.deliver(msg, now);
+        // Deliver it, recording everything reported about deliveries.
+        self.stats.delivered += 1;
+        self.stats.aged_deliveries += u64::from(msg.aged);
+        self.latency.record(now.saturating_sub(msg.created_at));
+        if let Some(age) = msg.age_ns {
+            self.age.record(Time::from_nanos(age));
+        }
+        for v in [msg.msg_index, seq.unwrap_or(u64::MAX)] {
+            for b in v.to_le_bytes() {
+                self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        self.distinct.record(msg.msg_index);
+        if let Some(expect) = self.config.expect_messages {
+            if self.distinct.received_count() >= expect {
+                self.stats.completed_at.get_or_insert(now);
+            }
+        }
+        if let Some(tap) = &mut self.tap {
+            tap(&msg);
+        }
     }
 
     fn on_nak_timer(&mut self, now: Time, out: &mut Vec<Output>) {
@@ -966,6 +965,16 @@ mod tests {
     use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
     use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
     use mmt_wire::mmt::MmtRepr;
+    use std::sync::mpsc;
+
+    /// Tap `rcv`: every delivery from now on, in arrival order.
+    fn tapped(sim: &mut Simulator, rcv: NodeId) -> mpsc::Receiver<ReceivedMessage> {
+        let (tx, log) = mpsc::channel();
+        sim.node_as_mut::<MmtReceiver>(rcv)
+            .unwrap()
+            .tap(move |m| tx.send(*m).unwrap());
+        log
+    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)
@@ -1055,6 +1064,7 @@ mod tests {
     #[test]
     fn recovery_fills_gap_and_stops_naking() {
         let (mut sim, rcv, net) = setup();
+        let log = tapped(&mut sim, rcv);
         for (t, s) in [(0u64, 0u64), (1, 1), (2, 4)] {
             sim.inject(Time::from_micros(t), rcv, 0, wan_frame(s, s, false));
         }
@@ -1066,7 +1076,7 @@ mod tests {
         assert_eq!(r.stats.delivered, 5);
         assert_eq!(r.stats.recovered, 2);
         assert_eq!(r.stats.lost, 0);
-        assert!(r.log().iter().filter(|m| m.recovered).count() == 2);
+        assert!(log.try_iter().filter(|m| m.recovered).count() == 2);
         // Only the initial NAK (the gap was filled before the retry).
         assert_eq!(sim.local_deliveries(net).len(), 1);
     }
@@ -1771,6 +1781,7 @@ mod tests {
         let mut cfg = ReceiverConfig::wan_defaults(exp(), Ipv4Address::new(10, 0, 0, 8));
         cfg.expect_messages = Some(3);
         let rcv = sim.add_node("dtn2", Box::new(MmtReceiver::new(cfg)));
+        let log = tapped(&mut sim, rcv);
         for i in 0..3u64 {
             sim.inject(Time::from_micros(i), rcv, 0, wan_frame(i, i, i == 1));
         }
@@ -1779,8 +1790,9 @@ mod tests {
         assert!(r.is_complete());
         assert_eq!(r.stats.aged_deliveries, 1);
         assert_eq!(r.stats.completed_at, Some(Time::from_micros(2)));
-        assert!(r.log()[1].aged);
-        assert_eq!(r.log()[0].age_ns, Some(1_000));
+        let log: Vec<_> = log.try_iter().collect();
+        assert!(log[1].aged);
+        assert_eq!(log[0].age_ns, Some(1_000));
     }
 
     /// An unsequenced mode-0 data frame carrying message `msg_index`.
@@ -1827,14 +1839,59 @@ mod tests {
     }
 
     #[test]
+    fn the_delivery_digest_is_fnv_over_what_a_tap_sees() {
+        let mut r = expecting(4);
+        let (tx, log) = mpsc::channel();
+        r.tap(move |m| tx.send(*m).unwrap());
+        for (t, seq) in [(1, 0), (2, 3), (3, 1), (4, 3), (5, 2)] {
+            arrive(&mut r, ms(t), seq);
+        }
+        let mut out = Vec::new();
+        r.poll(
+            ms(6),
+            Input::Frame {
+                port: 0,
+                pkt: mode0_frame(9),
+            },
+            &mut out,
+        );
+        let pairs: Vec<_> = log.try_iter().map(|m| (m.msg_index, m.seq)).collect();
+        assert_eq!(
+            pairs,
+            [
+                (0, Some(0)),
+                (3, Some(3)),
+                (1, Some(1)),
+                (2, Some(2)),
+                (9, None)
+            ],
+            "arrival order, the duplicate of 3 left out"
+        );
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (index, seq) in pairs {
+            for b in [index, seq.unwrap_or(u64::MAX)]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+            {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(r.delivery_digest(), h);
+        assert_eq!(r.latency().count(), 5);
+        assert_eq!(r.stats.completed_at, Some(ms(5)), "four distinct indices");
+    }
+
+    #[test]
     fn unsequenced_mode0_traffic_delivers_without_tracking() {
         let (mut sim, rcv, net) = setup();
+        let log = tapped(&mut sim, rcv);
         sim.inject(Time::ZERO, rcv, 0, mode0_frame(7));
         sim.run();
         let r = sim.node_as::<MmtReceiver>(rcv).unwrap();
         assert_eq!(r.stats.delivered, 1);
-        assert_eq!(r.log()[0].seq, None);
-        assert_eq!(r.log()[0].msg_index, 7);
+        let log: Vec<_> = log.try_iter().collect();
+        assert_eq!(log[0].seq, None);
+        assert_eq!(log[0].msg_index, 7);
         assert!(sim.local_deliveries(net).is_empty());
     }
 

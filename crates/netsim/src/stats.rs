@@ -25,7 +25,7 @@ pub fn quantile_sorted(sorted: &[u64], q: f64) -> Option<u64> {
 /// A latency recorder with quantile queries, backed by a sketch.
 ///
 /// The hot path (per-flow recorders in fleet-scale runs) must not grow
-/// with the sample count, so the histogram keeps **only** a fixed-memory
+/// with the sample count, so the histogram keeps **only** a bounded-memory
 /// [`QuantileSketch`]: `count`, `sum`, `min`, `max`, and `stddev` are
 /// exact while quantiles carry the sketch's documented bound
 /// (`v ≤ estimate ≤ v + v/32`, exact below 32 ns).
@@ -48,7 +48,7 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram (fixed memory).
+    /// An empty histogram (allocates nothing until the first sample).
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
             sketch: QuantileSketch::new(),
@@ -70,7 +70,7 @@ impl LatencyHistogram {
         self.sketch.is_empty()
     }
 
-    /// The underlying fixed-memory sketch (digests, accuracy tests).
+    /// The underlying bounded-memory sketch (digests, accuracy tests).
     pub fn sketch(&self) -> &QuantileSketch {
         &self.sketch
     }

@@ -16,6 +16,8 @@ use mmt_netsim::{Bandwidth, LinkSpec, LossModel, Simulator, Time};
 use mmt_transport::{CcProfile, TcpReceiver, TcpSender};
 use mmt_wire::mmt::ExperimentId;
 use mmt_wire::Ipv4Address;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const MSG: usize = 8192;
 
@@ -139,7 +141,16 @@ pub fn run_mmt(p: &HolParams) -> HolResult {
     rcfg.nak_interval = p.rtt * 2;
     rcfg.reorder_delay = Time::from_micros(500);
     rcfg.give_up_after = Time::from_secs(60);
-    let rcv = sim.add_node("receiver", Box::new(MmtReceiver::new(rcfg)));
+    let mut receiver = MmtReceiver::new(rcfg);
+    let late = p.rtt / 2 + p.rtt;
+    let impacted = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&impacted);
+    receiver.tap(move |m| {
+        if m.arrived_at.saturating_sub(m.created_at) > late {
+            count.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    let rcv = sim.add_node("receiver", Box::new(receiver));
     sim.connect(
         snd,
         0,
@@ -156,21 +167,11 @@ pub fn run_mmt(p: &HolParams) -> HolResult {
     );
     sim.run_until(Time::from_secs(300));
     let receiver = sim.node_as::<MmtReceiver>(rcv).unwrap(); // mmt-lint: allow(P1, "node registered with this concrete type in build()")
-    let mut latency = LatencyHistogram::new();
-    let baseline = p.rtt / 2;
-    let mut impacted = 0usize;
-    for m in receiver.log() {
-        let l = m.arrived_at.saturating_sub(m.created_at);
-        latency.record(l);
-        if l > baseline + p.rtt {
-            impacted += 1;
-        }
-    }
-    let delivered = receiver.log().len();
+    let delivered = receiver.stats.delivered as usize;
     HolResult {
         variant: "MMT",
-        latency,
-        impacted_fraction: impacted as f64 / delivered.max(1) as f64,
+        latency: receiver.latency().clone(),
+        impacted_fraction: impacted.load(Ordering::Relaxed) as f64 / delivered.max(1) as f64,
         delivered,
     }
 }

@@ -17,6 +17,8 @@ use mmt_dataplane::programs::BorderConfig;
 use mmt_netsim::{Bandwidth, LinkSpec, LossModel, Simulator, Time};
 use mmt_wire::mmt::ExperimentId;
 use mmt_wire::Ipv4Address;
+use std::collections::HashSet;
+use std::sync::mpsc;
 
 /// Result of the integration run.
 #[derive(Debug, Clone)]
@@ -79,7 +81,14 @@ pub fn run(duration: Time, seed: u64) -> OsmoticResult {
     // Open-ended stream: backhaul loss means the archive cannot know the
     // true count, so no tail guard here.
     rcfg.expect_messages = None;
-    let archive = sim.add_node("archive", Box::new(MmtReceiver::new(rcfg)));
+    let mut receiver = MmtReceiver::new(rcfg);
+    // The archive's deliveries, for the slices they came from.
+    let (tx, slices) = mpsc::channel();
+    receiver.tap(move |m| {
+        // `slices` lives until after the run, so no send can fail.
+        let _ = tx.send(m.msg_index % 256);
+    });
+    let archive = sim.add_node("archive", Box::new(receiver));
 
     // Cell backhaul: 50 Mb/s, 40 ms, 1% loss, bursty.
     let (backhaul, _) = sim.connect(
@@ -106,12 +115,7 @@ pub fn run(duration: Time, seed: u64) -> OsmoticResult {
     let entered_wan = gw.stats.forwarded;
     let lost_on_backhaul = sim.link_stats(backhaul).corruption_losses;
     let delivered = rx.stats.delivered;
-    let slices_seen = rx
-        .log()
-        .iter()
-        .map(|m| m.msg_index % 256)
-        .collect::<std::collections::HashSet<_>>()
-        .len();
+    let slices_seen = slices.try_iter().collect::<HashSet<_>>().len();
     OsmoticResult {
         produced,
         lost_on_backhaul,

@@ -557,7 +557,7 @@ impl Pilot {
             receiver,
             receiver_retransmit_source,
             completed_at: receiver.completed_at,
-            latency: rcv.latency(),
+            latency: rcv.latency().clone(),
             wan_corruption_losses: wan.corruption_losses,
             wan_queue_drops: wan.queue_drops,
             wan_tx_bytes: wan.tx_bytes,

@@ -22,7 +22,7 @@
 //!   [`trace::to_chrome_trace`] (Chrome Trace Event Format, loadable in
 //!   `chrome://tracing` / Perfetto as a virtual-time timeline).
 //!
-//! [`QuantileSketch`] is the only histogram: fixed-memory online
+//! [`QuantileSketch`] is the only histogram: bounded-memory online
 //! quantiles with a documented ≤ 1/32 upward error bound and a
 //! commutative merge. The streaming half adds [`SeriesRow`] /
 //! [`series::to_jsonl`] (deterministic virtual-time series samples) and

@@ -60,7 +60,7 @@ pub enum MetricValue {
     Counter(u64),
     /// Point-in-time gauge.
     Gauge(f64),
-    /// Latency histogram over nanosecond samples: a fixed-memory sketch
+    /// Latency histogram over nanosecond samples: a bounded-memory sketch
     /// with exact count, sum, min and max.
     Histogram(QuantileSketch),
 }

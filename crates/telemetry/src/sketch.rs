@@ -15,9 +15,10 @@
 //! The estimate never under-reports — a deliberate bias for latency
 //! telemetry, where an optimistic tail is the dangerous direction.
 //!
-//! Memory is fixed at construction (1920 × `u64` buckets ≈ 15 KiB per
-//! sketch) regardless of how many samples are recorded, which is what
-//! lets the hot path drop its cached full-sample vectors. Merging is an
+//! Memory is bounded regardless of how many samples are recorded, which
+//! is what lets the hot path drop its cached full-sample vectors: the
+//! bucket vector grows to the highest bucket recorded, at most 1920 ×
+//! `u64` (15 KiB), and an empty sketch allocates nothing. Merging is an
 //! element-wise bucket add — commutative and associative — so sharded
 //! runs can fold per-group sketches in any order and still produce
 //! byte-identical quantiles and digests. Everything is integer-only
@@ -29,10 +30,6 @@
 const SUB_BITS: u32 = 5;
 /// Sub-buckets per octave; values below this are stored exactly.
 const SUB: usize = 1 << SUB_BITS;
-/// Octaves covered: exponents `SUB_BITS..=63`.
-const OCTAVES: usize = 64 - SUB_BITS as usize;
-/// Total buckets: `SUB` exact unit buckets plus `OCTAVES × SUB` log ones.
-const NUM_BUCKETS: usize = SUB + OCTAVES * SUB;
 
 /// FNV-1a 64-bit offset basis (local copy; telemetry stays dep-free).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -61,13 +58,15 @@ fn bucket_upper_edge(idx: usize) -> u64 {
     lower + ((1u64 << octave) - 1)
 }
 
-/// A deterministic fixed-memory quantile sketch over `u64` samples.
+/// A deterministic bounded-memory quantile sketch over `u64` samples.
 ///
 /// See the module docs for the error bound and merge semantics. `count`,
 /// `sum`, `min`, and `max` are tracked exactly; only quantiles are
 /// approximate (biased upward, never below the true value).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
+    /// Counts up to the highest bucket recorded; the buckets past its end
+    /// are empty. Equal samples give equal lengths, so equality holds.
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -86,10 +85,10 @@ impl QuantileSketch {
     /// The documented worst-case relative error of a quantile estimate.
     pub const MAX_RELATIVE_ERROR: f64 = 1.0 / SUB as f64;
 
-    /// An empty sketch (allocates its full fixed bucket array up front).
+    /// An empty sketch (allocates nothing until the first sample).
     pub fn new() -> QuantileSketch {
         QuantileSketch {
-            buckets: vec![0u64; NUM_BUCKETS],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             sum_sq: 0,
@@ -98,9 +97,14 @@ impl QuantileSketch {
         }
     }
 
-    /// Record one sample. O(1), no allocation.
+    /// Record one sample. O(1); allocates only when `v` lands past the
+    /// highest bucket recorded so far.
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
+        let idx = bucket_index(v);
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(u128::from(v));
         self.sum_sq = self.sum_sq.saturating_add(u128::from(v) * u128::from(v));
@@ -180,6 +184,9 @@ impl QuantileSketch {
     /// commutative and associative, so shard merge order cannot leak
     /// into quantiles or digests.
     pub fn merge(&mut self, other: &QuantileSketch) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
@@ -219,6 +226,11 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Octaves covered: exponents `SUB_BITS..=63`.
+    const OCTAVES: usize = 64 - SUB_BITS as usize;
+    /// Total buckets: `SUB` exact unit buckets plus `OCTAVES × SUB` log ones.
+    const NUM_BUCKETS: usize = SUB + OCTAVES * SUB;
 
     #[test]
     fn small_values_are_exact() {

@@ -22,8 +22,9 @@ use mmt::netsim::{FaultSpec, LossModel, PeriodicOutage, Time};
 use mmt::pilot::experiments::failover;
 use mmt::pilot::topology::{addrs, STANDBY_NAK_PORT};
 use mmt::pilot::{Pilot, PilotConfig, PilotReport};
-use mmt::protocol::{MmtReceiver, ModeController};
+use mmt::protocol::{MmtReceiver, ModeController, ReceivedMessage};
 use std::collections::HashSet;
+use std::sync::mpsc;
 
 /// The composed fault ladder. Outages start at 200 µs so the stream head
 /// (which announces the retransmit source) always gets through.
@@ -87,15 +88,28 @@ fn chaos_config(seed: u64, messages: usize, fault: FaultSpec) -> PilotConfig {
     cfg
 }
 
-fn run_chaos(cfg: PilotConfig) -> Pilot {
+/// Build the pilot and tap its receiver: every delivery, in arrival order.
+fn tapped(cfg: PilotConfig) -> (Pilot, mpsc::Receiver<ReceivedMessage>) {
     let mut pilot = Pilot::build(cfg);
-    pilot.run(Time::from_secs(120));
+    let (tx, log) = mpsc::channel();
     pilot
+        .sim
+        .node_as_mut::<MmtReceiver>(pilot.receiver)
+        .expect("receiver type")
+        .tap(move |m| tx.send(*m).expect("log outlives the run"));
+    (pilot, log)
+}
+
+fn run_chaos(cfg: PilotConfig) -> (Pilot, Vec<ReceivedMessage>) {
+    let (mut pilot, log) = tapped(cfg);
+    pilot.run(Time::from_secs(120));
+    let log = log.try_iter().collect();
+    (pilot, log)
 }
 
 /// The invariants every chaos run must satisfy, complete or not.
 /// `ctx` and `seed` make each failure replayable.
-fn assert_invariants(pilot: &Pilot, seed: u64, ctx: &str) -> PilotReport {
+fn assert_invariants(pilot: &Pilot, log: &[ReceivedMessage], seed: u64, ctx: &str) -> PilotReport {
     let r = pilot.report();
     // 1. Conservation.
     assert_eq!(
@@ -107,13 +121,9 @@ fn assert_invariants(pilot: &Pilot, seed: u64, ctx: &str) -> PilotReport {
         r.receiver.lost,
         r.sender.sent,
     );
-    let receiver = pilot
-        .sim
-        .node_as::<MmtReceiver>(pilot.receiver)
-        .expect("receiver type");
     // 2. Exactly-once application delivery.
     let mut seen = HashSet::new();
-    for m in receiver.log() {
+    for m in log {
         assert!(
             seen.insert(m.msg_index),
             "[seed {seed}] {ctx}: duplicate app-level delivery of message {}",
@@ -129,7 +139,7 @@ fn assert_invariants(pilot: &Pilot, seed: u64, ctx: &str) -> PilotReport {
     // host arrival, so it can never exceed true end-to-end time (plus
     // the final short hop's serialization slack).
     let slack = Time::from_micros(10).as_nanos();
-    for m in receiver.log() {
+    for m in log {
         let e2e = m.arrived_at.saturating_sub(m.created_at).as_nanos();
         if let Some(age) = m.age_ns {
             assert!(
@@ -150,8 +160,8 @@ fn assert_invariants(pilot: &Pilot, seed: u64, ctx: &str) -> PilotReport {
 #[test]
 fn chaos_headline_combined_faults_32_seeds() {
     for seed in 0..32u64 {
-        let pilot = run_chaos(chaos_config(seed, 400, headline_fault()));
-        let r = assert_invariants(&pilot, seed, "headline");
+        let (pilot, log) = run_chaos(chaos_config(seed, 400, headline_fault()));
+        let r = assert_invariants(&pilot, &log, seed, "headline");
         assert!(
             pilot.is_complete(),
             "[seed {seed}] headline: stream incomplete \
@@ -174,8 +184,8 @@ fn chaos_headline_combined_faults_32_seeds() {
 fn chaos_matrix_invariants_hold() {
     for (name, fault) in fault_combos() {
         for seed in [1u64, 7, 23, 0xC0FFEE] {
-            let pilot = run_chaos(chaos_config(seed, 300, fault));
-            let r = assert_invariants(&pilot, seed, name);
+            let (pilot, log) = run_chaos(chaos_config(seed, 300, fault));
+            let r = assert_invariants(&pilot, &log, seed, name);
             // Recoverable fault classes must also converge.
             assert!(
                 pilot.is_complete(),
@@ -198,8 +208,8 @@ fn chaos_give_up_path_still_conserves() {
         // Give up before flap-window recovery can complete.
         cfg.receiver_give_up = Time::from_millis(8);
         cfg.wan_loss = LossModel::Random(2e-2);
-        let pilot = run_chaos(cfg);
-        let r = assert_invariants(&pilot, seed, "short-give-up");
+        let (pilot, log) = run_chaos(cfg);
+        let r = assert_invariants(&pilot, &log, seed, "short-give-up");
         total_lost += r.receiver.lost;
     }
     assert!(
@@ -217,8 +227,8 @@ fn chaos_deadline_semantics_under_faults() {
     let mut cfg = chaos_config(5, 200, headline_fault());
     cfg.deadline_budget = Time::from_secs(10);
     cfg.max_age = Time::from_secs(10);
-    let pilot = run_chaos(cfg);
-    let r = assert_invariants(&pilot, 5, "generous-deadline");
+    let (pilot, log) = run_chaos(cfg);
+    let r = assert_invariants(&pilot, &log, 5, "generous-deadline");
     assert_eq!(
         r.sender.deadline_notifications, 0,
         "[seed 5] generous budget must produce no notifications",
@@ -230,8 +240,8 @@ fn chaos_deadline_semantics_under_faults() {
     let mut cfg = chaos_config(5, 200, headline_fault());
     cfg.deadline_budget = Time::from_millis(1);
     cfg.max_age = Time::from_millis(1);
-    let pilot = run_chaos(cfg);
-    let r = assert_invariants(&pilot, 5, "impossible-deadline");
+    let (pilot, log) = run_chaos(cfg);
+    let r = assert_invariants(&pilot, &log, 5, "impossible-deadline");
     assert_eq!(
         r.receiver.aged_deliveries, r.receiver.delivered,
         "[seed 5] every delivery beats a 1 ms budget? impossible",
@@ -247,8 +257,12 @@ fn chaos_deadline_semantics_under_faults() {
 #[test]
 fn chaos_runs_are_deterministic() {
     for seed in [7u64, 19] {
-        let a = run_chaos(chaos_config(seed, 300, headline_fault())).report();
-        let b = run_chaos(chaos_config(seed, 300, headline_fault())).report();
+        let a = run_chaos(chaos_config(seed, 300, headline_fault()))
+            .0
+            .report();
+        let b = run_chaos(chaos_config(seed, 300, headline_fault()))
+            .0
+            .report();
         assert_eq!(a.receiver, b.receiver, "[seed {seed}]");
         assert_eq!(a.sender, b.sender, "[seed {seed}]");
         assert_eq!(a.buffer, b.buffer, "[seed {seed}]");
@@ -260,8 +274,8 @@ fn chaos_runs_are_deterministic() {
 /// and exercising every fault class plus the full invariant set.
 #[test]
 fn smoke_chaos_fixed_seed() {
-    let pilot = run_chaos(chaos_config(7, 300, headline_fault()));
-    let r = assert_invariants(&pilot, 7, "smoke");
+    let (pilot, log) = run_chaos(chaos_config(7, 300, headline_fault()));
+    let r = assert_invariants(&pilot, &log, 7, "smoke");
     assert!(pilot.is_complete(), "[seed 7] smoke incomplete");
     assert_eq!(r.receiver.lost, 0, "[seed 7]");
 }
@@ -284,11 +298,12 @@ fn crash_config(seed: u64, messages: usize) -> PilotConfig {
     cfg
 }
 
-fn run_crash_adaptive(cfg: PilotConfig) -> (Pilot, ModeController) {
-    let mut pilot = Pilot::build(cfg);
+fn run_adaptive(cfg: PilotConfig) -> (Pilot, Vec<ReceivedMessage>, ModeController) {
+    let (mut pilot, log) = tapped(cfg);
     let mut controller = ModeController::new(failover::controller_config());
     pilot.run_adaptive(Time::from_secs(120), Time::from_millis(5), &mut controller);
-    (pilot, controller)
+    let log = log.try_iter().collect();
+    (pilot, log, controller)
 }
 
 /// Acceptance headline for the self-healing PR: with closed-loop
@@ -298,8 +313,8 @@ fn run_crash_adaptive(cfg: PilotConfig) -> (Pilot, ModeController) {
 #[test]
 fn chaos_crash_failover_adaptive_8_seeds() {
     for seed in 0..8u64 {
-        let (pilot, controller) = run_crash_adaptive(crash_config(seed, 300));
-        let r = assert_invariants(&pilot, seed, "crash-adaptive");
+        let (pilot, log, controller) = run_adaptive(crash_config(seed, 300));
+        let r = assert_invariants(&pilot, &log, seed, "crash-adaptive");
         assert!(
             pilot.is_complete(),
             "[seed {seed}] crash-adaptive: incomplete (delivered {}, lost {}, exhausted {})",
@@ -345,8 +360,8 @@ fn chaos_crash_failover_adaptive_8_seeds() {
 #[test]
 fn chaos_crash_without_adaptation_degrades_8_seeds() {
     for seed in 0..8u64 {
-        let pilot = run_chaos(crash_config(seed, 300));
-        let r = assert_invariants(&pilot, seed, "crash-static");
+        let (pilot, log) = run_chaos(crash_config(seed, 300));
+        let r = assert_invariants(&pilot, &log, seed, "crash-static");
         assert!(
             r.receiver.nak_retries_exhausted > 0,
             "[seed {seed}] crash-static: retries must exhaust against the dead primary",
@@ -369,8 +384,8 @@ fn chaos_crash_mid_send_with_restart_conserves() {
         let mut cfg = crash_config(seed, 300);
         cfg.crash_at = Time::from_micros(200); // inside the send burst
         cfg.restart_at = Some(Time::from_millis(5));
-        let (pilot, _controller) = run_crash_adaptive(cfg);
-        let r = assert_invariants(&pilot, seed, "crash-mid-send");
+        let (pilot, log, _controller) = run_adaptive(cfg);
+        let r = assert_invariants(&pilot, &log, seed, "crash-mid-send");
         assert!(
             r.receiver.delivered > 0,
             "[seed {seed}] crash-mid-send: the restarted buffer must resume forwarding",
@@ -391,10 +406,8 @@ fn chaos_flapping_wan_mode_changes_are_hysteresis_bounded() {
             period: Time::from_millis(50),
         });
         cfg.standby = true;
-        let mut pilot = Pilot::build(cfg);
-        let mut controller = ModeController::new(failover::controller_config());
-        pilot.run_adaptive(Time::from_secs(120), Time::from_millis(5), &mut controller);
-        let r = assert_invariants(&pilot, seed, "flapping-adaptive");
+        let (pilot, log, controller) = run_adaptive(cfg);
+        let r = assert_invariants(&pilot, &log, seed, "flapping-adaptive");
         assert!(pilot.is_complete(), "[seed {seed}] flapping-adaptive");
         assert_eq!(r.receiver.lost, 0, "[seed {seed}] flapping-adaptive");
         let s = controller.stats();

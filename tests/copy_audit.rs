@@ -11,7 +11,9 @@
 //! message must stay within 1 KiB. One payload copy anywhere on the path
 //! adds another `message_len` and fails the bound eightfold (the
 //! allocation per message was ≈ 8.9 KB with a tail per message, ≈ 43 KB
-//! with contiguous packets).
+//! with contiguous packets). What is left is heads and bookkeeping:
+//! 667 B per message in a release build on x86-64 Linux, down from 743 B
+//! when the receiver still grew a per-message delivery log.
 //!
 //! The allocator is process-wide, so this file holds this one test.
 

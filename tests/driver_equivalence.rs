@@ -5,7 +5,7 @@
 //! The comparison runs over a lossless path (sim links without loss; io
 //! loopback with the fault injector off) so wall-clock jitter cannot
 //! change *what* is delivered — only when. The digest is therefore taken
-//! over the core-level delivery log — `(msg_index, seq)` pairs in arrival
+//! over the core-level deliveries — `(msg_index, seq)` pairs in arrival
 //! order — not over any time-stamped telemetry.
 
 use std::io::ErrorKind;
@@ -17,6 +17,7 @@ use mmt::protocol::buffer::{PORT_DAQ, PORT_WAN};
 use mmt::protocol::{MmtReceiver, MmtSender, ReceiverConfig, RetransmitBuffer, SenderConfig};
 use mmt::wire::mmt::ExperimentId;
 use mmt::wire::Ipv4Address;
+use std::sync::mpsc;
 
 const MESSAGES: u64 = 120;
 const LEN: usize = 512;
@@ -57,7 +58,10 @@ fn run_sim() -> SimOutcome {
     );
     let mut rcfg = ReceiverConfig::wan_defaults(exp, Ipv4Address::new(10, 0, 0, 8));
     rcfg.expect_messages = Some(MESSAGES);
-    let receiver = sim.add_node("receiver", Box::new(MmtReceiver::new(rcfg)));
+    let mut rx = MmtReceiver::new(rcfg);
+    let (tx, log) = mpsc::channel();
+    rx.tap(move |m| tx.send((m.msg_index, m.seq)).expect("log outlives the run"));
+    let receiver = sim.add_node("receiver", Box::new(rx));
     let fast = LinkSpec::new(Bandwidth::gbps(100), Time::from_micros(5));
     // `connect` wires both directions, so the receiver's NAK path back
     // to the DTN rides the same WAN link spec.
@@ -65,17 +69,12 @@ fn run_sim() -> SimOutcome {
     sim.connect(dtn, PORT_WAN, receiver, 0, fast);
     sim.run_until(Time::from_secs(5));
     let rx = sim.node_as::<MmtReceiver>(receiver).expect("receiver");
-    let log = rx
-        .log()
-        .iter()
-        .map(|m| (m.msg_index, m.seq))
-        .collect::<Vec<_>>();
     SimOutcome {
         delivered: rx.stats.delivered,
         lost: rx.stats.lost,
         duplicates: rx.stats.duplicates,
         digest: rx.delivery_digest(),
-        log,
+        log: log.try_iter().collect(),
     }
 }
 

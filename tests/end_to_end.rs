@@ -4,6 +4,7 @@ use mmt::netsim::{LossModel, Time};
 use mmt::pilot::{Pilot, PilotConfig};
 use mmt::protocol::{MmtReceiver, MmtSender, RetransmitBuffer};
 use mmt::wire::mmt::Features;
+use std::sync::mpsc;
 
 #[test]
 fn pilot_under_heavy_loss_still_delivers_every_message() {
@@ -47,15 +48,18 @@ fn delivered_frames_carry_the_upgraded_mode() {
     cfg.wan_loss = LossModel::None;
     cfg.message_count = 50;
     let mut pilot = Pilot::build(cfg);
-    pilot.run(Time::from_secs(10));
-    // Inspect the receiver's log: every message was sequenced and aged —
-    // features the *sensor never set* (it emits mode 0). The network did.
-    let receiver = pilot
+    let (tx, log) = mpsc::channel();
+    pilot
         .sim
-        .node_as::<MmtReceiver>(pilot.receiver)
-        .expect("receiver");
-    assert_eq!(receiver.log().len(), 50);
-    for m in receiver.log() {
+        .node_as_mut::<MmtReceiver>(pilot.receiver)
+        .expect("receiver")
+        .tap(move |m| tx.send(*m).expect("log outlives the run"));
+    pilot.run(Time::from_secs(10));
+    // Inspect every delivery: every message was sequenced and aged —
+    // features the *sensor never set* (it emits mode 0). The network did.
+    let log: Vec<_> = log.try_iter().collect();
+    assert_eq!(log.len(), 50);
+    for m in &log {
         assert!(m.seq.is_some(), "sequenced in-network");
         assert!(m.age_ns.is_some(), "age tracked in-network");
     }

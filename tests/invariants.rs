@@ -5,6 +5,20 @@
 
 use mmt::netsim::{LossModel, SimRng, Time};
 use mmt::pilot::{Pilot, PilotConfig};
+use mmt::protocol::{MmtReceiver, ReceivedMessage};
+use std::sync::mpsc;
+
+/// Build the pilot and tap its receiver: every delivery, in arrival order.
+fn tapped(cfg: PilotConfig) -> (Pilot, mpsc::Receiver<ReceivedMessage>) {
+    let mut pilot = Pilot::build(cfg);
+    let (tx, log) = mpsc::channel();
+    pilot
+        .sim
+        .node_as_mut::<MmtReceiver>(pilot.receiver)
+        .expect("receiver")
+        .tap(move |m| tx.send(*m).expect("log outlives the run"));
+    (pilot, log)
+}
 
 /// Conservation law: delivered + lost == sent, for any loss rate,
 /// RTT, and message count.
@@ -23,18 +37,14 @@ fn pilot_conserves_messages() {
         cfg.seed = seed;
         cfg.receiver_give_up = Time::from_millis(800);
         cfg.receiver_nak_interval = Time::from_millis(rtt_ms * 2 + 1);
-        let mut pilot = Pilot::build(cfg);
+        let (mut pilot, log) = tapped(cfg);
         pilot.run(Time::from_secs(60));
         let r = pilot.report();
         assert_eq!(r.sender.sent, messages as u64);
         assert_eq!(r.receiver.delivered + r.receiver.lost, r.sender.sent);
         // No duplicates ever reach the application.
         let mut seen = std::collections::HashSet::new();
-        let receiver = pilot
-            .sim
-            .node_as::<mmt::protocol::MmtReceiver>(pilot.receiver)
-            .unwrap();
-        for m in receiver.log() {
+        for m in log.try_iter() {
             assert!(seen.insert(m.msg_index), "duplicate delivery");
         }
     }
@@ -52,14 +62,10 @@ fn latency_never_beats_light() {
         cfg.wan_rtt = Time::from_millis(rtt_ms);
         cfg.message_count = 100;
         cfg.seed = seed;
-        let mut pilot = Pilot::build(cfg);
+        let (mut pilot, log) = tapped(cfg);
         pilot.run(Time::from_secs(30));
-        let receiver = pilot
-            .sim
-            .node_as::<mmt::protocol::MmtReceiver>(pilot.receiver)
-            .unwrap();
         let floor = Time::from_millis(rtt_ms) / 2;
-        for m in receiver.log() {
+        for m in log.try_iter() {
             assert!(m.arrived_at - m.created_at >= floor);
         }
     }
@@ -82,18 +88,14 @@ fn aged_flag_matches_lateness() {
         cfg.message_count = 100;
         cfg.seed = seed;
         let max_age = cfg.max_age;
-        let mut pilot = Pilot::build(cfg);
+        let (mut pilot, log) = tapped(cfg);
         pilot.run(Time::from_secs(30));
-        let receiver = pilot
-            .sim
-            .node_as::<mmt::protocol::MmtReceiver>(pilot.receiver)
-            .unwrap();
         // The age *value* is stamped at the Tofino element; the aged *flag*
         // can additionally be set by the DTN 2 deadline check, which runs
         // one short hop (~1 µs + serialization) before host arrival. Allow
         // that hop as slack around the budget edge.
         let slack = Time::from_micros(10);
-        for m in receiver.log() {
+        for m in log.try_iter() {
             let arrival_age = m.arrived_at - m.created_at;
             if m.aged {
                 assert!(
