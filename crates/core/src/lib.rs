@@ -17,13 +17,14 @@
 //! * [`sender`] — the source endpoint: emits discrete MMT datagrams
 //!   (Req 7) with no retransmission buffering at the sensor (§4's point
 //!   that sources do not buffer), honours backpressure credits (§5.1).
-//! * [`buffer`] — the in-network retransmission buffer (the DTN 1 role):
-//!   stores the upgraded stream and answers NAKs, so recovery happens
-//!   from "a 'recent' (lower RTT) retransmission buffer ... to avoid
-//!   retransmission from the source" (§1).
+//! * [`buffer`] — the in-network retransmission buffer: one element
+//!   placed at DTN 1 (the border), as the standby re-homing target, or as
+//!   a mid-path transit hop. It stores the stream and answers NAKs, so
+//!   recovery happens from "a 'recent' (lower RTT) retransmission buffer
+//!   ... to avoid retransmission from the source" (§1).
 //! * [`store`] — the byte-bounded, sequence-keyed retransmission window
-//!   that the buffer, the standby and the transit buffer all keep: a head
-//!   and a payload reference per packet, oldest evicted first.
+//!   the buffer keeps: a head and a payload reference per packet, oldest
+//!   evicted first.
 //! * [`receiver`] — the consuming endpoint (the DTN 2 role): detects loss
 //!   from sequence gaps, NAKs the retransmission source named *in the
 //!   packet header*, delivers datagrams immediately (no head-of-line
@@ -52,9 +53,7 @@ pub mod receiver;
 pub mod resourcemap;
 pub mod sender;
 pub mod seqtrack;
-pub mod standby;
 pub mod store;
-pub mod transit;
 
 pub use buffer::{RetransmitBuffer, RetransmitBufferStats};
 pub use controller::{
@@ -67,6 +66,4 @@ pub use receiver::{MmtReceiver, ReceivedMessage, ReceiverConfig, ReceiverStats};
 pub use resourcemap::{Capability, ModePlanner, ResourceMap};
 pub use sender::{Framing, MmtSender, SenderConfig, SenderStats};
 pub use seqtrack::SeqTracker;
-pub use standby::{StandbyBuffer, StandbyBufferStats};
 pub use store::RetransmitStore;
-pub use transit::{TransitBuffer, TransitBufferStats};

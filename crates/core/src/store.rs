@@ -1,11 +1,9 @@
-//! The retransmission store shared by every buffering node.
+//! The retransmission store of [`crate::RetransmitBuffer`].
 //!
-//! DTN 1 ([`crate::RetransmitBuffer`]), the standby
-//! ([`crate::StandbyBuffer`]) and the mid-path
-//! [`crate::TransitBuffer`] all keep the same thing: a byte-bounded window
-//! of recently forwarded packets keyed by sequence number, evicted oldest
-//! first, with a per-sequence holdoff against NAK storms. This is that
-//! window, written once.
+//! Whether the buffer is placed at DTN 1, as the standby or as a mid-path
+//! transit hop, it keeps the same thing: a byte-bounded window of recently
+//! forwarded packets keyed by sequence number, evicted oldest first, with
+//! a per-sequence holdoff against NAK storms. This is that window.
 //!
 //! A stored packet is a *clone* of the forwarded one: the store owns a
 //! copy of the head (tens of bytes — so an age update applied downstream

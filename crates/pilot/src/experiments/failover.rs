@@ -131,7 +131,7 @@ fn result(
         recovered: r.receiver.recovered,
         nak_retries_exhausted: r.receiver.nak_retries_exhausted,
         rehomed: r.receiver_retransmit_source == Some((addrs::STANDBY, STANDBY_NAK_PORT)),
-        standby_served: r.standby.map(|s| s.served).unwrap_or(0),
+        standby_served: r.standby.map(|s| s.retransmitted).unwrap_or(0),
         transitions,
         recovery_latency: r
             .completed_at

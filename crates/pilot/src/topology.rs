@@ -5,7 +5,6 @@ use mmt_core::buffer::{RetransmitBuffer, PORT_DAQ, PORT_WAN};
 use mmt_core::controller::{HealthSample, ModeController, ModeTransition};
 use mmt_core::receiver::{MmtReceiver, ReceiverConfig, ReceiverStats};
 use mmt_core::sender::{MmtSender, SenderConfig, SenderStats};
-use mmt_core::standby::{StandbyBuffer, StandbyBufferStats};
 use mmt_dataplane::parser::build_eth_control_frame;
 use mmt_dataplane::programs::{self, BorderConfig};
 use mmt_dataplane::{DataplaneElement, ElementStats};
@@ -194,8 +193,12 @@ impl Pilot {
                 sim.add_node(
                     "standby",
                     Box::new(
-                        StandbyBuffer::new(addrs::STANDBY, STANDBY_NAK_PORT, 256 * 1024 * 1024)
-                            .with_retx_holdoff(config.retx_holdoff),
+                        RetransmitBuffer::standby(
+                            addrs::STANDBY,
+                            STANDBY_NAK_PORT,
+                            256 * 1024 * 1024,
+                        )
+                        .with_retx_holdoff(config.retx_holdoff),
                     ),
                 ),
             )
@@ -244,12 +247,12 @@ impl Pilot {
                 dtn1,
                 PORT_WAN,
                 sb,
-                mmt_core::standby::PORT_UP,
+                PORT_DAQ,
                 LinkSpec::new(config.wan_bandwidth, short),
             );
             sim.connect(
                 sb,
-                mmt_core::standby::PORT_DOWN,
+                PORT_WAN,
                 tofino,
                 0,
                 LinkSpec::new(config.wan_bandwidth, short),
@@ -427,7 +430,7 @@ impl Pilot {
                     if let Some(sb) = self.standby {
                         self.inject_mode_change(
                             sb,
-                            mmt_core::standby::PORT_DOWN,
+                            PORT_WAN,
                             ModeChangeRepr {
                                 config_id: 1,
                                 features,
@@ -516,7 +519,7 @@ impl Pilot {
         self.node::<RetransmitBuffer>(self.dtn1)
             .export_metrics(self.sim.node_name(self.dtn1), &mut reg);
         if let Some(sb) = self.standby {
-            self.node::<StandbyBuffer>(sb)
+            self.node::<RetransmitBuffer>(sb)
                 .export_metrics(self.sim.node_name(sb), &mut reg);
         }
         self.node::<DataplaneElement>(self.tofino)
@@ -539,8 +542,9 @@ impl Pilot {
         let buffer: RetransmitBufferStats = self.node::<RetransmitBuffer>(self.dtn1).stats;
         let tofino: ElementStats = *self.node::<DataplaneElement>(self.tofino).stats();
         let dtn2: ElementStats = *self.node::<DataplaneElement>(self.dtn2_switch).stats();
-        let standby: Option<StandbyBufferStats> =
-            self.standby.map(|sb| self.node::<StandbyBuffer>(sb).stats);
+        let standby: Option<RetransmitBufferStats> = self
+            .standby
+            .map(|sb| self.node::<RetransmitBuffer>(sb).stats);
         let rcv = self.node::<MmtReceiver>(self.receiver);
         let receiver: ReceiverStats = rcv.stats;
         let receiver_retransmit_source = rcv.retransmit_source();
@@ -590,7 +594,7 @@ pub struct PilotReport {
     /// DTN 1 counters.
     pub buffer: RetransmitBufferStats,
     /// Standby buffer counters, when the topology has one.
-    pub standby: Option<StandbyBufferStats>,
+    pub standby: Option<RetransmitBufferStats>,
     /// Tofino2 element counters.
     pub tofino: ElementStats,
     /// DTN 2 NIC counters.
@@ -711,9 +715,9 @@ mod tests {
         let sb = r.standby.unwrap();
         assert_eq!(sb.tapped, 1_000, "standby taps every first copy");
         // Passive standby relays NAKs upstream and serves nothing.
-        assert!(sb.naks_seen > 0);
-        assert_eq!(sb.naks_forwarded, sb.naks_seen);
-        assert_eq!(sb.served, 0);
+        assert!(sb.naks_received > 0);
+        assert_eq!(sb.naks_forwarded, sb.naks_received);
+        assert_eq!(sb.retransmitted, 0);
         assert!(r.buffer.retransmitted > 0, "primary still serves NAKs");
         // The receiver still names the primary.
         assert_eq!(

@@ -439,7 +439,7 @@ fn cmd_pilot(flags: HashMap<String, String>) {
     if let Some(sb) = &r.standby {
         println!(
             "standby: tapped {}  naks seen {}  served {}  activations {}",
-            sb.tapped, sb.naks_seen, sb.served, sb.activations
+            sb.tapped, sb.naks_received, sb.retransmitted, sb.activations
         );
     }
     if let Some((addr, port)) = r.receiver_retransmit_source {

@@ -345,9 +345,9 @@ fn chaos_crash_failover_adaptive_8_seeds() {
         // retried NAK can be served twice, the duplicate deduped on
         // arrival, so served can exceed recovered but never trail it.
         assert!(
-            sb.served >= r.receiver.recovered && sb.served > 0,
+            sb.retransmitted >= r.receiver.recovered && sb.retransmitted > 0,
             "[seed {seed}] crash-adaptive: standby served {} vs recovered {}",
-            sb.served,
+            sb.retransmitted,
             r.receiver.recovered,
         );
     }

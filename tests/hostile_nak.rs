@@ -21,11 +21,7 @@ use mmt::io::{ReceiverSide, SenderSide};
 use mmt::netsim::{Input, Machine, Output, Packet, Time};
 use mmt::protocol::buffer::{PORT_DAQ, PORT_WAN};
 use mmt::protocol::receiver::NAK_ROUND_SEQS;
-use mmt::protocol::{standby, transit};
-use mmt::protocol::{
-    MmtReceiver, MmtSender, ReceiverConfig, RetransmitBuffer, SenderConfig, StandbyBuffer,
-    TransitBuffer,
-};
+use mmt::protocol::{MmtReceiver, MmtSender, ReceiverConfig, RetransmitBuffer, SenderConfig};
 use mmt::wire::mmt::{
     ControlRepr, ExperimentId, Features, MmtRepr, ModeChangeRepr, NakRange, NakRepr,
 };
@@ -210,17 +206,15 @@ fn standby_buffer_answers_wide_naks_from_what_it_holds() {
             retransmit_port: 47_001,
             window: 0,
         }));
-        let mut frames: Vec<_> = (0..HELD)
-            .map(|s| (standby::PORT_UP, wan_frame(s)))
-            .collect();
-        frames.push((standby::PORT_DOWN, activate));
-        let node = StandbyBuffer::new(STANDBY_ADDR, 47_001, 1 << 20);
-        let (node, out) = fill_then_nak(label, node, frames, standby::PORT_DOWN, ranges.clone());
+        let mut frames: Vec<_> = (0..HELD).map(|s| (PORT_DAQ, wan_frame(s))).collect();
+        frames.push((PORT_WAN, activate));
+        let node = RetransmitBuffer::standby(STANDBY_ADDR, 47_001, 1 << 20);
+        let (node, out) = fill_then_nak(label, node, frames, PORT_WAN, ranges.clone());
         assert!(node.is_active(), "{label}");
         let want = expected_sequences(&ranges);
-        assert_eq!(sequences_sent(&out, standby::PORT_DOWN), want, "{label}");
-        assert_eq!(node.stats.served, want.len() as u64, "{label}");
-        assert_eq!(node.stats.misses, expected_misses(&ranges), "{label}");
+        assert_eq!(sequences_sent(&out, PORT_WAN), want, "{label}");
+        assert_eq!(node.stats.retransmitted, want.len() as u64, "{label}");
+        assert_eq!(node.stats.nak_misses, expected_misses(&ranges), "{label}");
         // Something was missing, so the original NAK goes on upstream:
         // one more output, and nothing else.
         assert_eq!(node.stats.naks_forwarded, 1, "{label}");
@@ -231,22 +225,20 @@ fn standby_buffer_answers_wide_naks_from_what_it_holds() {
 #[test]
 fn transit_buffer_answers_wide_naks_from_what_it_holds() {
     for (label, ranges) in shapes() {
-        let node = TransitBuffer::new(Ipv4Address::new(10, 0, 0, 7), 47_001, 1 << 20);
-        let frames = (0..HELD)
-            .map(|s| (transit::PORT_UP, wan_frame(s)))
-            .collect();
-        let (node, out) = fill_then_nak(label, node, frames, transit::PORT_DOWN, ranges.clone());
+        let node = RetransmitBuffer::transit(Ipv4Address::new(10, 0, 0, 7), 47_001, 1 << 20);
+        let frames = (0..HELD).map(|s| (PORT_DAQ, wan_frame(s))).collect();
+        let (node, out) = fill_then_nak(label, node, frames, PORT_WAN, ranges.clone());
         let want = expected_sequences(&ranges);
-        assert_eq!(sequences_sent(&out, transit::PORT_DOWN), want, "{label}");
-        assert_eq!(node.stats.served, want.len() as u64, "{label}");
-        assert_eq!(node.stats.renaked, expected_misses(&ranges), "{label}");
+        assert_eq!(sequences_sent(&out, PORT_WAN), want, "{label}");
+        assert_eq!(node.stats.retransmitted, want.len() as u64, "{label}");
+        assert_eq!(node.stats.nak_misses, expected_misses(&ranges), "{label}");
         // The remainder is re-NAKed upstream as compact ranges: one per
         // request at most here, not one per missing sequence.
         assert_eq!(out.len(), want.len() + 1, "{label}");
         let Some(Output::Transmit { port, pkt }) = out.last() else {
             panic!("{label}: no re-NAK");
         };
-        assert_eq!(*port, transit::PORT_UP, "{label}");
+        assert_eq!(*port, PORT_DAQ, "{label}");
         let mmt = FrameView::of(pkt).mmt_bytes().expect("re-NAK is MMT");
         let Ok((_, ControlRepr::Nak(upstream))) = ControlRepr::parse_packet(mmt) else {
             panic!("{label}: the upstream message is not a NAK");

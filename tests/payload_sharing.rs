@@ -20,9 +20,7 @@ use mmt::dataplane::parser::{
 use mmt::dataplane::programs;
 use mmt::netsim::{Packet, PortId, Tail, Time};
 use mmt::protocol::buffer::{PORT_DAQ, PORT_WAN};
-use mmt::protocol::{
-    Input, Machine, MmtSender, Output, RetransmitBuffer, SenderConfig, StandbyBuffer,
-};
+use mmt::protocol::{Input, Machine, MmtSender, Output, RetransmitBuffer, SenderConfig};
 use mmt::wire::mmt::{
     ControlRepr, ExperimentId, Features, MmtRepr, ModeChangeRepr, NakRange, NakRepr,
 };
@@ -190,11 +188,11 @@ fn every_copy_of_a_message_points_at_one_payload_allocation() {
     assert_eq!(Arc::strong_count(&payload), base + 3);
 
     // The standby's tap and its re-stamped service share it too.
-    let mut standby = StandbyBuffer::new(Ipv4Address::new(10, 0, 0, 6), 47_001, 1 << 20);
+    let mut standby = RetransmitBuffer::standby(Ipv4Address::new(10, 0, 0, 6), 47_001, 1 << 20);
     standby.poll(
         now,
         Input::Frame {
-            port: mmt::protocol::standby::PORT_UP,
+            port: PORT_DAQ,
             pkt: wan[0].clone(),
         },
         &mut out,
