@@ -91,10 +91,14 @@ mod tests {
         let spec = LinkSpec::new(Bandwidth::gbps(10), Time::from_micros(1));
         sim.connect(a, 0, relay, 0, spec);
         sim.connect(relay, 1, b, 0, spec);
-        sim.inject(Time::ZERO, relay, 0, Packet::new(vec![0u8; 100]));
+        // Frames cross untouched: E1's source-retransmit arm relies on
+        // the retransmit source DTN 1 wrote reaching the receiver.
+        let frame: Vec<u8> = (0..100).collect();
+        sim.inject(Time::ZERO, relay, 0, Packet::new(frame.clone()));
         sim.inject(Time::ZERO, relay, 1, Packet::new(vec![0u8; 100]));
         sim.run();
         assert_eq!(sim.local_deliveries(b).len(), 1);
+        assert_eq!(sim.local_deliveries(b)[0].1.bytes, frame);
         assert_eq!(sim.local_deliveries(a).len(), 1);
         assert_eq!(sim.node_as::<Relay>(relay).unwrap().forwarded, 2);
     }
