@@ -448,15 +448,16 @@ impl RetransmitBuffer {
         }
     }
 
-    /// Sequence numbers currently retained, in map-iteration order. The
-    /// order itself is part of the determinism contract — see
-    /// `mmt_buffer_stored_seq_digest`.
+    /// Sequence numbers currently retained, ascending. The order is part
+    /// of the determinism contract: `mmt_buffer_stored_seq_digest` folds
+    /// the sequences in this order.
     pub fn stored_seqs(&self) -> Vec<u64> {
         self.store.seqs().collect()
     }
 
-    /// The copy retained for `seq`: what a NAK for it would be served from.
-    pub fn stored(&self, seq: u64) -> Option<&Packet> {
+    /// A copy of what is retained for `seq`: what a NAK for it would be
+    /// served.
+    pub fn stored(&self, seq: u64) -> Option<Packet> {
         self.store.get(seq)
     }
 
@@ -514,7 +515,7 @@ impl RetransmitBuffer {
                         let copy = if restamp {
                             restamped(held, own)
                         } else {
-                            Some(held.clone())
+                            Some(held)
                         };
                         match copy {
                             Some(pkt) => {
@@ -705,13 +706,14 @@ impl RetransmitBuffer {
 
 /// The copy of `held` a standby serves: its RETRANSMIT extension
 /// re-stamped to `own`, so the recovered copy teaches the receiver that
-/// NAKs now resolve here, not at the dead primary. The only copy made:
-/// its head rewritten in place, the stored payload shared.
-fn restamped(held: &Packet, (source, port): (Ipv4Address, u16)) -> Option<Packet> {
-    let mut parsed = ParsedPacket::of(held.clone(), PORT_DAQ);
+/// NAKs now resolve here, not at the dead primary. The served copy's
+/// head is rewritten in place, the stored payload shared.
+fn restamped(held: Packet, (source, port): (Ipv4Address, u16)) -> Option<Packet> {
+    let meta = held.meta;
+    let mut parsed = ParsedPacket::of(held, PORT_DAQ);
     let repr = parsed.mmt_repr()?;
     parsed.rewrite_mmt(&repr.with_retransmit(source, port));
-    Some(parsed.into_packet(held.meta))
+    Some(parsed.into_packet(meta))
 }
 
 impl Machine for RetransmitBuffer {
@@ -1327,6 +1329,22 @@ mod tests {
         // Each frame is 100 bytes (14 eth + 22 MMT + 64 payload): 3 fit.
         assert!(b.stored_count() <= 3, "{}", b.stored_count());
         assert!(b.stats.evicted >= 7);
+    }
+
+    #[test]
+    fn a_late_low_first_copy_is_evicted_before_higher_ones() {
+        // The store evicts the lowest sequence first, not the oldest
+        // arrival: a late first copy of 5 is kept (10 goes to make room),
+        // then is the first to go when 13 needs room.
+        let (mut sim, mid, _, _) = setup(transit(300));
+        for (t, s) in [10u64, 11, 12, 5, 13].into_iter().enumerate() {
+            sim.inject(Time::from_micros(t as u64), mid, PORT_DAQ, wan_frame(s));
+        }
+        sim.run();
+        let b = buffer(&sim, mid);
+        assert_eq!(b.stored_seqs(), vec![11, 12, 13]);
+        assert_eq!(b.stats.tapped, 5);
+        assert_eq!(b.stats.evicted, 2);
     }
 
     #[test]

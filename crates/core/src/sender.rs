@@ -338,7 +338,7 @@ mod tests {
         assert!(stats.credit_stalls > 0);
     }
 
-    /// ROADMAP item 5, "a lost credit stalls the sender", pinned as it is
+    /// ROADMAP item 8, "a lost credit stalls the sender", pinned as it is
     /// observed today: a zero window with no grant after it parks the pump
     /// at `Some(0)` without arming a wake, so the run drains with messages
     /// unsent and nothing ever retries. Item 5's zero-window persist probe
@@ -374,14 +374,14 @@ mod tests {
         assert!(out.is_empty(), "no WakeAt, no datagram: {out:?}");
     }
 
-    /// ROADMAP item 5, "a lost credit stalls the sender", as the outcome
+    /// ROADMAP item 8, "a lost credit stalls the sender", as the outcome
     /// it should have. One grant of 10 arrives and the next one is lost.
     /// The sender should get going again on its own (a zero-window persist
     /// probe). Observed today: it sends 11 of 50 (message 0 went before the
     /// grant), parks at `Some(0)` with no wake armed, and is still stalled
     /// at the deadline.
     #[test]
-    #[ignore = "ROADMAP item 5: one lost credit grant stalls the sender until the deadline"]
+    #[ignore = "ROADMAP item 8: one lost credit grant stalls the sender until the deadline"]
     fn one_lost_credit_grant_does_not_stall_the_sender_until_the_deadline() {
         let mut sim = Simulator::new(1);
         let exp = ExperimentId::new(2, 0);

@@ -57,11 +57,6 @@ impl DataplaneElement {
         &self.pipeline
     }
 
-    /// Mutable pipeline access (control-plane reconfiguration).
-    pub fn pipeline_mut(&mut self) -> &mut Pipeline {
-        &mut self.pipeline
-    }
-
     /// Export the element's counters (and its pipeline's per-table
     /// hit/miss counters) into a metric registry. `element` becomes the
     /// `element` label on every series.

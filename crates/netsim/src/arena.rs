@@ -262,11 +262,6 @@ impl PacketArena {
         self.spare.push(pkt.bytes);
     }
 
-    /// Return a raw buffer to the spare pool.
-    pub fn recycle_bytes(&mut self, bytes: Vec<u8>) {
-        self.spare.push(bytes);
-    }
-
     /// Number of live slots.
     pub fn live(&self) -> usize {
         self.live
@@ -275,11 +270,6 @@ impl PacketArena {
     /// Total slots ever created (live + free).
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Buffers waiting in the spare pool.
-    pub fn spare_len(&self) -> usize {
-        self.spare.len()
     }
 
     /// Allocation counters.

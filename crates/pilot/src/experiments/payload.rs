@@ -396,7 +396,7 @@ mod tests {
         // What a NAK would be served from still decodes as first sent.
         let held = store.get(0).unwrap();
         assert!(!held.tail.shares_with(&forwarded.tail));
-        let payload = FrameView::of(held).payload().unwrap().contiguous();
+        let payload = FrameView::of(&held).payload().unwrap().contiguous();
         assert_eq!(TriggerRecord::decode(&payload).unwrap(), record);
     }
 

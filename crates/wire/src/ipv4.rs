@@ -151,11 +151,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Protocol::from_u8(self.buffer.as_ref()[field::PROTOCOL])
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        read_u16(self.buffer.as_ref(), field::CHECKSUM.start)
-    }
-
     /// Source address.
     pub fn src_addr(&self) -> Ipv4Address {
         Ipv4Address::from_bytes(&self.buffer.as_ref()[field::SRC])
