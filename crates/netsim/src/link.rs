@@ -240,16 +240,15 @@ impl LinkStats {
 /// three where a link straddles one. (`align(64)` would guarantee two,
 /// but measured no faster and ~85 B/flow more fleet RSS: the allocator
 /// cannot grow an over-aligned `Vec<Link>` in place.) The loss model and
-/// its stream, the fault spec and state, the rare counters and the source
-/// (crash flushes and exports only) follow.
+/// its stream, the fault box, the rare counters and the source (crash
+/// flushes and exports only) follow. A link without faults holds no
+/// fault spec or state at all: one null pointer.
 #[derive(Debug)]
 #[repr(C)]
 pub(crate) struct Link {
     /// Whether the transmitter is serializing a packet. While it is not,
     /// the queue is empty.
     pub(crate) busy: bool,
-    /// `fault.is_none()`, fixed at construction.
-    pub(crate) fault_free: bool,
     /// `loss == LossModel::None`, fixed at construction.
     pub(crate) lossless: bool,
     pub(crate) dst_node: usize,
@@ -267,8 +266,9 @@ pub(crate) struct Link {
     pub(crate) loss: LossModel,
     pub(crate) rng: SimRng,
     pub(crate) loss_state: LossState,
-    pub(crate) fault: FaultSpec,
-    pub(crate) fault_state: FaultState,
+    /// The fault spec and its state, only where the spec injects
+    /// something.
+    pub(crate) fault: Option<Box<(FaultSpec, FaultState)>>,
     pub(crate) mtu_drops: u64,
     pub(crate) queue_drops: u64,
     pub(crate) corruption_losses: u64,
@@ -280,18 +280,27 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    /// Create the runtime state for a link.
+    /// Create the runtime state for the simulator's `index`-th link,
+    /// forking its random streams from `streams`.
     pub(crate) fn new(
         spec: LinkSpec,
         src_node: usize,
         dst_node: usize,
         dst_port: usize,
-        rng: SimRng,
-        fault_rng: SimRng,
+        index: usize,
+        streams: &mut SimRng,
     ) -> Link {
+        // The fault stream is frozen-forked BEFORE the loss fork advances
+        // the parent, so pre-fault seeds reproduce their exact loss
+        // sequences on every link. A frozen fork leaves the parent as it
+        // was, so a fault-free link skips it and changes no stream.
+        let fault = (!spec.fault.is_none()).then(|| {
+            let rng = streams.fork_frozen(index as u64 + 0xFA17_0000);
+            Box::new((spec.fault, FaultState::new(rng)))
+        });
+        let rng = streams.fork(index as u64 + 0x1000);
         Link {
             busy: false,
-            fault_free: spec.fault.is_none(),
             lossless: spec.loss == LossModel::None,
             dst_node,
             dst_port,
@@ -308,8 +317,7 @@ impl Link {
             loss: spec.loss,
             rng,
             loss_state: LossState::default(),
-            fault: spec.fault,
-            fault_state: FaultState::new(fault_rng),
+            fault,
             mtu_drops: 0,
             queue_drops: 0,
             corruption_losses: 0,
@@ -422,6 +430,12 @@ mod tests {
         // (`queue::tests`).
         let hot_end = offset_of!(Link, queue) + size_of::<usize>() + size_of::<QueueSpec>();
         assert_eq!(hot_end, 120);
+    }
+
+    #[test]
+    fn a_fault_free_link_is_296_bytes() {
+        // Its fault spec and state are one null pointer, not 136 bytes.
+        assert_eq!(std::mem::size_of::<Link>(), 296);
     }
 
     #[test]

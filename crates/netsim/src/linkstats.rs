@@ -16,10 +16,15 @@
 //! merged block is materialized into real registry rows *once*, after
 //! the last group has been folded. Rendered output is byte-identical
 //! to the eager path; only the intermediate representation changes.
+//!
+//! A block keeps no index. Every fleet group exports the same
+//! `(link, src, dst)` identities in the same order, so a merge folds
+//! row by row; only blocks with different layouts pay for a keyed
+//! merge, through an index built for that merge alone.
 
 use std::collections::BTreeMap;
 
-use mmt_telemetry::{LabelSet, MetricRegistry};
+use mmt_telemetry::{LabelSet, MetricRegistry, MetricValue};
 
 /// Per-link counters, in export order (values are written sparsely:
 /// zero cells produce no row, matching the eager exporter).
@@ -49,7 +54,7 @@ pub const LINK_GAUGES: [&str; 4] = [
 ];
 
 /// One packed link row: identity plus every exported cell as a plain
-/// word. Gauges store `f64` bits. ~150 B/link, no per-row heap.
+/// word. Gauges store `f64` bits. 152 B/link, no per-row heap.
 #[derive(Debug, Clone)]
 struct PackedLinkRow {
     /// Group-local link index (the `link` label value).
@@ -64,14 +69,16 @@ struct PackedLinkRow {
     gauges: [u64; LINK_GAUGES.len()],
 }
 
-/// A dense table of per-link metric cells; see the module docs.
+/// A dense table of per-link metric cells; see the module docs. No two
+/// rows share an identity.
 #[derive(Debug, Clone, Default)]
 pub struct LinkStatsBlock {
     /// Interned node names (label values), deduplicated.
     names: Vec<String>,
     rows: Vec<PackedLinkRow>,
-    /// Merge index: `(link, src, dst)` → row position.
-    index: BTreeMap<(u32, u32, u32), usize>,
+    /// Above every row's link index: a push at or above it is a new
+    /// identity without a search.
+    link_bound: u32,
 }
 
 impl LinkStatsBlock {
@@ -107,7 +114,16 @@ impl LinkStatsBlock {
             .unwrap_or("")
     }
 
-    /// Record one link's export snapshot.
+    fn append(&mut self, row: PackedLinkRow) {
+        self.link_bound = self.link_bound.max(row.link.saturating_add(1));
+        self.rows.push(row);
+    }
+
+    /// Record one link's export snapshot. A link index above every row's
+    /// is a new identity (an export pushes its links in ascending
+    /// order); any other push folds into an earlier row of the same
+    /// identity like a merge, so the block stays equivalent to two
+    /// absorbed registries.
     pub fn push(
         &mut self,
         link: u32,
@@ -122,51 +138,67 @@ impl LinkStatsBlock {
         for (cell, value) in bits.iter_mut().zip(gauges) {
             *cell = value.to_bits();
         }
-        let key = (link, src, dst);
-        match self.index.get(&key) {
-            Some(&at) => {
-                // Same identity pushed twice: fold like a merge so the
-                // block stays equivalent to two absorbed registries.
-                if let Some(row) = self.rows.get_mut(at) {
-                    fold_row(row, &counters, &bits);
-                }
-            }
-            None => {
-                self.index.insert(key, self.rows.len());
-                self.rows.push(PackedLinkRow {
-                    link,
-                    src,
-                    dst,
-                    counters,
-                    gauges: bits,
-                });
-            }
+        let earlier = if link < self.link_bound {
+            (self.rows.iter_mut()).find(|r| (r.link, r.src, r.dst) == (link, src, dst))
+        } else {
+            None
+        };
+        match earlier {
+            Some(row) => fold_row(row, &counters, &bits),
+            None => self.append(PackedLinkRow {
+                link,
+                src,
+                dst,
+                counters,
+                gauges: bits,
+            }),
         }
     }
 
     /// Fold another block into this one: counters add; gauges are
     /// overwritten by nonzero incoming cells (a zero gauge was never
-    /// exported by the eager path, so it must not clobber).
+    /// exported by the eager path, so it must not clobber). Blocks that
+    /// list the same identities in the same order fold row by row;
+    /// others merge by identity.
     pub fn merge_from(&mut self, other: &LinkStatsBlock) {
+        // `other`'s name ids, as this block interns them.
+        let names: Vec<u32> = other.names.iter().map(|n| self.intern(n)).collect();
+        let identity = |row: &PackedLinkRow| {
+            let name = |id: u32| names.get(id as usize).copied().unwrap_or(u32::MAX);
+            (row.link, name(row.src), name(row.dst))
+        };
+        let adopt = |row: &PackedLinkRow| {
+            let (link, src, dst) = identity(row);
+            PackedLinkRow {
+                link,
+                src,
+                dst,
+                ..row.clone()
+            }
+        };
+        if self.rows.is_empty() {
+            self.rows = other.rows.iter().map(adopt).collect();
+            self.link_bound = other.link_bound;
+            return;
+        }
+        let aligned = self.rows.len() == other.rows.len()
+            && (self.rows.iter().zip(&other.rows))
+                .all(|(mine, row)| (mine.link, mine.src, mine.dst) == identity(row));
+        if aligned {
+            for (mine, row) in self.rows.iter_mut().zip(&other.rows) {
+                fold_row(mine, &row.counters, &row.gauges);
+            }
+            return;
+        }
+        let mut index: BTreeMap<(u32, u32, u32), usize> = (self.rows.iter().enumerate())
+            .map(|(at, r)| ((r.link, r.src, r.dst), at))
+            .collect();
         for row in &other.rows {
-            let src = self.intern(other.name(row.src));
-            let dst = self.intern(other.name(row.dst));
-            let key = (row.link, src, dst);
-            match self.index.get(&key) {
-                Some(&at) => {
-                    if let Some(mine) = self.rows.get_mut(at) {
-                        fold_row(mine, &row.counters, &row.gauges);
-                    }
-                }
+            match index.get(&identity(row)) {
+                Some(&at) => fold_row(&mut self.rows[at], &row.counters, &row.gauges),
                 None => {
-                    self.index.insert(key, self.rows.len());
-                    self.rows.push(PackedLinkRow {
-                        link: row.link,
-                        src,
-                        dst,
-                        counters: row.counters,
-                        gauges: row.gauges,
-                    });
+                    index.insert(identity(row), self.rows.len());
+                    self.append(adopt(row));
                 }
             }
         }
@@ -175,28 +207,39 @@ impl LinkStatsBlock {
     /// Materialize real registry rows — byte-identical to the eager
     /// per-link exporter run over the same (merged) stats: zero cells
     /// are omitted, everything else lands under the `link`/`src`/`dst`
-    /// label set the eager path used.
+    /// label set the eager path used. Rows are sorted by label set once,
+    /// and each metric's series is then built in one bulk insert.
     // mmt-lint: cold
     pub fn materialize(&self, reg: &mut MetricRegistry) {
-        for row in &self.rows {
-            let link_s = row.link.to_string();
-            let labels = LabelSet::new(&[
-                ("link", link_s.as_str()),
-                ("src", self.name(row.src)),
-                ("dst", self.name(row.dst)),
-            ]);
-            for (name, value) in LINK_COUNTERS.iter().zip(row.counters) {
-                if value != 0 {
-                    reg.counter_add_set(name, &labels, value);
-                }
-            }
-            for (name, bits) in LINK_GAUGES.iter().zip(row.gauges) {
-                let value = f64::from_bits(bits);
+        if !reg.is_enabled() {
+            return;
+        }
+        let mut rows: Vec<(LabelSet, &PackedLinkRow)> = (self.rows.iter())
+            .map(|row| {
+                let link_s = row.link.to_string();
+                let labels = LabelSet::new(&[
+                    ("link", link_s.as_str()),
+                    ("src", self.name(row.src)),
+                    ("dst", self.name(row.dst)),
+                ]);
+                (labels, row)
+            })
+            .collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (cell, name) in LINK_COUNTERS.iter().enumerate() {
+            let series = rows.iter().filter_map(|(labels, row)| {
+                let value = row.counters[cell];
+                (value != 0).then(|| (labels.clone(), MetricValue::Counter(value)))
+            });
+            reg.extend(name, series);
+        }
+        for (cell, name) in LINK_GAUGES.iter().enumerate() {
+            let series = rows.iter().filter_map(|(labels, row)| {
+                let value = f64::from_bits(row.gauges[cell]);
                 // mmt-lint: allow(F1, "exact zero test on export-time gauge cells; mirrors the eager exporter's sparseness rule")
-                if value != 0.0 {
-                    reg.gauge_set_set(name, &labels, value);
-                }
-            }
+                (value != 0.0).then(|| (labels.clone(), MetricValue::Gauge(value)))
+            });
+            reg.extend(name, series);
         }
     }
 }
@@ -220,6 +263,7 @@ fn fold_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use mmt_telemetry::prometheus;
 
     fn eager(reg: &mut MetricRegistry, link: u32, src: &str, dst: &str, tx: u64, util: f64) {
@@ -241,22 +285,122 @@ mod tests {
         (counters, gauges)
     }
 
+    /// One exported row: identity and cells.
+    type Row = (u32, &'static str, &'static str, [u64; 13], [f64; 4]);
+
+    /// The eager per-row exporter: one registry write per nonzero cell.
+    fn eager_row(reg: &mut MetricRegistry, (link, src, dst, counters, gauges): &Row) {
+        let link_s = link.to_string();
+        let labels = LabelSet::new(&[("link", link_s.as_str()), ("src", src), ("dst", dst)]);
+        for (name, &value) in LINK_COUNTERS.iter().zip(counters) {
+            if value != 0 {
+                reg.counter_add_set(name, &labels, value);
+            }
+        }
+        for (name, &value) in LINK_GAUGES.iter().zip(gauges) {
+            if value != 0.0 {
+                reg.gauge_set_set(name, &labels, value);
+            }
+        }
+    }
+
+    /// A random group export over `base`: the same identities in the
+    /// same order, a permutation of them (now and then with one pushed
+    /// twice), or a partial overlap with identities of its own. About
+    /// half of all cells are zero.
+    fn random_group(rng: &mut SimRng, base: &[(u32, &'static str, &'static str)]) -> Vec<Row> {
+        let mut ids = base.to_vec();
+        match rng.next_bounded(3) {
+            0 => {}
+            1 => {
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.next_bounded(i as u64 + 1) as usize);
+                }
+                if !ids.is_empty() && rng.chance(0.3) {
+                    ids.push(ids[rng.next_bounded(ids.len() as u64) as usize]);
+                }
+            }
+            _ => {
+                ids.retain(|_| rng.chance(0.6));
+                for k in 0..rng.next_bounded(4) {
+                    ids.push((100 + k as u32, "sensor", "standby"));
+                }
+            }
+        }
+        let cell = |rng: &mut SimRng| {
+            if rng.chance(0.5) {
+                0
+            } else {
+                1 + rng.next_bounded(1000)
+            }
+        };
+        ids.into_iter()
+            .map(|(link, src, dst)| {
+                let counters = std::array::from_fn(|_| cell(rng));
+                let gauges = std::array::from_fn(|_| cell(rng) as f64 / 8.0);
+                (link, src, dst, counters, gauges)
+            })
+            .collect()
+    }
+
     #[test]
     fn materialized_rows_match_the_eager_exporter() {
-        let mut eager_reg = MetricRegistry::new();
-        eager(&mut eager_reg, 0, "sensor", "dtn", 7, 0.25);
-        eager(&mut eager_reg, 1, "sensor", "dtn", 0, 0.5); // zero counter omitted
-        let mut block = LinkStatsBlock::new();
-        let (c0, g0) = block_row(0, 7, 0.25);
-        block.push(0, "sensor", "dtn", c0, g0);
-        let (c1, g1) = block_row(1, 0, 0.5);
-        block.push(1, "sensor", "dtn", c1, g1);
-        let mut packed_reg = MetricRegistry::new();
-        block.materialize(&mut packed_reg);
-        assert_eq!(
-            prometheus::render(&eager_reg),
-            prometheus::render(&packed_reg)
-        );
+        let names = ["sensor", "dtn", "standby"];
+        let mut rng = SimRng::new(0x11CE);
+        for trial in 0..200 {
+            let base: Vec<_> = (0..rng.next_bounded(12) as u32)
+                .map(|link| {
+                    let src = names[rng.next_bounded(2) as usize];
+                    (link, src, names[1 + rng.next_bounded(2) as usize])
+                })
+                .collect();
+            let groups: Vec<Vec<Row>> = (0..1 + rng.next_bounded(4))
+                .map(|_| random_group(&mut rng, &base))
+                .collect();
+            // Reference: every group's rows written eagerly, in order.
+            let mut eager_reg = MetricRegistry::new();
+            let mut merged = LinkStatsBlock::new();
+            for rows in &groups {
+                let mut block = LinkStatsBlock::new();
+                for row in rows {
+                    eager_row(&mut eager_reg, row);
+                    let (link, src, dst, counters, gauges) = *row;
+                    block.push(link, src, dst, counters, gauges);
+                }
+                merged.merge_from(&block);
+            }
+            let mut packed_reg = MetricRegistry::new();
+            merged.materialize(&mut packed_reg);
+            assert_eq!(
+                prometheus::render(&eager_reg),
+                prometheus::render(&packed_reg),
+                "trial {trial}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_gauge_keeps_an_earlier_nonzero_one() {
+        let row = |util: f64| -> Row { (0, "sensor", "dtn", [0; 13], [util, 0.0, 0.0, 0.0]) };
+        for layout in [[row(0.5), row(0.0)], [row(0.0), row(0.5)]] {
+            let mut eager_reg = MetricRegistry::new();
+            let mut merged = LinkStatsBlock::new();
+            for r in &layout {
+                eager_row(&mut eager_reg, r);
+                let mut block = LinkStatsBlock::new();
+                let (link, src, dst, counters, gauges) = *r;
+                block.push(link, src, dst, counters, gauges);
+                merged.merge_from(&block);
+            }
+            let mut packed_reg = MetricRegistry::new();
+            merged.materialize(&mut packed_reg);
+            let labels = [("link", "0"), ("src", "sensor"), ("dst", "dtn")];
+            assert_eq!(packed_reg.gauge("mmt_link_utilization", &labels), Some(0.5));
+            assert_eq!(
+                prometheus::render(&eager_reg),
+                prometheus::render(&packed_reg)
+            );
+        }
     }
 
     #[test]

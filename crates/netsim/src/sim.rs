@@ -12,22 +12,58 @@ use crate::time::Time;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::wheel::TimerWheel;
 
+/// One scheduled event: 16 bytes, so a wheel slab entry is 40. A packet
+/// in flight waits in the simulator's [`InFlight`] store, not here.
 #[derive(Debug)]
 enum EventKind {
-    /// A packet arrives at a node's port (propagation finished).
-    Arrive {
-        node: usize,
-        port: PortId,
-        pkt: Packet,
-    },
+    /// A packet arrives at a node's port (propagation finished); `pkt`
+    /// is its [`InFlight`] handle.
+    Arrive { node: u32, port: u32, pkt: u32 },
     /// A link transmitter finished serializing; it may start the next packet.
-    TxComplete { link: usize },
+    TxComplete { link: u32 },
     /// A node timer fires.
-    Timer { node: usize, token: TimerToken },
+    Timer { node: u32, token: TimerToken },
     /// A scheduled node crash takes effect.
-    NodeCrash { node: usize },
+    NodeCrash { node: u32 },
     /// A crashed node comes back up.
-    NodeRestart { node: usize },
+    NodeRestart { node: u32 },
+}
+
+/// Packets between the wire and their `Arrive` event: a slab with a free
+/// list, addressed by the `u32` handle the event carries.
+#[derive(Debug, Default)]
+struct InFlight {
+    slots: Vec<Option<Packet>>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    /// Park `pkt` until its arrival; returns its handle.
+    fn park(&mut self, pkt: Packet) -> u32 {
+        match self.free.pop() {
+            Some(at) => {
+                self.slots[at as usize] = Some(pkt);
+                at
+            }
+            None => {
+                self.slots.push(Some(pkt));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take the packet behind a handle and free its slot.
+    fn take(&mut self, at: u32) -> Option<Packet> {
+        let pkt = self.slots.get_mut(at as usize)?.take()?;
+        self.free.push(at);
+        Some(pkt)
+    }
+
+    /// Packets parked now.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 struct NodeEntry {
@@ -75,6 +111,7 @@ pub struct Simulator {
     now: Time,
     next_packet_id: u64,
     events: TimerWheel<EventKind>,
+    in_flight: InFlight,
     nodes: Vec<NodeEntry>,
     links: Vec<Link>,
     rng: SimRng,
@@ -92,6 +129,7 @@ impl Simulator {
             now: Time::ZERO,
             next_packet_id: 1,
             events: TimerWheel::new(),
+            in_flight: InFlight::default(),
             nodes: Vec::new(),
             links: Vec::new(),
             rng: SimRng::new(seed),
@@ -233,7 +271,7 @@ impl Simulator {
 
     /// The fleet-scale variant of [`export_metrics`]: everything *except*
     /// the per-link rows lands in `reg`; the per-link cells come back as
-    /// a packed [`LinkStatsBlock`] (~150 B/link, no per-row heap) for
+    /// a packed [`LinkStatsBlock`] (152 B/link, no per-row heap, no index) for
     /// the caller to merge across groups and materialize once. HELP
     /// strings for the link metrics are still described into `reg`, so
     /// an absorbed registry renders identically.
@@ -451,13 +489,8 @@ impl Simulator {
         spec: LinkSpec,
     ) -> LinkId {
         let link_idx = self.links.len();
-        // The fault stream is frozen-forked BEFORE the loss fork advances
-        // the parent, so pre-fault seeds reproduce their exact loss
-        // sequences on every link.
-        let fault_rng = self.rng.fork_frozen(link_idx as u64 + 0xFA17_0000);
-        let rng = self.rng.fork(link_idx as u64 + 0x1000);
-        self.links
-            .push(Link::new(spec, src.0, dst.0, dst_port, rng, fault_rng));
+        let link = Link::new(spec, src.0, dst.0, dst_port, link_idx, &mut self.rng);
+        self.links.push(link);
         let ports = &mut self.nodes[src.0].ports;
         if ports.len() <= src_port {
             ports.resize(src_port + 1, None);
@@ -502,14 +535,7 @@ impl Simulator {
         if pkt.meta.created_at == Time::ZERO {
             pkt.meta.created_at = at;
         }
-        self.push_event(
-            at,
-            EventKind::Arrive {
-                node: node.0,
-                port,
-                pkt,
-            },
-        );
+        self.push_arrive(at, node.0, port, pkt);
     }
 
     /// Schedule a timer for a node from outside a callback.
@@ -518,7 +544,7 @@ impl Simulator {
         self.push_event(
             at,
             EventKind::Timer {
-                node: node.0,
+                node: node.0 as u32,
                 token,
             },
         );
@@ -541,9 +567,19 @@ impl Simulator {
         assert!(crash_at >= self.now, "cannot schedule a crash in the past");
         if let Some(up_at) = restart_at {
             assert!(up_at > crash_at, "restart must come after the crash");
-            self.push_event(up_at, EventKind::NodeRestart { node: node.0 });
+            self.push_event(
+                up_at,
+                EventKind::NodeRestart {
+                    node: node.0 as u32,
+                },
+            );
         }
-        self.push_event(crash_at, EventKind::NodeCrash { node: node.0 });
+        self.push_event(
+            crash_at,
+            EventKind::NodeCrash {
+                node: node.0 as u32,
+            },
+        );
     }
 
     /// Whether a node is currently crashed.
@@ -606,6 +642,19 @@ impl Simulator {
         self.events.schedule(at.as_nanos(), kind);
     }
 
+    /// Park `pkt` in the in-flight store and schedule its arrival.
+    fn push_arrive(&mut self, at: Time, node: usize, port: PortId, pkt: Packet) {
+        let pkt = self.in_flight.park(pkt);
+        self.push_event(
+            at,
+            EventKind::Arrive {
+                node: node as u32,
+                port: port as u32,
+                pkt,
+            },
+        );
+    }
+
     fn ensure_started(&mut self) {
         if self.started {
             return;
@@ -639,7 +688,13 @@ impl Simulator {
                 Output::WakeAt { at, token } => {
                     // An instant already gone fires at once.
                     let at = at.max(self.now);
-                    self.push_event(at, EventKind::Timer { node: idx, token });
+                    self.push_event(
+                        at,
+                        EventKind::Timer {
+                            node: idx as u32,
+                            token,
+                        },
+                    );
                 }
                 Output::DeliverLocal { pkt } => {
                     self.trace.record(TraceEvent {
@@ -752,14 +807,16 @@ impl Simulator {
         let (dst_node, dst_port) = (link.dst_node, link.dst_port);
         // The fault layer only sees packets the loss model spared; its
         // verdict is drawn from a dedicated RNG stream.
-        let verdict = if lost || link.fault_free {
-            FaultVerdict::Deliver {
+        let verdict = match &mut link.fault {
+            Some(fault) if !lost => {
+                let (spec, state) = &mut **fault;
+                state.apply(spec, self.now, meta.control)
+            }
+            _ => FaultVerdict::Deliver {
                 extra_delay: Time::ZERO,
                 duplicate_after: None,
                 reordered: false,
-            }
-        } else {
-            link.fault_state.apply(&link.fault, self.now, meta.control)
+            },
         };
         let fault_trace = |kind: TraceKind| TraceEvent {
             time: tx_done,
@@ -809,27 +866,18 @@ impl Simulator {
                         link.dup_injected += 1;
                         let copy = pkt.clone();
                         self.trace.record(fault_trace(TraceKind::DupInject));
-                        self.push_event(
-                            arrive_at + extra_delay + lag,
-                            EventKind::Arrive {
-                                node: dst_node,
-                                port: dst_port,
-                                pkt: copy,
-                            },
-                        );
+                        self.push_arrive(arrive_at + extra_delay + lag, dst_node, dst_port, copy);
                     }
-                    self.push_event(
-                        arrive_at + extra_delay,
-                        EventKind::Arrive {
-                            node: dst_node,
-                            port: dst_port,
-                            pkt,
-                        },
-                    );
+                    self.push_arrive(arrive_at + extra_delay, dst_node, dst_port, pkt);
                 }
             }
         }
-        self.push_event(tx_done, EventKind::TxComplete { link: link_idx });
+        self.push_event(
+            tx_done,
+            EventKind::TxComplete {
+                link: link_idx as u32,
+            },
+        );
     }
 
     /// Take a node down: flush its egress queues (the NIC loses power with
@@ -873,6 +921,11 @@ impl Simulator {
         self.events_processed += 1;
         match kind {
             EventKind::Arrive { node, port, pkt } => {
+                let (node, port) = (node as usize, port as PortId);
+                // Every `Arrive` parked its packet; the handle is live.
+                let Some(pkt) = self.in_flight.take(pkt) else {
+                    return true;
+                };
                 if self.nodes[node].crashed {
                     // A dead node's NIC swallows the frame silently.
                     self.nodes[node].crashed_drops += 1;
@@ -895,6 +948,7 @@ impl Simulator {
                 self.call_node(node, |n, ctx| n.on_packet(ctx, port, pkt));
             }
             EventKind::TxComplete { link } => {
+                let link = link as usize;
                 let l = &mut self.links[link];
                 l.busy = false;
                 if let Some(pkt) = l.queue.dequeue() {
@@ -902,14 +956,16 @@ impl Simulator {
                 }
             }
             EventKind::Timer { node, token } => {
+                let node = node as usize;
                 if self.nodes[node].crashed {
                     // Timers armed before the crash die with the process.
                     return true;
                 }
                 self.call_node(node, |n, ctx| n.on_timer(ctx, token));
             }
-            EventKind::NodeCrash { node } => self.crash_node(node),
+            EventKind::NodeCrash { node } => self.crash_node(node as usize),
             EventKind::NodeRestart { node } => {
+                let node = node as usize;
                 let entry = &mut self.nodes[node];
                 entry.crashed = false;
                 entry.restarts += 1;
@@ -930,9 +986,14 @@ impl Simulator {
         true
     }
 
-    /// Run until the event queue drains.
+    /// Run until the event queue drains, then give back the memory the
+    /// event wheel and the in-flight store grew to. A later schedule
+    /// starts a fresh wheel; with nothing left in the old one, pop order
+    /// is the same.
     pub fn run(&mut self) {
         while self.step() {}
+        self.events = TimerWheel::new();
+        self.in_flight = InFlight::default();
     }
 
     /// Run until virtual time reaches `deadline` (events at exactly
@@ -1582,6 +1643,130 @@ mod tests {
         assert_eq!(sim.crashed_drops(src), 7);
         assert_eq!(sim.local_deliveries(dst).len(), 3);
         assert!(!sim.links[link.0].busy, "TxComplete found nothing queued");
+    }
+
+    #[test]
+    fn an_event_is_16_bytes_and_a_wheel_entry_40() {
+        use std::mem::size_of;
+        assert!(size_of::<EventKind>() <= 16, "{}", size_of::<EventKind>());
+        let entry = size_of::<crate::wheel::SlabEntry<EventKind>>();
+        assert!(entry <= 40, "{entry}");
+    }
+
+    #[test]
+    fn a_fault_free_link_holds_no_fault_state() {
+        use crate::fault::FaultSpec;
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Box::new(Sink));
+        let b = sim.add_node("b", Box::new(Sink));
+        let clean = sim.add_oneway(a, 0, b, 0, gbit_link(0));
+        let jittery = gbit_link(0).with_fault(FaultSpec::none().with_jitter(Time::from_micros(5)));
+        let faulted = sim.add_oneway(a, 1, b, 1, jittery);
+        assert!(sim.links[clean.0].fault.is_none());
+        assert!(sim.links[faulted.0].fault.is_some());
+    }
+
+    #[test]
+    fn a_faulted_link_after_1000_clean_ones_draws_the_same_fault_stream() {
+        use crate::fault::{FaultSpec, FaultState};
+        const SEED: u64 = 0x5EED;
+        let spec = FaultSpec::none()
+            .with_jitter(Time::from_micros(7))
+            .with_reorder(0.3, Time::from_micros(20))
+            .with_duplication(0.2, Time::from_micros(3));
+        let mut sim = Simulator::new(SEED);
+        let a = sim.add_node("a", Box::new(Sink));
+        let b = sim.add_node("b", Box::new(Sink));
+        for port in 0..1000 {
+            sim.add_oneway(a, port, b, port, gbit_link(0));
+        }
+        let link = sim.add_oneway(a, 1000, b, 1000, gbit_link(0).with_fault(spec));
+        // Every link forked its fault stream before its loss stream, so
+        // link 1000's fault stream is the parent's state after 1000 loss
+        // forks, frozen-forked with the link's index.
+        let mut parent = SimRng::new(SEED);
+        for idx in 0..1000u64 {
+            parent.fork(idx + 0x1000);
+        }
+        let mut want = FaultState::new(parent.fork_frozen(1000 + 0xFA17_0000));
+        let fault = sim.links[link.0].fault.as_mut().expect("fault state");
+        let (got_spec, got) = &mut **fault;
+        assert_eq!(*got_spec, spec);
+        for us in 0..200 {
+            let now = Time::from_micros(us);
+            assert_eq!(got.apply(&spec, now, false), want.apply(&spec, now, false));
+        }
+        // Only the 1001 loss forks advanced the simulator's stream.
+        parent.fork(1000 + 0x1000);
+        assert_eq!(sim.rng.next_u64(), parent.next_u64());
+    }
+
+    /// Step until the queue drains without `run`'s release, so the
+    /// in-flight store can be inspected; returns the most packets it
+    /// held at once.
+    fn drain_keeping_storage(sim: &mut Simulator) -> usize {
+        let mut most = 0;
+        while sim.step() {
+            most = most.max(sim.in_flight.len());
+        }
+        most
+    }
+
+    #[test]
+    fn the_in_flight_store_empties_under_duplicates_reorder_and_jitter() {
+        use crate::fault::FaultSpec;
+        let spec = gbit_link(1).with_fault(
+            FaultSpec::none()
+                .with_duplication(0.2, Time::from_micros(3))
+                .with_reorder(0.3, Time::from_micros(40))
+                .with_jitter(Time::from_micros(5)),
+        );
+        let mut sim = Simulator::new(9);
+        let src = sim.add_node("src", Box::new(Burst { n: 300, size: 1000 }));
+        let dst = sim.add_node("dst", Box::new(Sink));
+        let link = sim.add_oneway(src, 0, dst, 0, spec);
+        let most = drain_keeping_storage(&mut sim);
+        let stats = sim.link_stats(link);
+        assert!(stats.dup_injected > 0 && stats.reordered > 0, "{stats:?}");
+        assert_eq!(
+            sim.local_deliveries(dst).len() as u64,
+            300 + stats.dup_injected
+        );
+        assert!(most > 1, "packets were in flight together");
+        assert_eq!(sim.in_flight.len(), 0, "every arrival took its packet");
+        assert_eq!(sim.in_flight.free.len(), sim.in_flight.slots.len());
+        assert!(sim.in_flight.slots.len() <= most, "freed slots were reused");
+        // `run` on a drained simulator hands the storage back.
+        sim.run();
+        assert_eq!(sim.in_flight.slots.capacity(), 0);
+        assert!(sim.events.is_empty());
+    }
+
+    #[test]
+    fn an_arrival_swallowed_by_a_crashed_node_frees_its_slot() {
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node("dtn", Box::new(Sink));
+        // Down from 1 ms to 10 ms: 40 arrivals inside the outage, 5
+        // after it.
+        for us in (2_000..10_000)
+            .step_by(200)
+            .chain([11_000, 12_000, 13_000, 14_000, 15_000])
+        {
+            sim.inject(Time::from_micros(us), n, 0, Packet::new(vec![0u8; 64]));
+        }
+        sim.schedule_crash(n, Time::from_millis(1), Some(Time::from_millis(10)));
+        assert_eq!(sim.in_flight.len(), 45, "an injection parks its packet");
+        sim.run_until(Time::from_millis(10));
+        assert_eq!(sim.crashed_drops(n), 40);
+        assert_eq!(
+            sim.in_flight.len(),
+            5,
+            "each swallowed arrival freed its slot"
+        );
+        drain_keeping_storage(&mut sim);
+        assert_eq!(sim.crashed_drops(n), 40);
+        assert_eq!(sim.local_deliveries(n).len(), 5);
+        assert_eq!(sim.in_flight.len(), 0);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Hierarchical timing wheel — the simulator's O(1) event queue.
 //!
-//! A binary heap pays `O(log n)` per push/pop and, worse, moves whole
-//! events (which carry packets) through every sift step. The wheel
+//! A binary heap pays `O(log n)` per push/pop over all `n` pending
+//! events and moves whole events through every sift step. The wheel
 //! stores each event **once** in a slab and routes a tiny
 //! `(index, generation)` pair through the wheel structure, so scheduling
-//! and cancellation are O(1) and a pop is an amortized O(1) `Vec::pop`.
+//! and cancellation are O(1). A pop is a `Vec::pop` from the ready
+//! buffer, but filling that buffer sorts the drained level-0 slot: `k`
+//! events sharing a slot cost `O(k log k)` once, `O(log k)` per pop.
+//! That sort is about a tenth of a fleet run's time (DESIGN §12.1).
 //!
 //! ## Structure
 //!
@@ -64,7 +67,7 @@ pub struct WheelToken {
     generation: u32,
 }
 
-struct SlabEntry<T> {
+pub(crate) struct SlabEntry<T> {
     at: u64,
     seq: u64,
     generation: u32,

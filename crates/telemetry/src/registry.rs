@@ -266,21 +266,7 @@ impl MetricRegistry {
                     continue;
                 }
                 for (labels, value) in series {
-                    match mine.entry(labels.clone()) {
-                        std::collections::btree_map::Entry::Vacant(slot) => {
-                            slot.insert(value.clone());
-                        }
-                        std::collections::btree_map::Entry::Occupied(mut slot) => {
-                            match (slot.get_mut(), value) {
-                                (MetricValue::Counter(mine), MetricValue::Counter(v)) => *mine += v,
-                                (MetricValue::Gauge(mine), MetricValue::Gauge(v)) => *mine = *v,
-                                (MetricValue::Histogram(mine), MetricValue::Histogram(h)) => {
-                                    mine.merge(h)
-                                }
-                                _ => panic!("metric {name} changed kind during absorb"), // mmt-lint: allow(P1, "API-misuse guard; merged registries share one schema")
-                            }
-                        }
-                    }
+                    merge_series(name, mine, labels, value);
                 }
             }
         }
@@ -289,6 +275,52 @@ impl MetricRegistry {
                 .entry(name.clone())
                 .or_insert_with(|| help.clone());
         }
+    }
+
+    /// Merge many series of one metric at once, with [`absorb`]'s
+    /// semantics (counters add, gauges overwrite, histograms merge). A
+    /// metric with no series yet is bulk-built from `series` in one pass,
+    /// which is linear when the label sets arrive sorted; otherwise each
+    /// series is merged in turn. Label sets must be distinct.
+    ///
+    /// [`absorb`]: MetricRegistry::absorb
+    pub fn extend(
+        &mut self,
+        name: &'static str,
+        series: impl IntoIterator<Item = (LabelSet, MetricValue)>,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        match self.metrics.get_mut(name) {
+            Some(mine) if !mine.is_empty() => {
+                for (labels, value) in series {
+                    merge_series(name, mine, &labels, &value);
+                }
+            }
+            _ => {
+                let built: SeriesMap = series.into_iter().collect();
+                if !built.is_empty() {
+                    self.metrics.insert(Cow::Borrowed(name), built);
+                }
+            }
+        }
+    }
+}
+
+/// Fold one series into a metric's map: counters add, gauges overwrite,
+/// histograms merge.
+fn merge_series(name: &str, mine: &mut SeriesMap, labels: &LabelSet, value: &MetricValue) {
+    match mine.entry(labels.clone()) {
+        std::collections::btree_map::Entry::Vacant(slot) => {
+            slot.insert(value.clone());
+        }
+        std::collections::btree_map::Entry::Occupied(mut slot) => match (slot.get_mut(), value) {
+            (MetricValue::Counter(mine), MetricValue::Counter(v)) => *mine += v,
+            (MetricValue::Gauge(mine), MetricValue::Gauge(v)) => *mine = *v,
+            (MetricValue::Histogram(mine), MetricValue::Histogram(h)) => mine.merge(h),
+            _ => panic!("metric {name} changed kind during a merge"), // mmt-lint: allow(P1, "API-misuse guard; merged registries share one schema")
+        },
     }
 }
 
@@ -419,6 +451,28 @@ mod tests {
         assert_eq!(a.gauge("g", &[]), Some(1.5));
         assert_eq!(a.help("c"), Some("a counter"));
         assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn extend_bulk_builds_or_merges_like_absorb() {
+        let ls = |v: &str| LabelSet::new(&[("link", v)]);
+        let mut reg = MetricRegistry::new();
+        reg.extend(
+            "c",
+            [("0", 2), ("1", 3)].map(|(v, n)| (ls(v), MetricValue::Counter(n))),
+        );
+        reg.extend("c", [(ls("1"), MetricValue::Counter(4))]);
+        reg.extend("g", [(ls("0"), MetricValue::Gauge(1.5))]);
+        reg.extend("g", [(ls("0"), MetricValue::Gauge(2.5))]);
+        reg.extend("none", []);
+        assert_eq!(reg.counter("c", &[("link", "0")]), 2);
+        assert_eq!(reg.counter("c", &[("link", "1")]), 7);
+        assert_eq!(reg.gauge("g", &[("link", "0")]), Some(2.5));
+        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.metrics.len(), 2, "an empty extend adds no metric");
+        let mut off = MetricRegistry::disabled();
+        off.extend("c", [(ls("0"), MetricValue::Counter(1))]);
+        assert!(off.is_empty());
     }
 
     #[test]
