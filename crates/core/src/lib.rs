@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod asks;
 pub mod buffer;
 pub mod controller;
 pub mod flowtable;
