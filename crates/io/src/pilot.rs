@@ -722,7 +722,7 @@ mod tests {
     }
 
     /// One backoff, owned by the receiver, sans-io. The gap round names
-    /// seq 1 at the arrival that opened its gap; the retry wake keeps its
+    /// seq 1 at the arrival that opened its gap; the retry round keeps its
     /// schedule (first at `reorder_delay`, which finds seq 1 asked for
     /// already and sends nothing). Nothing is ever recovered, so no round
     /// trip is measured and the retry interval starts at the `rto_min`
@@ -764,8 +764,9 @@ mod tests {
     }
 
     /// With no reordering seen, a loss is NAKed at the arrival that shows
-    /// it, not a reorder delay later: the poll loop fires the gap wake in
-    /// the same iteration that read the datagram.
+    /// it, not a reorder delay later: the poll loop fires the receiver's
+    /// wake, with the gap round due, in the same iteration that read the
+    /// datagram.
     #[test]
     fn a_burst_naks_a_drop_at_the_next_arrival() {
         let mut cfg = IoPilotConfig::defaults();
@@ -834,9 +835,9 @@ mod tests {
     }
 
     /// Until a NAK round trip has been measured the tail check is the
-    /// retry wake's, as before the tail probe: first `reorder_delay` after
+    /// retry round's, as before the tail probe: first `reorder_delay` after
     /// the first arrival, then every `rto_min`, NAKing the tail at the
-    /// first wake `rto_min` or more after the last arrival.
+    /// first retry round `rto_min` or more after the last arrival.
     #[test]
     fn an_unmeasured_lost_tail_waits_rto_min() {
         let (at, ranges, rx) = first_tail_nak(&[31], None);
