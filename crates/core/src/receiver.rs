@@ -793,7 +793,17 @@ impl Machine for MmtReceiver {
         match input {
             Input::Frame { pkt, .. } => self.on_frame(now, pkt, out),
             Input::Timer { token } if token == TOKEN_WAKE => self.on_wake(now, out),
-            Input::Start | Input::Timer { .. } | Input::Restart => {}
+            // A crash dropped the wakes armed before it: ask again for
+            // every round still due (one already past fires at once).
+            Input::Restart => {
+                for (at, _) in self.due.into_iter().flatten() {
+                    out.push(Output::WakeAt {
+                        at,
+                        token: TOKEN_WAKE,
+                    });
+                }
+            }
+            Input::Start | Input::Timer { .. } => {}
         }
     }
 }
@@ -1155,6 +1165,26 @@ mod tests {
         arrive(&mut r, ROUND + Time::from_secs(1), 1);
         assert_eq!(r.rtt().rto(), Some(Time::from_secs(3)));
         assert_eq!(r.retry_interval(), ms(240));
+    }
+
+    #[test]
+    fn a_restart_asks_again_for_the_wakes_the_crash_dropped() {
+        let mut r = MmtReceiver::new(ReceiverConfig::wan_defaults(
+            exp(),
+            Ipv4Address::new(10, 0, 0, 8),
+        ));
+        arrive(&mut r, Time::ZERO, 0);
+        let t = Time::from_micros(1);
+        let retry = t + Time::from_micros(200);
+        assert_eq!(arrive(&mut r, t, 3), [(retry, TOKEN_WAKE), (t, TOKEN_WAKE)]);
+        // The node crashes before either wake fires; the driver drops
+        // both. On restart the receiver asks for them again.
+        let back = ms(20);
+        let mut out = Vec::new();
+        r.poll(back, Input::Restart, &mut out);
+        assert_eq!(wakes(&out), [(retry, TOKEN_WAKE), (t, TOKEN_WAKE)]);
+        assert_eq!(naks(&fire(&mut r, back)), [[range(1, 2)]]);
+        assert_eq!(r.stats.naks_sent, 1);
     }
 
     #[test]
