@@ -10,10 +10,6 @@
 //!   `poll(now, input, &mut outputs)`, no clocks/sockets/threads inside,
 //!   timers as "wake me at T" outputs. The simulator and the `mmt-io`
 //!   real-socket runtime are two drivers of these identical machines.
-//! * [`mode`] — named modes (feature set + parameters) and the canonical
-//!   pilot-study mode sequence (mode 0/1 unreliable in the DAQ network,
-//!   mode 2 age-sensitive + recoverable-loss on the WAN, mode 3 timeliness
-//!   check at the destination, §5.4).
 //! * [`sender`] — the source endpoint: emits discrete MMT datagrams
 //!   (Req 7) with no retransmission buffering at the sensor (§4's point
 //!   that sources do not buffer), honours backpressure credits (§5.1).
@@ -37,9 +33,6 @@
 //!   checked `u32` ids, parallel columns for sequence cursors and
 //!   remaining counters) so a million flows cost tens of bytes each
 //!   instead of a boxed object graph.
-//! * [`resourcemap`] — the §6 future-work sketch: a shared map of
-//!   in-network programmable resources and a mode planner that assigns
-//!   per-segment modes from it, plus a gossip-style map exchange.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,9 +42,7 @@ pub mod buffer;
 pub mod controller;
 pub mod flowtable;
 pub mod machine;
-pub mod mode;
 pub mod receiver;
-pub mod resourcemap;
 pub mod sender;
 pub mod seqtrack;
 pub mod store;
@@ -62,9 +53,7 @@ pub use controller::{
 };
 pub use flowtable::{FlowId, FlowTable, FlowTableStats};
 pub use machine::{Input, Machine, Output};
-pub use mode::{Mode, ModeParams};
 pub use receiver::{MmtReceiver, ReceivedMessage, ReceiverConfig, ReceiverStats};
-pub use resourcemap::{Capability, ModePlanner, ResourceMap};
 pub use sender::{Framing, MmtSender, SenderConfig, SenderStats};
 pub use seqtrack::SeqTracker;
 pub use store::RetransmitStore;

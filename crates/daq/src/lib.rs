@@ -1,22 +1,15 @@
-//! # `mmt-daq` — the instrument substrate: detectors, events, workloads
+//! # `mmt-daq` — the instrument substrate: events, catalog, workloads
 //!
 //! The paper's pilot (§5.4) draws data from two sources: the ICEBERG DUNE
 //! prototype (a liquid-argon time-projection chamber) and synthetic DUNE
 //! DAQ data "that simulates the neutrino generation by different physical
-//! events". Neither is available outside Fermilab, so this crate builds
-//! the closest synthetic equivalent:
+//! events". Neither is available outside Fermilab. The transport only
+//! ever sees message times and sizes, so this crate models those, not the
+//! detector's bytes:
 //!
-//! * [`lartpc`] — a liquid-argon TPC model: per-channel ADC waveform
-//!   synthesis (pedestal + Gaussian noise + signal pulses), a threshold
-//!   trigger-primitive finder, and 12-bit sample packing. What the
-//!   transport sees — timestamped, well-delimited, regularly sized
-//!   messages (§2, §4.1) — is faithfully reproduced.
 //! * [`events`] — physics event generators: beam spills, cosmic rays,
 //!   radiological background, and supernova bursts (the elevated-rate
 //!   window that drives the paper's DUNE→Vera Rubin integration story).
-//! * [`builder`] — the event builder that turns hits into
-//!   [`mmt_wire::daq::TriggerRecord`]s, including instrument *slices*
-//!   (Req 8: partitioned detectors).
 //! * [`catalog`] — the experiment catalog reproducing **Table 1** of the
 //!   paper (CMS L1 63 Tbps, DUNE 120 Tbps, ECCE 100 Tbps, Mu2e 160 Gbps,
 //!   Vera Rubin 400 Gbps) with per-experiment record sizes and rates.
@@ -26,26 +19,23 @@
 //! * [`supernova`] — the multi-domain alert scenario: a DUNE supernova
 //!   trigger and the neutrino→photon arrival-lag model that gives the
 //!   alert its deadline (§3 Req 10).
-//! * [`iceberg`] — deterministic "ICEBERG-like" sample readout standing in
-//!   for the real ICEBERG traffic captures used in the pilot.
+//! * [`osmotic`] — osmotic-computing sensor fields: many hertz-rate
+//!   trickles sharing the instruments' infrastructure (§6, challenge 3).
+//! * [`storage`] — a columnar container of trigger records, the HDF5
+//!   stand-in that in-path processors emit (§6, challenge 2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod catalog;
 pub mod events;
-pub mod iceberg;
-pub mod lartpc;
 pub mod osmotic;
 pub mod storage;
 pub mod supernova;
 pub mod workload;
 
-pub use builder::{EventBuilder, SliceMap};
 pub use catalog::{Experiment, EXPERIMENTS};
 pub use events::{EventGenerator, EventKind, Hit};
-pub use lartpc::{LArTpc, LArTpcConfig, TriggerPrimitive};
 pub use osmotic::SensorField;
 pub use storage::{ContainerReader, ContainerWriter, StorageError};
 pub use workload::{BurstFlow, RegularFlow, WorkloadMessage};

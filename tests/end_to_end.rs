@@ -99,37 +99,23 @@ fn deterministic_end_to_end() {
 
 #[test]
 fn features_compose_across_the_whole_stack() {
-    // A mode-2 header built by `mmt-core`'s Mode, applied via
-    // `mmt-dataplane`, parsed by `mmt-wire` — the layering the workspace
-    // claims.
+    // A mode-0 sensor frame upgraded by the pilot's border program in
+    // `mmt-dataplane`, then parsed by `mmt-wire` as the mode-2 header the
+    // receiving endpoint reads: the layering the workspace claims.
     use mmt::dataplane::action::Intrinsics;
     use mmt::dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
-    use mmt::protocol::Mode;
+    use mmt::dataplane::programs::{self, BorderConfig};
     use mmt::wire::mmt::{ExperimentId, MmtRepr};
     use mmt::wire::{EthernetAddress, Ipv4Address};
 
-    let mode = Mode::mode2_wan(
-        (Ipv4Address::new(10, 0, 0, 5), 47_000),
-        50_000_000,
-        Ipv4Address::new(10, 0, 0, 1),
-        40_000_000,
-    );
-    let mut pipeline = mmt::dataplane::PipelineBuilder::new()
-        .table({
-            let mut t =
-                mmt::dataplane::Table::new("upgrade", vec![mmt::dataplane::MatchField::IsMmt]);
-            t.insert(mmt::dataplane::TableEntry {
-                key: vec![mmt::dataplane::FieldValue::Exact(1)],
-                priority: 0,
-                actions: vec![
-                    mmt::dataplane::Action::Upgrade(mode.as_upgrade(Some(0))),
-                    mmt::dataplane::Action::Forward { port: 1 },
-                ],
-            });
-            t
-        })
-        .registers(1)
-        .build();
+    let mut pipeline = programs::daq_to_wan_border(BorderConfig {
+        daq_port: 0,
+        wan_port: 1,
+        retransmit_source: (Ipv4Address::new(10, 0, 0, 5), 47_000),
+        deadline_budget_ns: 50_000_000,
+        notify_addr: Ipv4Address::new(10, 0, 0, 1),
+        priority_class: None,
+    });
     let frame = build_eth_mmt_frame(
         EthernetAddress([2, 0, 0, 0, 0, 1]),
         EthernetAddress([2, 0, 0, 0, 0, 2]),
@@ -145,9 +131,21 @@ fn features_compose_across_the_whole_stack() {
         },
     );
     let repr = pkt.mmt_repr().unwrap();
-    assert_eq!(repr.features, mode.features);
+    assert_eq!(
+        repr.features,
+        Features::SEQUENCE
+            | Features::RETRANSMIT
+            | Features::TIMELINESS
+            | Features::AGE
+            | Features::ACK_NAK
+    );
     assert!(repr.features.contains(Features::ACK_NAK));
     assert_eq!(repr.timeliness().unwrap().deadline_ns, 50_000_000);
+    let rtx = repr.retransmit().unwrap();
+    assert_eq!(
+        (rtx.source, rtx.port),
+        (Ipv4Address::new(10, 0, 0, 5), 47_000)
+    );
 }
 
 #[test]
