@@ -121,12 +121,6 @@ impl EventGenerator {
         }
     }
 
-    /// Change the rate mix (e.g. when a burst starts/ends).
-    pub fn set_rates(&mut self, rates: EventRates) {
-        assert!(rates.total() > 0.0, "at least one population must fire");
-        self.rates = rates;
-    }
-
     /// Generate the next event (advances internal time).
     pub fn next_event(&mut self) -> Event {
         let total = self.rates.total();
@@ -282,15 +276,6 @@ mod tests {
         let q = quiet.events_until(Time::from_secs(5)).len();
         let b = burst.events_until(Time::from_secs(5)).len();
         assert!(b > q * 3, "burst {b} vs quiet {q}");
-    }
-
-    #[test]
-    fn switching_rates_midstream() {
-        let mut generator = EventGenerator::new(EventRates::background(), 64, 5);
-        let _ = generator.events_until(Time::from_secs(1));
-        generator.set_rates(EventRates::supernova_burst());
-        let events = generator.events_until(Time::from_secs(3));
-        assert!(events.iter().any(|e| e.kind == EventKind::Supernova));
     }
 
     #[test]

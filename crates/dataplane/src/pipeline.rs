@@ -49,11 +49,6 @@ impl Pipeline {
         &self.tables
     }
 
-    /// Mutable table access (control-plane entry updates at runtime).
-    pub fn table_mut(&mut self, idx: usize) -> &mut Table {
-        &mut self.tables[idx]
-    }
-
     /// Mutable table access by name (control-plane entry updates when the
     /// caller knows the program's table names, not its stage order).
     pub fn table_mut_by_name(&mut self, name: &str) -> Option<&mut Table> {
@@ -234,7 +229,7 @@ mod tests {
         let mut pl = PipelineBuilder::new().table(t).registers(2).build();
         pl.set_register(1, 42);
         assert_eq!(pl.register(1), 42);
-        pl.table_mut(0).insert(TableEntry {
+        pl.table_mut_by_name("t").unwrap().insert(TableEntry {
             key: vec![FieldValue::Any],
             priority: 0,
             actions: vec![Action::Forward { port: 5 }],

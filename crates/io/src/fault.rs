@@ -116,11 +116,6 @@ impl FaultInjector {
     pub fn next_release(&self) -> Option<Time> {
         self.held.front().map(|(at, _)| *at)
     }
-
-    /// Held copies not yet released.
-    pub fn held_count(&self) -> usize {
-        self.held.len()
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +132,7 @@ mod tests {
         assert_eq!(ready.len(), 100);
         assert_eq!(inj.stats.passed, 100);
         assert_eq!(inj.stats.dropped, 0);
-        assert_eq!(inj.held_count(), 0);
+        assert_eq!(inj.next_release(), None, "nothing held");
     }
 
     #[test]

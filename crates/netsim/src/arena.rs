@@ -141,15 +141,6 @@ impl PacketArena {
         }
     }
 
-    /// Allocate a slot initialized with a copy of `bytes`.
-    pub fn alloc_from(&mut self, bytes: &[u8]) -> PacketRef {
-        let r = self.alloc(bytes.len());
-        if let Some(slot) = self.slots.get_mut(r.index as usize) {
-            slot.buf.copy_from_slice(bytes);
-        }
-        r
-    }
-
     /// The bytes behind a ref, or `None` if the ref is stale.
     pub fn get(&self, r: PacketRef) -> Option<&[u8]> {
         let slot = self.slots.get(r.index as usize)?;
@@ -285,7 +276,8 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut a = PacketArena::new();
-        let r = a.alloc_from(&[1, 2, 3]);
+        let r = a.alloc(3);
+        a.get_mut(r).unwrap().copy_from_slice(&[1, 2, 3]);
         assert_eq!(a.get(r), Some(&[1u8, 2, 3][..]));
         assert_eq!(a.live(), 1);
         assert_eq!(a.stats().fresh, 1);

@@ -93,7 +93,6 @@ pub trait Machine {
 /// The API a node sees during `on_packet` / `on_timer`.
 pub struct Context<'a> {
     pub(crate) now: Time,
-    pub(crate) node: NodeId,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) actions: &'a mut Vec<Output>,
 }
@@ -102,11 +101,6 @@ impl<'a> Context<'a> {
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// The node being called.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Deterministic randomness (shared simulator stream).
@@ -261,12 +255,10 @@ mod tests {
         let mut actions = Vec::new();
         let mut ctx = Context {
             now: Time::from_nanos(5),
-            node: NodeId(3),
             rng: &mut rng,
             actions: &mut actions,
         };
         assert_eq!(ctx.now(), Time::from_nanos(5));
-        assert_eq!(ctx.node_id(), NodeId(3));
         let _ = ctx.rng().next_u64();
         ctx.send(1, Packet::new(vec![1]));
         ctx.set_timer(Time::from_millis(1), 42);
@@ -285,7 +277,6 @@ mod tests {
         let mut actions = Vec::new();
         let mut ctx = Context {
             now: Time::ZERO,
-            node: NodeId(0),
             rng: &mut rng,
             actions: &mut actions,
         };

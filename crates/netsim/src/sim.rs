@@ -616,11 +616,6 @@ impl Simulator {
         &self.nodes[node.0].local
     }
 
-    /// Take (drain) the local deliveries of a node.
-    pub fn take_local_deliveries(&mut self, node: NodeId) -> Vec<(Time, Packet)> {
-        std::mem::take(&mut self.nodes[node.0].local)
-    }
-
     /// Packets a node sent to unconnected ports.
     pub fn unrouted_drops(&self, node: NodeId) -> u64 {
         self.nodes[node.0].unrouted_drops
@@ -676,7 +671,6 @@ impl Simulator {
             let entry = &mut self.nodes[idx];
             let mut ctx = Context {
                 now: self.now,
-                node: NodeId(idx),
                 rng: &mut self.rng,
                 actions: &mut actions,
             };
@@ -1247,8 +1241,7 @@ mod tests {
         assert!(sim.node_as::<Sink>(a).is_some());
         assert!(sim.node_as::<Forward>(a).is_none());
         assert!(sim.node_as_mut::<Sink>(a).is_some());
-        let drained = sim.take_local_deliveries(a);
-        assert!(drained.is_empty());
+        assert!(sim.local_deliveries(a).is_empty());
         assert!(sim.take_series().is_empty(), "series disabled → empty");
     }
 

@@ -158,11 +158,6 @@ impl Bandwidth {
         self.0
     }
 
-    /// The rate in (truncated) Mbit/s.
-    pub const fn as_mbps(&self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// The rate in Gbit/s as a float (for reporting).
     pub fn as_gbps_f64(&self) -> f64 {
         // mmt-lint: allow(F1, "reporting-only view; the value never re-enters the sim or its digests")
@@ -178,11 +173,6 @@ impl Bandwidth {
         let bits = (bytes as u128) * 8;
         let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
         Time(ns as u64)
-    }
-
-    /// How many bytes this rate carries in `t` (truncated).
-    pub fn bytes_in(&self, t: Time) -> u64 {
-        ((self.0 as u128) * (t.0 as u128) / 8 / 1_000_000_000) as u64
     }
 }
 
@@ -265,16 +255,6 @@ mod tests {
             Bandwidth::bps(3).tx_time(1),
             Time::from_nanos(2_666_666_667)
         );
-    }
-
-    #[test]
-    fn bytes_in_inverts_tx_time() {
-        let bw = Bandwidth::gbps(100);
-        let t = bw.tx_time(123_456);
-        let bytes = bw.bytes_in(t);
-        // tx_time rounds up to a whole nanosecond; at 100 Gb/s one
-        // nanosecond carries 12.5 bytes, so allow that much slack.
-        assert!((123_456..=123_456 + 13).contains(&bytes), "{bytes}");
     }
 
     #[test]

@@ -161,14 +161,6 @@ impl Trace {
         self.dropped
     }
 
-    /// Events concerning one packet.
-    pub fn for_packet(&self, packet_id: u64) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.packet_id == packet_id)
-            .collect()
-    }
-
     /// Count events of a given kind.
     pub fn count(&self, kind: TraceKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
@@ -208,7 +200,6 @@ mod tests {
         t.record(ev(TraceKind::Arrive, 1));
         t.record(ev(TraceKind::Arrive, 2));
         assert_eq!(t.events().len(), 3);
-        assert_eq!(t.for_packet(1).len(), 2);
         assert_eq!(t.count(TraceKind::Arrive), 2);
         assert_eq!(t.count(TraceKind::QueueDrop), 0);
         assert_eq!(t.dropped(), 0);

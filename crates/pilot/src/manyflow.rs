@@ -402,16 +402,6 @@ pub struct ManyFlowReport {
     pub config: ManyFlowConfig,
 }
 
-impl ManyFlowReport {
-    /// Delivered / offered (1.0 on clean links).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            return 1.0;
-        }
-        self.shard.packets as f64 / self.offered as f64
-    }
-}
-
 /// Run the fleet described by `cfg` (serially when `cfg.shards == 1`).
 pub fn run(cfg: &ManyFlowConfig) -> ManyFlowReport {
     let runner = ShardedSim::new(cfg.seed, cfg.shards);
@@ -444,7 +434,6 @@ mod tests {
         let report = run(&ManyFlowConfig::quick(11));
         assert_eq!(report.offered, 64 * 4);
         assert_eq!(report.shard.packets, report.offered, "clean links: no loss");
-        assert!((report.delivery_ratio() - 1.0).abs() < 1e-12);
         assert!(report.shard.events > 0);
     }
 
