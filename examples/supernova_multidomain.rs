@@ -3,9 +3,9 @@
 //!
 //! A core-collapse supernova floods DUNE with neutrinos minutes-to-days
 //! before the photons reach any telescope. This example runs the whole
-//! chain: synthetic LArTPC burst → sliding-window trigger → pointing
-//! alert across two WAN hops — and checks the alert beats the photons by
-//! a wide margin.
+//! chain: `EventGenerator` supernova burst → sliding-window trigger →
+//! pointing alert across two WAN hops — and checks the alert beats the
+//! photons by a wide margin.
 //!
 //! ```sh
 //! cargo run --release --example supernova_multidomain

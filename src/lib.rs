@@ -15,9 +15,9 @@
 //! | [`wire`] | `mmt-wire` | Ethernet/IPv4/UDP + the MMT header and DAQ record formats |
 //! | [`netsim`] | `mmt-netsim` | deterministic discrete-event network simulator |
 //! | [`dataplane`] | `mmt-dataplane` | P4-style match-action elements and mode-transition programs |
-//! | [`daq`] | `mmt-daq` | LArTPC detector model, physics events, Table 1 workloads |
+//! | [`daq`] | `mmt-daq` | physics events, Table 1 workloads |
 //! | [`transport`] | `mmt-transport` | tuned-TCP and UDP baselines |
-//! | [`protocol`] | `mmt-core` | MMT endpoints, buffers, mode planner |
+//! | [`protocol`] | `mmt-core` | MMT endpoints, buffers, mode controller |
 //! | [`pilot`] | `mmt-pilot` | the Fig. 4 pilot and the experiment suite |
 //! | [`telemetry`] | `mmt-telemetry` | metric registry, flow-correlated tracing, exporters |
 //! | [`io`] | `mmt-io` | real-time UDP driver for the same sans-io machines: poll loop, RTO, watchdogs, socket fault injection |
