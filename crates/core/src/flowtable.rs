@@ -26,8 +26,8 @@
 //!
 //! ## Generation tokens
 //!
-//! [`FlowId`] is `(index, generation)` — the same discipline as
-//! `PacketArena`'s `PacketRef`. Releasing a flow bumps the slot's
+//! [`FlowId`] is `(index, generation)` — the same discipline as the
+//! timing wheel's `WheelToken`. Releasing a flow bumps the slot's
 //! generation, so a stale id held past release is *inert*: every
 //! accessor returns `None`/`false` and never aliases the slot's next
 //! tenant. Double release cannot corrupt the free list.

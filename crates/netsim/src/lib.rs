@@ -75,7 +75,7 @@ mod time;
 mod trace;
 pub mod wheel;
 
-pub use arena::{ArenaStats, PacketArena, PacketRef};
+pub use arena::{ArenaStats, PacketArena};
 pub use fault::{FaultSpec, FaultState, FaultVerdict, PeriodicOutage, RandomOutage};
 pub use link::{LinkId, LinkSpec, LossModel, LossState};
 pub use linkstats::LinkStatsBlock;

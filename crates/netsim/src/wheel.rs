@@ -5,9 +5,9 @@
 //! stores each event **once** in a slab and routes a tiny
 //! `(index, generation)` pair through the wheel structure, so scheduling
 //! and cancellation are O(1). A pop is a `Vec::pop` from the ready
-//! buffer, but filling that buffer sorts the drained level-0 slot: `k`
-//! events sharing a slot cost `O(k log k)` once, `O(log k)` per pop.
-//! That sort is about a tenth of a fleet run's time (DESIGN §12.1).
+//! buffer; filling that buffer orders the drained level-0 slot with two
+//! 5-bit radix passes over the sub-slot bits of `at`, `O(k)` for `k`
+//! events sharing a slot (DESIGN §12.1).
 //!
 //! ## Structure
 //!
@@ -22,13 +22,32 @@
 //!   guarantees every occupied slot at a level lies strictly *above* the
 //!   cursor's slot at that level — the search never wraps.
 //! * Draining a level-0 slot moves its events into a **ready buffer**
-//!   sorted by `(time, sequence)` descending, popped from the back. This
+//!   ordered by `(time, sequence)` descending, popped from the back. This
 //!   is the batching point: all same-slot (and hence all same-timestamp)
 //!   events are dispatched from one drain without re-consulting the
 //!   wheel. Events scheduled at or before the cursor (the simulator's
 //!   "schedule for *now*" path, and `run_until` having advanced the
 //!   cursor past sim-time) are merge-inserted into the ready buffer, so
 //!   pop order is always globally correct.
+//!
+//! ## Draining a slot
+//!
+//! Every list — each slot and the overflow list — holds its entries in
+//! `seq` order. A direct schedule appends an entry whose `seq` is larger
+//! than every live entry's. A cascade re-files its source list in order,
+//! and only into empty lists: a level-`L` slot cascades only when every
+//! lower level is empty (occupied slots lie strictly above the cursor,
+//! so an occupied lower slot would be found first), and the overflow
+//! list cascades only when every level is empty. Every entry in a
+//! level-0 slot also shares one tick, so `at` differs only in its low
+//! [`SLOT_NS_SHIFT`] bits, and a *stable* sort on those bits gives
+//! `(at, seq)` order. The drain runs two 5-bit LSD counting passes, each
+//! writing larger digits first; the first reads the slot back to front,
+//! so equal instants come out in descending `seq`, which is pop order.
+//! Drains of at most `COMPARISON_SORT_MAX` (12) entries use a comparison
+//! sort instead, which is cheaper there. A drained level-0 slot keeps
+//! its vector's capacity for the next tick that lands in it; slots at
+//! higher levels and the overflow list give theirs up.
 //!
 //! ## Ordering contract
 //!
@@ -42,8 +61,7 @@
 //! [`TimerWheel::cancel`] is O(1): it frees the slab entry and bumps its
 //! generation; the stale `(index, generation)` pair left in a slot, the
 //! overflow list, or the ready buffer is recognized and skipped lazily.
-//! Tokens follow the same design as [`crate::PacketRef`] — a stale token
-//! is inert, never aliasing the slot's next tenant.
+//! A stale token is inert, never aliasing the slot's next tenant.
 
 /// Bits per wheel level (64 slots).
 pub const SLOT_BITS: u32 = 6;
@@ -58,6 +76,15 @@ pub const SLOT_NS: u64 = 1 << SLOT_NS_SHIFT;
 /// Wheel horizon in level-0 ticks; timestamps further than this from the
 /// cursor go to the overflow list.
 pub const HORIZON_TICKS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+
+/// Largest drain that is ordered by comparison rather than by radix
+/// passes: the passes' fixed cost (two histograms) loses below about a
+/// dozen entries (DESIGN §12.1).
+const COMPARISON_SORT_MAX: usize = 12;
+/// Bits of `at` per radix pass: two passes cover the sub-slot bits.
+const DIGIT_BITS: u32 = SLOT_NS_SHIFT / 2;
+/// Buckets per radix pass.
+const DIGITS: usize = 1 << DIGIT_BITS;
 
 /// Handle to a scheduled entry, for O(1) [`TimerWheel::cancel`]. `Copy`,
 /// 8 bytes; stale tokens (popped or already cancelled) are inert.
@@ -108,6 +135,8 @@ pub struct TimerWheel<T> {
     /// Drained events sorted by `(at, seq)` **descending**; popped from
     /// the back.
     ready: Vec<ReadyEntry>,
+    /// Scratch for the drain's first radix pass.
+    spare: Vec<ReadyEntry>,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -130,6 +159,7 @@ impl<T> TimerWheel<T> {
             seq: 0,
             len: 0,
             ready: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -291,7 +321,6 @@ impl<T> TimerWheel<T> {
             }
             let slot = candidates.trailing_zeros() as usize;
             self.occupied[level] &= !(1u64 << slot);
-            let entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
             // Move the cursor to the base tick of the slot being opened;
             // all lower-level cursor bits reset to zero.
             let span = SLOT_BITS * level as u32;
@@ -303,8 +332,13 @@ impl<T> TimerWheel<T> {
             };
             self.cursor = high | ((slot as u64) << span);
             if level == 0 {
-                self.drain_into_ready(entries);
+                // The slot gets its emptied vector back, capacity kept.
+                let mut entries = std::mem::take(&mut self.slots[slot]);
+                self.drain_into_ready(&entries);
+                entries.clear();
+                self.slots[slot] = entries;
             } else {
+                let entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
                 for (index, generation) in entries {
                     self.replace_entry(index, generation);
                 }
@@ -314,11 +348,11 @@ impl<T> TimerWheel<T> {
         self.cascade_overflow()
     }
 
-    /// Move a slot's entries into the (empty) ready buffer, dropping
-    /// cancelled residue, sorted descending by `(at, seq)`.
-    fn drain_into_ready(&mut self, entries: Vec<(u32, u32)>) {
+    /// Move a level-0 slot's entries into the (empty) ready buffer,
+    /// dropping cancelled residue, ordered descending by `(at, seq)`.
+    fn drain_into_ready(&mut self, entries: &[(u32, u32)]) {
         debug_assert!(self.ready.is_empty());
-        for (index, generation) in entries {
+        for &(index, generation) in entries {
             let Some(e) = self.slab.get(index as usize) else {
                 continue;
             };
@@ -332,8 +366,44 @@ impl<T> TimerWheel<T> {
                 generation,
             });
         }
-        self.ready
-            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        debug_assert!(
+            self.ready.windows(2).all(|w| w[0].seq < w[1].seq),
+            "a slot lists its entries in seq order"
+        );
+        if self.ready.len() <= COMPARISON_SORT_MAX {
+            self.ready
+                .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        } else {
+            self.radix_sort_ready();
+        }
+    }
+
+    /// Order the ready buffer, which holds one tick's entries in
+    /// ascending `seq`, descending by `(at, seq)`: a stable LSD sort on
+    /// the sub-slot bits of `at`, larger digits first. The first pass
+    /// reads back to front, so equal instants end in descending `seq`.
+    fn radix_sort_ready(&mut self) {
+        const MASK: u64 = DIGITS as u64 - 1;
+        let mut low = [0u32; DIGITS];
+        let mut high = [0u32; DIGITS];
+        for e in &self.ready {
+            low[(e.at & MASK) as usize] += 1;
+            high[((e.at >> DIGIT_BITS) & MASK) as usize] += 1;
+        }
+        descending_starts(&mut low);
+        descending_starts(&mut high);
+        self.spare.clear();
+        self.spare.extend_from_slice(&self.ready);
+        for e in self.ready.iter().rev() {
+            let d = (e.at & MASK) as usize;
+            self.spare[low[d] as usize] = *e;
+            low[d] += 1;
+        }
+        for e in &self.spare {
+            let d = ((e.at >> DIGIT_BITS) & MASK) as usize;
+            self.ready[high[d] as usize] = *e;
+            high[d] += 1;
+        }
     }
 
     /// Re-route one entry after a cascade moved the cursor.
@@ -376,6 +446,17 @@ impl<T> TimerWheel<T> {
             self.replace_entry(index, generation);
         }
         true
+    }
+}
+
+/// Turn per-digit counts into each digit's first index when larger
+/// digits come first.
+fn descending_starts(counts: &mut [u32; DIGITS]) {
+    let mut next = 0;
+    for c in counts.iter_mut().rev() {
+        let n = *c;
+        *c = next;
+        next += n;
     }
 }
 
@@ -451,6 +532,30 @@ mod tests {
         w.schedule(100, 3);
         let got = drain(&mut w);
         assert_eq!(got, vec![(100, 3), (far, 2), (u64::MAX, 1)]);
+    }
+
+    #[test]
+    fn a_drained_level0_slot_keeps_its_capacity_and_no_higher_level_does() {
+        let mut w = TimerWheel::new();
+        // Tick 5 is level-0 slot 5; tick 193 is level-1 slot 3.
+        for v in 0..100 {
+            w.schedule(5 * SLOT_NS + v, v);
+            w.schedule(193 * SLOT_NS + v, 100 + v);
+        }
+        assert_eq!(w.pop(), Some((5 * SLOT_NS, 0)));
+        assert!(w.slots[5].is_empty());
+        assert!(w.slots[5].capacity() >= 100, "level-0 slot kept its vector");
+        let popped = drain(&mut w);
+        assert_eq!(popped.len(), 199);
+        assert_eq!(
+            w.slots[SLOTS + 3].capacity(),
+            0,
+            "a cascaded level-1 slot gives its vector up"
+        );
+        // The cascade filed tick 193 into level-0 slot 1, and its drain
+        // kept that vector too.
+        assert!(w.slots[1].is_empty());
+        assert!(w.slots[1].capacity() >= 100);
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl MmtRepr {
     }
 
     /// Zero-copy emit: write the header into the front of a
-    /// caller-owned buffer (typically a `PacketArena` slot) and return
+    /// caller-owned buffer (typically a `PacketArena` frame) and return
     /// the offset where the payload region begins. The bytes at
     /// `buf[returned..]` are left untouched, so a payload already in
     /// place survives and nothing is allocated.

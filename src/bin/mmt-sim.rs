@@ -378,6 +378,7 @@ fn cmd_pilot(flags: HashMap<String, String>) {
         }
     }
     let crash_armed = cfg.crash_node.is_some();
+    let asked = cfg.message_count;
     let mut pilot = Pilot::build(cfg);
     if trace_out.is_some() {
         match trace_cap {
@@ -419,7 +420,7 @@ fn cmd_pilot(flags: HashMap<String, String>) {
     println!(
         "delivered {}/{}  naks {}  recovered {}  lost {}  aged {}  notify {}",
         r.receiver.delivered,
-        r.sender.sent,
+        asked,
         r.receiver.naks_sent,
         r.receiver.recovered,
         r.receiver.lost,

@@ -388,6 +388,40 @@ fn fleet_runs_clean_and_prints_the_rss_cell() {
 }
 
 #[test]
+fn pilot_report_counts_delivered_against_messages_asked_for() {
+    // The sensor crashes after half the stream and, until its restart
+    // resumes the schedule (ROADMAP item 17), sends nothing more: the
+    // report must say 1000 of the 2000 asked for, not 1000 of the 1000
+    // sent.
+    let out = mmt_sim(&[
+        "pilot",
+        "--messages",
+        "2000",
+        "--seed",
+        "7",
+        "--crash-node",
+        "sensor",
+        "--crash-at",
+        "1",
+        "--restart-at",
+        "3",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "pilot run failed\nstderr: {}",
+        stderr_of(&out)
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("delivered 1000/2000 ")),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
 fn io_pilot_bad_listen_address_rejected() {
     assert_clean_usage_error(
         &["io-pilot", "--listen", "not-an-addr"],

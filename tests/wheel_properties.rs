@@ -234,3 +234,170 @@ fn schedule_behind_the_cursor_pops_next() {
     );
     assert_eq!(wheel.pop(), Some((10 * SLOT_NS, 3)));
 }
+
+/// Pop wheel and model to empty; every pop must agree.
+fn drain_both(wheel: &mut TimerWheel<u32>, model: &mut RefModel, what: &str) {
+    loop {
+        let got = wheel.pop();
+        assert_eq!(got, model.pop(), "{what}: pop diverged");
+        if got.is_none() {
+            break;
+        }
+    }
+    assert!(wheel.is_empty(), "{what}");
+}
+
+/// Schedule `id` at `at` on both sides.
+fn both(wheel: &mut TimerWheel<u32>, model: &mut RefModel, at: u64, id: u32) {
+    wheel.schedule(at, id);
+    model.schedule(at, id);
+}
+
+#[test]
+fn dense_slots_with_many_equal_instants_match_reference_model() {
+    // Hundreds of entries per 1.024 µs slot at a handful of instants,
+    // far above the drain's comparison-sort size, in rounds that each
+    // pop part of what is pending while later slots keep filling.
+    for seed in 1..=8u64 {
+        let mut rng = Rng(seed | 1);
+        let mut wheel = TimerWheel::new();
+        let mut model = RefModel::default();
+        let mut live = Vec::new();
+        let mut next_id = 0u32;
+        for round in 0..12u64 {
+            let base = round * 3 * SLOT_NS;
+            for _ in 0..600 {
+                // Two slots ahead of the round's base, eight instants
+                // each, one of them the slot's first nanosecond.
+                let at = base + (rng.next() % 2) * SLOT_NS + (rng.next() % 8) * 127;
+                let token = wheel.schedule(at, next_id);
+                let seq = model.schedule(at, next_id);
+                live.push((seq, token));
+                next_id += 1;
+                if rng.next().is_multiple_of(10) {
+                    let (seq, token) = live.swap_remove((rng.next() as usize) % live.len());
+                    assert_eq!(wheel.cancel(token), model.cancel(seq), "seed {seed}");
+                }
+            }
+            // Tokens of popped entries stay in `live`: cancelling one is
+            // inert on both sides.
+            for _ in 0..(400 + rng.next() % 400) {
+                assert_eq!(
+                    wheel.pop(),
+                    model.pop(),
+                    "seed {seed} round {round}: pop diverged"
+                );
+            }
+            assert_eq!(
+                wheel.len(),
+                model.entries.len(),
+                "seed {seed} round {round}"
+            );
+        }
+        drain_both(&mut wheel, &mut model, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn drains_on_both_sides_of_the_comparison_sort_size_match_reference_model() {
+    // One slot at a time holds k live entries (plus cancelled residue),
+    // for k around the size where the drain switches from a comparison
+    // sort to radix passes, and well above it.
+    let mut rng = Rng(0x5EED);
+    for k in [1u64, 2, 3, 8, 11, 12, 13, 14, 16, 31, 32, 33, 64, 300] {
+        let mut wheel = TimerWheel::new();
+        let mut model = RefModel::default();
+        let mut id = 0u32;
+        for slot in 1..=6u64 {
+            let tokens: Vec<_> = (0..k + 3)
+                .map(|_| {
+                    let at = slot * SLOT_NS + rng.next() % SLOT_NS;
+                    id += 1;
+                    (wheel.schedule(at, id), model.schedule(at, id))
+                })
+                .collect();
+            // Three cancelled entries stay behind as residue.
+            for &(token, seq) in &tokens[..3] {
+                assert_eq!(wheel.cancel(token), model.cancel(seq), "k {k}");
+            }
+        }
+        drain_both(&mut wheel, &mut model, &format!("k {k}"));
+    }
+}
+
+#[test]
+fn equal_instants_after_a_level_one_cascade_stay_fifo() {
+    // Tick 200 is on level 1 from cursor 0. Popping tick 193 cascades
+    // level-1 slot 3, which files tick 200's entries into level-0 slot
+    // 8; more entries at the same instants then land in that slot
+    // directly, behind them.
+    let mut wheel = TimerWheel::new();
+    let mut model = RefModel::default();
+    let instants = [200 * SLOT_NS, 200 * SLOT_NS + 1, 200 * SLOT_NS + 999];
+    for id in 0..300u32 {
+        both(&mut wheel, &mut model, instants[id as usize % 3], id);
+    }
+    both(&mut wheel, &mut model, 193 * SLOT_NS + 5, 1_000);
+    assert_eq!(wheel.pop(), model.pop());
+    for id in 300..600u32 {
+        both(&mut wheel, &mut model, instants[(id as usize * 7) % 3], id);
+    }
+    drain_both(&mut wheel, &mut model, "level-1 cascade");
+}
+
+#[test]
+fn equal_instants_after_the_overflow_cascade_stay_fifo() {
+    // Entries beyond the horizon wait in the overflow list. Its cascade
+    // moves the cursor to the earliest overflow tick T and files tick
+    // T + 1's entries into one level-0 slot; direct schedules at the
+    // same instants then follow them into that slot.
+    let mut wheel = TimerWheel::new();
+    let mut model = RefModel::default();
+    let t = HORIZON_TICKS * 3;
+    let first = t * SLOT_NS + 17;
+    let instants = [
+        (t + 1) * SLOT_NS,
+        (t + 1) * SLOT_NS + 512,
+        (t + 1) * SLOT_NS + 1023,
+    ];
+    both(&mut wheel, &mut model, 10, 0);
+    for id in 1..300u32 {
+        both(&mut wheel, &mut model, instants[id as usize % 3], id);
+        if id.is_multiple_of(50) {
+            both(&mut wheel, &mut model, u64::MAX, id + 10_000);
+        }
+    }
+    both(&mut wheel, &mut model, first, 20_000);
+    // Pop tick 10, then the overflow cascade's tick T.
+    assert_eq!(wheel.pop(), model.pop());
+    assert_eq!(wheel.pop(), model.pop());
+    assert_eq!(model.entries.iter().filter(|e| e.0 == first).count(), 0);
+    for id in 300..600u32 {
+        both(&mut wheel, &mut model, instants[(id as usize * 5) % 3], id);
+    }
+    drain_both(&mut wheel, &mut model, "overflow cascade");
+}
+
+#[test]
+fn equal_instants_merged_behind_the_cursor_stay_fifo() {
+    // A dense slot is drained into the ready buffer; while it is half
+    // popped, more entries at its instants, and at earlier ones, merge
+    // in behind the cursor.
+    let mut wheel = TimerWheel::new();
+    let mut model = RefModel::default();
+    let instants = [40 * SLOT_NS + 3, 40 * SLOT_NS + 600, 40 * SLOT_NS + 1000];
+    for id in 0..300u32 {
+        both(&mut wheel, &mut model, instants[id as usize % 3], id);
+    }
+    for _ in 0..120 {
+        assert_eq!(wheel.pop(), model.pop());
+    }
+    for id in 300..600u32 {
+        let at = match id % 4 {
+            3 => 39 * SLOT_NS + u64::from(id % 7),
+            i => instants[i as usize],
+        };
+        both(&mut wheel, &mut model, at, id);
+    }
+    drain_both(&mut wheel, &mut model, "merge behind the cursor");
+}
