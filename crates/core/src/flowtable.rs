@@ -126,6 +126,7 @@ impl FlowTable {
         self
     }
 
+    #[inline]
     fn slot(&self, id: FlowId) -> Option<usize> {
         let pos = id.index.checked_sub(self.base)? as usize;
         if *self.live.get(pos)? && self.generation[pos] == id.generation {
@@ -190,11 +191,13 @@ impl FlowTable {
     }
 
     /// The flow's next-sequence cursor.
+    #[inline]
     pub fn seq(&self, id: FlowId) -> Option<u64> {
         self.slot(id).map(|p| self.seq[p])
     }
 
     /// Store the next-sequence cursor. Returns `false` on a stale id.
+    #[inline]
     pub fn set_seq(&mut self, id: FlowId, seq: u64) -> bool {
         match self.slot(id) {
             Some(p) => {
@@ -206,11 +209,13 @@ impl FlowTable {
     }
 
     /// Packets (or credits) the flow has left to emit.
+    #[inline]
     pub fn remaining(&self, id: FlowId) -> Option<u32> {
         self.slot(id).map(|p| self.remaining[p])
     }
 
     /// Store the remaining counter. Returns `false` on a stale id.
+    #[inline]
     pub fn set_remaining(&mut self, id: FlowId, remaining: u32) -> bool {
         match self.slot(id) {
             Some(p) => {

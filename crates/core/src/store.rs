@@ -156,7 +156,7 @@ impl RetransmitStore {
     /// fits. The first copy of a sequence is authoritative: a second one
     /// (a retransmission or mirror twin passing through) is ignored. A
     /// packet larger than the whole store (or with a head over
-    /// [`MAX_HEAD`]) is refused *before* anything is evicted — it must not
+    /// `MAX_HEAD`) is refused *before* anything is evicted — it must not
     /// wipe the recovery state of every other sequence on its way to not
     /// being stored. Room is made before the newcomer goes in, so it is
     /// never what is evicted, however low its sequence.

@@ -1,7 +1,7 @@
 //! The `io-pilot` scenario: the pilot sender→DTN→receiver chain over
 //! real UDP sockets.
 //!
-//! Three runners set up sockets and share one poll loop ([`drive`]) over
+//! Three runners set up sockets and share one poll loop (`drive`) over
 //! an optional sending half and an optional receiving half:
 //!
 //! - [`run_loopback`] — both halves in one process over a loopback

@@ -55,6 +55,7 @@ impl PacketArena {
     /// recycle history. The buffer leaves the arena inside the packet;
     /// hand it back with [`PacketArena::recycle`] once the packet is
     /// consumed.
+    #[inline]
     pub fn frame_virtual(&mut self, physical_len: usize, total_len: usize, flow: u64) -> Packet {
         debug_assert!(physical_len <= total_len);
         let mut buf = match self.spare.pop() {
@@ -83,6 +84,7 @@ impl PacketArena {
     }
 
     /// Return a consumed packet's buffer to the spare pool.
+    #[inline]
     pub fn recycle(&mut self, pkt: Packet) {
         self.spare.push(pkt.bytes);
     }

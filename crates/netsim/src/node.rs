@@ -110,11 +110,13 @@ impl<'a> Context<'a> {
 
     /// Transmit a packet out of `port`. If no link is attached the packet
     /// is counted as an unrouted drop.
+    #[inline]
     pub fn send(&mut self, port: PortId, pkt: Packet) {
         self.actions.push(Output::Transmit { port, pkt });
     }
 
     /// Schedule `on_timer(token)` after `delay`.
+    #[inline]
     pub fn set_timer(&mut self, delay: Time, token: TimerToken) {
         let at = self.now + delay;
         self.actions.push(Output::WakeAt { at, token });

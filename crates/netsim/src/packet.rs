@@ -75,6 +75,7 @@ impl Tail {
     }
 
     /// Wire bytes in the tail.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             Tail::Virtual(n) => *n as usize,
@@ -134,6 +135,7 @@ impl Packet {
     }
 
     /// Create a packet with a flow label.
+    #[inline]
     pub fn with_flow(bytes: Vec<u8>, flow: u64) -> Packet {
         Packet {
             bytes,
@@ -146,6 +148,7 @@ impl Packet {
     }
 
     /// Wire length in bytes (head plus tail).
+    #[inline]
     pub fn len(&self) -> usize {
         self.bytes.len() + self.tail.len()
     }

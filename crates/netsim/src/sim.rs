@@ -69,8 +69,9 @@ impl InFlight {
 struct NodeEntry {
     name: String,
     behavior: Box<dyn Node>,
-    /// Outgoing link attached to each port.
-    ports: Vec<Option<usize>>,
+    /// Outgoing link attached to each port, as a `u32` link index (the
+    /// width `EventKind::TxComplete` carries): 8 bytes a slot.
+    ports: Vec<Option<u32>>,
     /// Packets the node handed to its local application.
     local: Vec<(Time, Packet)>,
     /// Packets sent out of ports with no attached link.
@@ -489,6 +490,10 @@ impl Simulator {
         spec: LinkSpec,
     ) -> LinkId {
         let link_idx = self.links.len();
+        assert!(
+            u32::try_from(link_idx).is_ok(),
+            "link index {link_idx} exceeds u32::MAX, the widest index a port slot or an event carries"
+        );
         let link = Link::new(spec, src.0, dst.0, dst_port, link_idx, &mut self.rng);
         self.links.push(link);
         let ports = &mut self.nodes[src.0].ports;
@@ -500,7 +505,7 @@ impl Simulator {
             "port {src_port} of node {} already connected",
             self.nodes[src.0].name
         );
-        ports[src_port] = Some(link_idx);
+        ports[src_port] = Some(link_idx as u32);
         LinkId(link_idx)
     }
 
@@ -633,6 +638,7 @@ impl Simulator {
         behavior.downcast_mut::<T>()
     }
 
+    #[inline]
     fn push_event(&mut self, at: Time, kind: EventKind) {
         self.events.schedule(at.as_nanos(), kind);
     }
@@ -650,10 +656,9 @@ impl Simulator {
         );
     }
 
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
+    /// Run every node's `on_start`; callers test `started` first, so the
+    /// per-event path pays a field read, not a call.
+    fn start(&mut self) {
         self.started = true;
         for idx in 0..self.nodes.len() {
             self.call_node(idx, |node, ctx| node.on_start(ctx));
@@ -721,6 +726,7 @@ impl Simulator {
             self.nodes[node_idx].unrouted_drops += 1;
             return;
         };
+        let link_idx = link_idx as usize;
         let link = &mut self.links[link_idx];
         link.offered_packets += 1;
         link.offered_bytes += pkt.len() as u64;
@@ -904,13 +910,17 @@ impl Simulator {
 
     /// Process a single event. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        self.ensure_started();
+        if !self.started {
+            self.start();
+        }
         let Some((at, kind)) = self.events.pop() else {
             return false;
         };
         let at = Time::from_nanos(at);
         debug_assert!(at >= self.now, "time went backwards");
-        self.sample_series_until(at);
+        if self.series.is_some() {
+            self.sample_series_until(at);
+        }
         self.now = at;
         self.events_processed += 1;
         match kind {
@@ -993,7 +1003,9 @@ impl Simulator {
     /// Run until virtual time reaches `deadline` (events at exactly
     /// `deadline` are processed) or the queue drains.
     pub fn run_until(&mut self, deadline: Time) {
-        self.ensure_started();
+        if !self.started {
+            self.start();
+        }
         while let Some((head_at, _)) = self.events.peek() {
             if Time::from_nanos(head_at) > deadline {
                 self.sample_series_until(deadline);
@@ -1644,6 +1656,15 @@ mod tests {
         assert!(size_of::<EventKind>() <= 16, "{}", size_of::<EventKind>());
         let entry = size_of::<crate::wheel::SlabEntry<EventKind>>();
         assert!(entry <= 40, "{entry}");
+    }
+
+    #[test]
+    fn a_port_slot_is_8_bytes() {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Box::new(Sink));
+        let b = sim.add_node("b", Box::new(Sink));
+        sim.add_oneway(a, 0, b, 0, gbit_link(0));
+        assert_eq!(std::mem::size_of_val(&sim.nodes[a.0].ports[0]), 8);
     }
 
     #[test]

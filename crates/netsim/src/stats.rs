@@ -56,6 +56,7 @@ impl LatencyHistogram {
     }
 
     /// Record a latency.
+    #[inline]
     pub fn record(&mut self, latency: Time) {
         self.sketch.record(latency.as_nanos());
     }

@@ -167,12 +167,24 @@ impl Bandwidth {
     /// Time to serialize `bytes` onto a link of this rate.
     ///
     /// Exact integer arithmetic: `bytes * 8 * 1e9 / rate`, rounded up so a
-    /// transmission never finishes early.
+    /// transmission never finishes early. The dividend fits a `u64` up to
+    /// ~2.3 GB, which covers every packet, so the per-packet divide is a
+    /// `u64` one; only a larger count widens to `u128`. Both give the
+    /// same quotient.
+    #[inline]
     pub fn tx_time(&self, bytes: usize) -> Time {
         assert!(self.0 > 0, "zero-rate link");
-        let bits = (bytes as u128) * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
-        Time(ns as u64)
+        match u64::try_from(bytes)
+            .ok()
+            .and_then(|b| b.checked_mul(8 * 1_000_000_000))
+        {
+            Some(dividend) => Time(dividend.div_ceil(self.0)),
+            None => {
+                let bits = (bytes as u128) * 8;
+                let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
+                Time(ns as u64)
+            }
+        }
     }
 }
 
@@ -255,6 +267,31 @@ mod tests {
             Bandwidth::bps(3).tx_time(1),
             Time::from_nanos(2_666_666_667)
         );
+    }
+
+    #[test]
+    fn tx_time_u64_path_matches_the_u128_formula() {
+        fn wide(rate: Bandwidth, bytes: usize) -> Time {
+            let ns = ((bytes as u128) * 8 * 1_000_000_000).div_ceil(u128::from(rate.as_bps()));
+            Time(ns as u64)
+        }
+        let rates = [
+            Bandwidth::bps(1),
+            Bandwidth::bps(3),
+            Bandwidth::gbps(1),
+            Bandwidth::gbps(10),
+            Bandwidth::gbps(100),
+            Bandwidth::bps(u64::MAX),
+        ];
+        // The largest count whose dividend fits a u64, one above it (the
+        // first that takes the u128 fallback), and the largest count.
+        let last_narrow = (u64::MAX / 8_000_000_000) as usize;
+        let edges = [last_narrow, last_narrow + 1, usize::MAX];
+        for rate in rates {
+            for bytes in (0..=65_536).chain(edges) {
+                assert_eq!(rate.tx_time(bytes), wide(rate, bytes), "{rate} {bytes} B");
+            }
+        }
     }
 
     #[test]

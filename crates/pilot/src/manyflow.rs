@@ -17,7 +17,7 @@
 //!
 //! ## Flow-state layout: struct-of-arrays
 //!
-//! A group's sensors are one [`SensorFleet`] node whose per-flow state
+//! A group's sensors are one `SensorFleet` node whose per-flow state
 //! (sequence cursor and remaining-packet counter) lives in a dense
 //! [`FlowTable`] — tens of bytes per flow — and whose frames
 //! carry their multi-KB payloads as *virtual tails* (only the MMT header

@@ -99,6 +99,7 @@ impl QuantileSketch {
 
     /// Record one sample. O(1); allocates only when `v` lands past the
     /// highest bucket recorded so far.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         let idx = bucket_index(v);
         if idx >= self.buckets.len() {

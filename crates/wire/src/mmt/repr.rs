@@ -74,6 +74,7 @@ impl MmtRepr {
 
     /// Activate `SEQUENCE` with the given sequence number.
     #[must_use]
+    #[inline]
     pub fn with_sequence(mut self, seq: u64) -> MmtRepr {
         self.features |= Features::SEQUENCE;
         self.sequence = Some(seq);
@@ -212,6 +213,7 @@ impl MmtRepr {
     }
 
     /// Total header length this representation emits.
+    #[inline]
     pub fn header_len(&self) -> usize {
         CORE_HEADER_LEN + ExtLayout::of(self.features).total
     }
@@ -322,6 +324,7 @@ impl MmtRepr {
     /// return it together with the borrowed payload slice. No
     /// allocation; malformed or truncated input returns `Err` exactly
     /// like [`MmtRepr::parse`].
+    #[inline]
     pub fn decode_from(buf: &[u8]) -> Result<(MmtRepr, &[u8])> {
         let (repr, len) = Self::parse_len(buf)?;
         Ok((repr, &buf[len..]))

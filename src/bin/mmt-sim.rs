@@ -54,6 +54,7 @@ fn usage() -> ! {
          \x20         [--restart-at MS]         restart time in ms (must be > --crash-at)\n\
          \x20         [--adapt 0|1]             closed-loop mode adaptation; adds the standby\n\
          \x20                                   retransmission buffer to the topology\n\
+         \x20         exit: 0 completed; 4 INCOMPLETE within the 300 s horizon\n\
          \x20 fct     E1 flow-completion sweep  [--loss P] [--mb N] [--rtt1-ms N] [--rtt2-ms N] [--seed N]\n\
          \x20 hol     E2 head-of-line compare   [--loss P] [--rtt-ms N] [--messages N] [--seed N]\n\
          \x20 failover E13 crash failover      [--loss P] [--messages N] [--seed N]\n\
@@ -505,6 +506,10 @@ fn cmd_pilot(flags: HashMap<String, String>) {
             }
             None => println!("flight recorder armed; no trigger tripped"),
         }
+    }
+    if r.completed_at.is_none() {
+        println!("pilot: INCOMPLETE — not every message delivered, exiting nonzero");
+        std::process::exit(4);
     }
 }
 

@@ -392,7 +392,7 @@ fn pilot_report_counts_delivered_against_messages_asked_for() {
     // The sensor crashes after half the stream and, until its restart
     // resumes the schedule (ROADMAP item 17), sends nothing more: the
     // report must say 1000 of the 2000 asked for, not 1000 of the 1000
-    // sent.
+    // sent, and the run exits 4 like a degraded io-pilot.
     let out = mmt_sim(&[
         "pilot",
         "--messages",
@@ -409,8 +409,8 @@ fn pilot_report_counts_delivered_against_messages_asked_for() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
-        Some(0),
-        "pilot run failed\nstderr: {}",
+        Some(4),
+        "an incomplete pilot must exit 4\nstderr: {}",
         stderr_of(&out)
     );
     assert!(
