@@ -77,14 +77,6 @@ impl EventRates {
         }
     }
 
-    /// Beam running: spills plus background.
-    pub fn beam_running() -> EventRates {
-        EventRates {
-            beam_hz: 0.8,
-            ..EventRates::background()
-        }
-    }
-
     /// During a supernova burst: background plus a large neutrino rate
     /// (a 10 kpc core collapse yields thousands of interactions in ~10 s).
     pub fn supernova_burst() -> EventRates {

@@ -2,7 +2,7 @@
 //!
 //! The simulator injects loss on links; the real plane injects it at the
 //! socket: every outbound datagram rolls against a seeded [`SimRng`]
-//! before it reaches `sendto`. Drop, duplicate, and fixed-delay shapes
+//! before it reaches `send`. Drop, duplicate, and fixed-delay shapes
 //! compose, and because the generator is the same splitmix/xorshift rng
 //! the sim uses, a chaos run's fault pattern is reproducible from its
 //! seed (given the same datagram order).
@@ -43,7 +43,8 @@ impl FaultPlan {
 pub struct FaultStats {
     /// Datagrams passed through immediately.
     pub passed: u64,
-    /// Datagrams silently dropped.
+    /// Datagrams lost on the send path: dropped by the plan, or refused
+    /// by the kernel (a full send buffer, or a peer that has closed).
     pub dropped: u64,
     /// Extra copies created by duplication.
     pub duplicated: u64,
@@ -74,12 +75,14 @@ impl FaultInjector {
         }
     }
 
-    /// Admit an outbound datagram: copies to transmit *now* are pushed to
-    /// `ready`; delayed copies are queued internally until due.
-    pub fn admit(&mut self, now: Time, datagram: &[u8], ready: &mut Vec<Vec<u8>>) {
+    /// Roll the plan for one outbound datagram and return how many copies
+    /// of it go out *now*: 0 when it is dropped or delayed, 2 when it is
+    /// duplicated. Delayed copies are queued internally until due. The
+    /// caller transmits the copies from its own slice.
+    pub fn pass(&mut self, now: Time, datagram: &[u8]) -> usize {
         if self.plan.drop > 0.0 && self.rng.chance(self.plan.drop) {
             self.stats.dropped += 1;
-            return;
+            return 0;
         }
         let copies = if self.plan.dup > 0.0 && self.rng.chance(self.plan.dup) {
             self.stats.duplicated += 1;
@@ -87,15 +90,23 @@ impl FaultInjector {
         } else {
             1
         };
-        for _ in 0..copies {
-            if self.plan.delay > Time::ZERO {
+        if self.plan.delay > Time::ZERO {
+            let due = now + self.plan.delay;
+            for _ in 0..copies {
                 self.stats.delayed += 1;
-                self.held
-                    .push_back((now + self.plan.delay, datagram.to_vec()));
-            } else {
-                self.stats.passed += 1;
-                ready.push(datagram.to_vec());
+                self.held.push_back((due, datagram.to_vec()));
             }
+            return 0;
+        }
+        self.stats.passed += copies as u64;
+        copies
+    }
+
+    /// Admit an outbound datagram: copies to transmit *now* are pushed to
+    /// `ready`; delayed copies are queued internally until due.
+    pub fn admit(&mut self, now: Time, datagram: &[u8], ready: &mut Vec<Vec<u8>>) {
+        for _ in 0..self.pass(now, datagram) {
+            ready.push(datagram.to_vec());
         }
     }
 

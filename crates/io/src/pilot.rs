@@ -10,7 +10,7 @@
 //! - [`run_connect`] — the sending half alone (sensor + border DTN),
 //!   aimed at a remote receiver.
 //! - [`run_listen`] — the receiving half alone, bound to an address, peer
-//!   learned from the first datagram.
+//!   learned from the first datagram (and its socket connected to it).
 //!
 //! Faults are injected on the *data* direction only (at the sending
 //! socket); the NAK path stays clean, modelling a lossy WAN with a
@@ -419,7 +419,7 @@ fn recv_all(
     Ok(moved)
 }
 
-/// Queue everything in `wire` at `sock`; whether there was anything.
+/// Send everything in `wire` through `sock`; whether there was anything.
 fn send_all(sock: &mut FaultySocket, now: Time, wire: &mut Vec<Packet>) -> Result<bool, IoError> {
     let moved = !wire.is_empty();
     for pkt in wire.drain(..) {
@@ -608,7 +608,8 @@ pub fn run_connect(cfg: &IoPilotConfig, addr: &str) -> Result<IoPilotReport, IoE
 }
 
 /// Run the receiving half, bound to `addr`; the peer is learned from the
-/// first datagram.
+/// first datagram, and the socket connected to it, so datagrams from
+/// anyone else are dropped by the kernel.
 pub fn run_listen(cfg: &IoPilotConfig, addr: &str) -> Result<IoPilotReport, IoError> {
     let bound: std::net::SocketAddr = addr.parse().map_err(|_| IoError::Addr(addr.to_string()))?;
     let sock = UdpSocket::bind(bound)?;

@@ -2,15 +2,26 @@
 //!
 //! [`FaultySocket`] owns a `std::net::UdpSocket` in nonblocking mode and
 //! routes every outbound datagram through a [`FaultInjector`] before it
-//! reaches `sendto`. Receives are plain — faults are injected exactly
+//! reaches `send`. Receives are plain — faults are injected exactly
 //! once, at the sending socket, so a loopback pair with one faulty
 //! direction models a lossy WAN with a clean control path.
+//!
+//! The socket is connected as soon as its peer is known: at once when it
+//! is built with one, or on a listen side when the first datagram names
+//! it. A connected socket sends without a route lookup per datagram, and
+//! the kernel drops datagrams from anyone else. A datagram the injector
+//! passes goes to the kernel straight from the caller's slice; only
+//! delay-held copies and, on a listen side, datagrams waiting for a peer
+//! are copied. A connected socket also hears the ICMP "port unreachable"
+//! of a peer that has closed, as `ConnectionRefused`: that is a lost
+//! datagram, like a full send buffer, never an error of the run.
 
+use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
 use mmt_netsim::Time;
 
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, FaultStats};
 use crate::IoError;
 
 /// Datagram counters for one socket.
@@ -30,23 +41,29 @@ pub struct SocketStats {
 #[derive(Debug)]
 pub struct FaultySocket {
     sock: UdpSocket,
+    /// The peer, once known; the socket is connected to it from then on.
     peer: Option<SocketAddr>,
     injector: FaultInjector,
+    /// Copies released from the delay queue, and datagrams waiting for a
+    /// peer.
     ready: Vec<Vec<u8>>,
     /// Counters.
     pub stats: SocketStats,
 }
 
 impl FaultySocket {
-    /// Wrap a bound socket. The socket is switched to nonblocking mode.
-    /// `peer` may be `None` on a listen side — it is learned from the
-    /// first received datagram.
+    /// Wrap a bound socket. The socket is switched to nonblocking mode,
+    /// and connected to `peer` if one is given. `peer` may be `None` on a
+    /// listen side — it is learned from the first received datagram.
     pub fn new(
         sock: UdpSocket,
         peer: Option<SocketAddr>,
         injector: FaultInjector,
     ) -> Result<FaultySocket, IoError> {
         sock.set_nonblocking(true)?;
+        if let Some(peer) = peer {
+            sock.connect(peer)?;
+        }
         Ok(FaultySocket {
             sock,
             peer,
@@ -66,10 +83,21 @@ impl FaultySocket {
         self.peer
     }
 
-    /// Queue a datagram for the peer, subject to the fault plan. Copies
-    /// that survive (and are not delayed) go to the kernel immediately.
+    /// Send a datagram to the peer, subject to the fault plan. Copies
+    /// that survive (and are not delayed) go to the kernel immediately,
+    /// from `datagram` itself; without a peer they wait for one.
     pub fn send(&mut self, now: Time, datagram: &[u8]) -> Result<(), IoError> {
-        self.injector.admit(now, datagram, &mut self.ready);
+        let copies = self.injector.pass(now, datagram);
+        if self.peer.is_some() && self.ready.is_empty() {
+            for _ in 0..copies {
+                self.transmit(datagram)?;
+            }
+        } else {
+            // No peer yet, or datagrams that waited for one go first.
+            for _ in 0..copies {
+                self.ready.push(datagram.to_vec());
+            }
+        }
         self.flush(now)
     }
 
@@ -77,41 +105,65 @@ impl FaultySocket {
     /// to the kernel.
     pub fn flush(&mut self, now: Time) -> Result<(), IoError> {
         self.injector.release_due(now, &mut self.ready);
-        let Some(peer) = self.peer else {
+        if self.peer.is_none() {
             // No peer yet (listen side, nothing received): hold output.
             return Ok(());
-        };
-        for datagram in self.ready.drain(..) {
-            match self.sock.send_to(&datagram, peer) {
-                Ok(n) => {
-                    self.stats.sent += 1;
-                    self.stats.sent_bytes += n as u64;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Kernel buffer full: treat as wire loss. The NAK
-                    // path recovers it like any other drop.
-                    self.injector.stats.dropped += 1;
-                }
-                Err(e) => return Err(IoError::Socket(e)),
-            }
         }
-        Ok(())
+        // Taken out for the loop, and put back for its capacity.
+        let mut ready = std::mem::take(&mut self.ready);
+        let sent = ready.drain(..).try_for_each(|d| self.transmit(&d));
+        self.ready = ready;
+        sent
     }
 
     /// Try to receive one datagram. Returns `Ok(None)` when the socket
     /// has nothing pending. Learns the peer from the first arrival if it
-    /// was unknown.
+    /// was unknown, and connects to it.
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<Option<usize>, IoError> {
-        match self.sock.recv_from(buf) {
-            Ok((n, from)) => {
-                if self.peer.is_none() {
+        loop {
+            let got = match self.peer {
+                Some(_) => self.sock.recv(buf),
+                None => self.sock.recv_from(buf).and_then(|(n, from)| {
+                    self.sock.connect(from)?;
                     self.peer = Some(from);
+                    Ok(n)
+                }),
+            };
+            match got {
+                Ok(n) => {
+                    self.stats.received += 1;
+                    self.stats.received_bytes += n as u64;
+                    return Ok(Some(n));
                 }
-                self.stats.received += 1;
-                self.stats.received_bytes += n as u64;
-                Ok(Some(n))
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                // The refusal of a datagram already sent and counted;
+                // reporting it clears it, so read on.
+                Err(e) if e.kind() == ErrorKind::ConnectionRefused => {}
+                Err(e) => return Err(IoError::Socket(e)),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
+        }
+    }
+
+    /// Hand one datagram to the connected kernel socket. A full send
+    /// buffer (`WouldBlock`) or a peer that has closed
+    /// (`ConnectionRefused`) is wire loss, counted as dropped: the NAK
+    /// path recovers it like any other drop.
+    fn transmit(&mut self, datagram: &[u8]) -> Result<(), IoError> {
+        match self.sock.send(datagram) {
+            Ok(n) => {
+                self.stats.sent += 1;
+                self.stats.sent_bytes += n as u64;
+                Ok(())
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::ConnectionRefused
+                ) =>
+            {
+                self.injector.stats.dropped += 1;
+                Ok(())
+            }
             Err(e) => Err(IoError::Socket(e)),
         }
     }
@@ -122,7 +174,7 @@ impl FaultySocket {
     }
 
     /// Fault counters accumulated on this socket's send path.
-    pub fn fault_stats(&self) -> crate::fault::FaultStats {
+    pub fn fault_stats(&self) -> FaultStats {
         self.injector.stats
     }
 }
@@ -144,19 +196,23 @@ mod tests {
         (fa, fb)
     }
 
+    /// The next datagram `s` returns within 100 ms, if any.
+    fn recv_one(s: &mut FaultySocket) -> Option<Vec<u8>> {
+        let mut buf = [0u8; 64];
+        for _ in 0..100 {
+            if let Some(n) = s.recv(&mut buf).expect("recv") {
+                return Some(buf[..n].to_vec());
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        None
+    }
+
     #[test]
     fn clean_roundtrip_over_loopback() {
         let (mut a, mut b) = loopback_pair();
         a.send(Time::ZERO, b"hello").expect("send");
-        let mut buf = [0u8; 64];
-        let mut got = None;
-        for _ in 0..100 {
-            if let Some(n) = b.recv(&mut buf).expect("recv") {
-                got = Some(buf[..n].to_vec());
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        let got = recv_one(&mut b);
         assert_eq!(got.as_deref(), Some(&b"hello"[..]));
         assert_eq!(a.stats.sent, 1);
         assert_eq!(b.stats.received, 1);
@@ -177,5 +233,53 @@ mod tests {
         }
         assert_eq!(s.stats.sent, 0);
         assert_eq!(s.fault_stats().dropped, 10);
+    }
+
+    /// A connected socket whose peer has closed hears "port unreachable"
+    /// as `ConnectionRefused`: each refused send is a lost datagram, and a
+    /// refusal reported at `recv` is no error either.
+    #[test]
+    fn a_refused_send_is_a_lost_datagram() {
+        let closed = UdpSocket::bind(("127.0.0.1", 0)).expect("bind peer");
+        let peer = closed.local_addr().expect("addr");
+        drop(closed);
+        let a = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let mut s = FaultySocket::new(a, Some(peer), FaultInjector::new(4, FaultPlan::clean()))
+            .expect("wrap");
+        for i in 0..10 {
+            s.send(Time::ZERO, b"x")
+                .unwrap_or_else(|e| panic!("send {i}: {e}"));
+        }
+        let mut buf = [0u8; 16];
+        assert_eq!(s.recv(&mut buf).expect("recv"), None);
+        let lost = s.fault_stats().dropped;
+        assert!(lost > 0, "the closed port refused some sends");
+        assert_eq!(s.stats.sent + lost, 10, "every send is sent or lost");
+        // Nothing is pending now, so this one goes out and its refusal
+        // waits for the next call: a read.
+        s.send(Time::ZERO, b"x").expect("send 10");
+        assert_eq!(s.stats.sent + s.fault_stats().dropped, 11);
+        assert_eq!(s.recv(&mut buf).expect("a refusal at recv"), None);
+    }
+
+    /// A listen side connects to the peer its first datagram names, so the
+    /// kernel drops what anyone else sends it.
+    #[test]
+    fn a_listen_side_hears_only_the_peer_it_learned() {
+        let l = UdpSocket::bind(("127.0.0.1", 0)).expect("bind listen");
+        let l_addr = l.local_addr().expect("addr");
+        let mut listen =
+            FaultySocket::new(l, None, FaultInjector::new(5, FaultPlan::clean())).expect("wrap");
+        let a = UdpSocket::bind(("127.0.0.1", 0)).expect("bind a");
+        let b = UdpSocket::bind(("127.0.0.1", 0)).expect("bind b");
+        a.send_to(b"a1", l_addr).expect("a1");
+        assert_eq!(recv_one(&mut listen).as_deref(), Some(&b"a1"[..]));
+        assert_eq!(listen.peer(), a.local_addr().ok());
+        // B's datagram goes out first; the next one read is still A's.
+        b.send_to(b"b1", l_addr).expect("b1");
+        a.send_to(b"a2", l_addr).expect("a2");
+        assert_eq!(recv_one(&mut listen).as_deref(), Some(&b"a2"[..]));
+        assert_eq!(recv_one(&mut listen), None, "B's datagram never comes");
+        assert_eq!(listen.stats.received, 2);
     }
 }

@@ -77,11 +77,6 @@ impl<T: AsRef<[u8]>> Frame<T> {
         Ok(Frame { buffer })
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC address.
     pub fn destination(&self) -> EthernetAddress {
         EthernetAddress::from_bytes(&self.buffer.as_ref()[field::DESTINATION])

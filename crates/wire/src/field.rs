@@ -46,23 +46,6 @@ pub fn write_u32(buf: &mut [u8], off: usize, v: u32) {
     buf[off..off + 4].copy_from_slice(&v.to_be_bytes());
 }
 
-/// Read a 48-bit unsigned value at `off` (stored in 6 bytes).
-#[inline]
-pub fn read_u48(buf: &[u8], off: usize) -> u64 {
-    let mut v = 0u64;
-    for b in &buf[off..off + 6] {
-        v = (v << 8) | u64::from(*b);
-    }
-    v
-}
-
-/// Write the low 48 bits of `v` at `off` (6 bytes). High bits are discarded.
-#[inline]
-pub fn write_u48(buf: &mut [u8], off: usize, v: u64) {
-    let bytes = v.to_be_bytes();
-    buf[off..off + 6].copy_from_slice(&bytes[2..8]);
-}
-
 /// Read a 56-bit unsigned value at `off` (stored in 7 bytes).
 #[inline]
 pub fn read_u56(buf: &[u8], off: usize) -> u64 {
@@ -119,13 +102,6 @@ mod tests {
         let mut buf = [0u8; 6];
         write_u32(&mut buf, 2, 0xDEAD_BEEF);
         assert_eq!(read_u32(&buf, 2), 0xDEAD_BEEF);
-    }
-
-    #[test]
-    fn u48_roundtrip_and_truncation() {
-        let mut buf = [0u8; 6];
-        write_u48(&mut buf, 0, 0xFFFF_1234_5678_9ABC);
-        assert_eq!(read_u48(&buf, 0), 0x1234_5678_9ABC);
     }
 
     #[test]

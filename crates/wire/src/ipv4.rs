@@ -111,11 +111,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(())
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version (must be 4).
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[field::VER_IHL] >> 4

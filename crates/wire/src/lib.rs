@@ -138,11 +138,6 @@ impl Ipv4Address {
         u32::from_be_bytes(self.0)
     }
 
-    /// Construct from a big-endian `u32`.
-    pub fn from_u32(v: u32) -> Ipv4Address {
-        Ipv4Address(v.to_be_bytes())
-    }
-
     /// Whether this is the unspecified address.
     pub fn is_unspecified(&self) -> bool {
         *self == Self::UNSPECIFIED
@@ -187,7 +182,6 @@ mod tests {
     fn ipv4_address_u32_roundtrip() {
         let a = Ipv4Address::new(10, 0, 1, 200);
         assert_eq!(a.to_string(), "10.0.1.200");
-        assert_eq!(Ipv4Address::from_u32(a.to_u32()), a);
         assert!(!a.is_unspecified());
         assert!(Ipv4Address::UNSPECIFIED.is_unspecified());
     }

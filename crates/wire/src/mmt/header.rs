@@ -52,11 +52,6 @@ impl<T: AsRef<[u8]>> CoreHeader<T> {
         check_len(buf, self.header_len())
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// The configuration id.
     pub fn config_id(&self) -> u8 {
         self.buffer.as_ref()[field::CONFIG_ID]
