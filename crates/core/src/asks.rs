@@ -35,9 +35,14 @@ pub(crate) struct Run {
 /// The ask table: disjoint runs keyed by their first sequence.
 pub(crate) type Runs = BTreeMap<u64, Run>;
 
-/// The run holding `s`: its first sequence and state.
+/// The run holding `s`: its first sequence and state. The last run is
+/// read first, so only a sequence below its start searches the tree: an
+/// in-order arrival lands at or above it.
 pub(crate) fn run_of(runs: &Runs, s: u64) -> Option<(u64, Run)> {
-    let (&first, &run) = runs.range(..=s).next_back()?;
+    let (&first, &run) = match runs.last_key_value()? {
+        (&first, _) if first > s => runs.range(..=s).next_back()?,
+        last => last,
+    };
     (run.last >= s).then_some((first, run))
 }
 
@@ -105,6 +110,7 @@ pub(crate) fn earliest(runs: &Runs, pick: impl Fn(&Run) -> bool) -> Option<Time>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_netsim::SimRng;
 
     fn spans(runs: &Runs) -> Vec<(u64, u64, u32)> {
         runs.iter().map(|(&f, r)| (f, r.last, r.asks)).collect()
@@ -124,6 +130,125 @@ mod tests {
             spans(&runs),
             [(0, u64::MAX - 1, 0), (u64::MAX, u64::MAX, 0)]
         );
+    }
+
+    /// A run's state without its extent.
+    type State = (Option<Time>, Time, u32, bool, bool, bool);
+
+    fn state(run: &Run) -> State {
+        (run.seen, run.asked, run.asks, run.skip, run.tail, run.probe)
+    }
+
+    /// One of the changes a round makes to every run it covers.
+    fn touch(run: &mut Run, change: u64, now: Time) {
+        match change {
+            0 => {
+                run.asked = if run.asks == 0 { now } else { run.asked };
+                run.asks += 1;
+            }
+            1 => run.skip = !run.skip,
+            2 => (run.tail, run.probe) = (!run.probe, !run.tail),
+            _ => run.seen = run.seen.or(Some(now)),
+        }
+    }
+
+    /// Every sequence the table holds, with its run's state; the runs
+    /// must be disjoint and ascending.
+    fn expand(runs: &Runs) -> Vec<(u64, State)> {
+        let mut out = Vec::new();
+        let mut next = Some(0);
+        for (&first, run) in runs {
+            assert!(next.is_some_and(|n| n <= first) && first <= run.last);
+            out.extend((first..=run.last).map(|s| (s, state(run))));
+            next = run.last.checked_add(1);
+        }
+        out
+    }
+
+    /// A lookup at, inside, just above or far above the last run, or
+    /// anywhere in `lo..=hi`.
+    fn lookup(runs: &Runs, rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
+        let anywhere = lo + rng.next_bounded(hi - lo + 1);
+        let Some((&first, run)) = runs.last_key_value() else {
+            return anywhere;
+        };
+        match rng.next_bounded(6) {
+            0 => first,
+            1 => first + rng.next_bounded(run.last - first + 1),
+            2 => run.last,
+            3 => run.last.saturating_add(1 + rng.next_bounded(3)),
+            4 => u64::MAX,
+            _ => anywhere,
+        }
+    }
+
+    /// `cover`, `take`, `run_of` and `remove` agree with a table that
+    /// keeps one state per missing sequence, on a window at the bottom or
+    /// the top of the sequence space, with most lookups at, inside or
+    /// above the last run.
+    #[test]
+    fn ask_table_matches_a_per_sequence_model() {
+        let mut rng = SimRng::new(0xA5C5_0001);
+        for case in 0..64u64 {
+            let lo = if case % 2 == 0 { 0 } else { u64::MAX - 299 };
+            let hi = lo + 299;
+            let mut runs = Runs::new();
+            let mut model: BTreeMap<u64, Run> = BTreeMap::new();
+            for step in 0..200 {
+                let now = Time::from_nanos(step);
+                match rng.next_bounded(100) {
+                    // A round covers a span and changes every run in it.
+                    0..=34 => {
+                        let first = lo + rng.next_bounded(300);
+                        let last = first.saturating_add(rng.next_bounded(24)).min(hi);
+                        let change = rng.next_bounded(4);
+                        let mut next = Some(first);
+                        for (&start, run) in cover(&mut runs, first, last) {
+                            assert_eq!(Some(start), next, "case {case} step {step}: cover");
+                            touch(run, change, now);
+                            next = run.last.checked_add(1);
+                        }
+                        assert_eq!(next, last.checked_add(1), "case {case} step {step}");
+                        for s in first..=last {
+                            touch(model.entry(s).or_default(), change, now);
+                        }
+                    }
+                    // An arrival takes its sequence out.
+                    35..=59 => {
+                        let s = lookup(&runs, &mut rng, lo, hi);
+                        let got = take(&mut runs, s).map(|r| state(&r));
+                        let want = model.remove(&s).map(|r| state(&r));
+                        assert_eq!(got, want, "case {case} step {step}: take({s})");
+                    }
+                    // A lookup: the run holds `s` and shares its state.
+                    60..=84 => {
+                        let s = lookup(&runs, &mut rng, lo, hi);
+                        let got = run_of(&runs, s);
+                        let want = model.get(&s).map(state);
+                        assert_eq!(got.map(|(_, r)| state(&r)), want, "run_of({s})");
+                        if let Some((first, run)) = got {
+                            assert!((first..=run.last).contains(&s), "run_of({s})");
+                            assert!(runs.get(&first).is_some_and(|r| r.last == run.last));
+                        }
+                    }
+                    // A pseudo-fill drops whole runs, from one run's
+                    // first sequence to another's last.
+                    _ => {
+                        let firsts: Vec<u64> = runs.keys().copied().collect();
+                        let Some(n) = (firsts.len() as u64).checked_sub(1) else {
+                            continue;
+                        };
+                        let a = rng.next_bounded(n + 1) as usize;
+                        let b = a + rng.next_bounded(n + 1 - a as u64) as usize;
+                        let (first, last) = (firsts[a], runs[&firsts[b]].last);
+                        remove(&mut runs, first, last);
+                        model.retain(|&s, _| !(first..=last).contains(&s));
+                    }
+                }
+                let want: Vec<_> = model.iter().map(|(&s, r)| (s, state(r))).collect();
+                assert_eq!(expand(&runs), want, "case {case} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -690,7 +690,7 @@ impl RetransmitBuffer {
         if let Some(seq) = seq {
             // Retransmissions and mirror twins pass a hop on the path
             // too; the store keeps the first copy of a sequence.
-            let retained = self.store.retain(seq, pkt.clone());
+            let retained = self.store.retain(seq, &pkt);
             self.stats.evicted += retained.evicted;
             self.stats.tapped += u64::from(retained.stored);
             self.stats.stored = self.store.len() as u64;

@@ -172,6 +172,12 @@ pub struct MmtReceiver {
     /// The ask table: the missing runs a round has named or a retry round
     /// has seen. An arrival among named ones is a recovery.
     runs: Runs,
+    /// A lower bound on when the rounds that named the runs still waiting
+    /// for a probe round ran; `None` when no run waits. Only a fresh round
+    /// marks a run, at its `now`, and lowers the bound if it must, so an
+    /// arrival scans the table only when the bound could move the probe
+    /// wake.
+    probe_floor: Option<Time>,
     /// The tail's give-up clock, keyed by its first sequence: it restarts
     /// whenever the highest sequence advances, as the sender is alive.
     tail_seen: Option<(u64, Time)>,
@@ -223,6 +229,7 @@ impl MmtReceiver {
             config,
             tracker: SeqTracker::new(),
             runs: Runs::new(),
+            probe_floor: None,
             tail_seen: None,
             recovered_seqs: SeqTracker::new(),
             rtt: RttEstimator::new(),
@@ -544,6 +551,20 @@ impl MmtReceiver {
         }
     }
 
+    /// When the earliest round that named a run still waiting for a probe
+    /// round ran, if a probe round for it could be due before the probe
+    /// wake is (`None` otherwise). The scan that answers it tightens
+    /// `probe_floor` to the answer.
+    fn probe_round(&mut self, pto: Time) -> Option<Time> {
+        let floor = self.probe_floor?;
+        let due = self.due[Round::Probe as usize];
+        if due.is_some_and(|(due, _)| floor + pto >= due) {
+            return None;
+        }
+        self.probe_floor = asks::earliest(&self.runs, |run| run.probe);
+        self.probe_floor
+    }
+
     /// One NAK round over the first `NAK_ROUND_SEQS` sequences of `spans`,
     /// charging each run it names one round; whether a NAK went out. A
     /// retry round skips, once, a run another round named since the last
@@ -575,6 +596,7 @@ impl MmtReceiver {
                     Ask::Retry => true,
                     Ask::Fresh { tail } if run.asks == 0 => {
                         (run.tail, run.probe, run.skip) = (tail, true, true);
+                        self.probe_floor = self.probe_floor.or(Some(now));
                         true
                     }
                     Ask::Fresh { .. } => false,
@@ -743,8 +765,7 @@ impl MmtReceiver {
             }
             if let Some(pto) = self.probe_timeout() {
                 let tail = self.tail(true).map(|_| now + pto);
-                let round = asks::earliest(&self.runs, |run| run.probe);
-                let round = round.map(|at| (at + pto).max(now));
+                let round = self.probe_round(pto).map(|at| (at + pto).max(now));
                 if let Some(at) = tail.into_iter().chain(round).min() {
                     self.arm(Round::Probe, at, out);
                 }

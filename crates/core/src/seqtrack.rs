@@ -25,23 +25,42 @@ impl SeqTracker {
 
     /// Record a sequence number. Returns `true` if new, `false` if a
     /// duplicate.
+    ///
+    /// The highest range is read first: an in-order arrival extends it
+    /// in place and one above it opens a new last range, neither with a
+    /// tree search. Only a sequence below the highest range's start (a
+    /// late fill) searches for its neighbours.
     pub fn record(&mut self, seq: u64) -> bool {
-        // Find a range containing or adjacent to seq.
-        if self.contains(seq) {
-            self.duplicate_hits += 1;
-            return false;
-        }
         // End-exclusive bound. Sequence space is allocated from a
         // 0-based counter, so `seq` never reaches u64::MAX in practice;
         // saturating keeps the interval invariants intact if it did.
         let seq_end = seq.saturating_add(1);
+        match self.ranges.last_entry() {
+            Some(mut top) if *top.get() == seq => *top.get_mut() = seq_end,
+            Some(top) if seq < *top.key() => return self.record_below(seq, seq_end),
+            Some(top) if seq < *top.get() => {
+                self.duplicate_hits += 1;
+                return false;
+            }
+            // Above the highest range, or the first sequence.
+            _ => {
+                self.ranges.insert(seq, seq_end);
+            }
+        }
         self.received += seq_end - seq;
-        let prev = self
-            .ranges
-            .range(..=seq)
-            .next_back()
-            .map(|(&s, &e)| (s, e))
-            .filter(|&(_, e)| e == seq);
+        true
+    }
+
+    /// [`SeqTracker::record`] for a sequence below the highest range's
+    /// start: merge it with the ranges it abuts.
+    fn record_below(&mut self, seq: u64, seq_end: u64) -> bool {
+        let prev = self.ranges.range(..=seq).next_back().map(|(&s, &e)| (s, e));
+        if prev.is_some_and(|(_, e)| seq < e) {
+            self.duplicate_hits += 1;
+            return false;
+        }
+        self.received += seq_end - seq;
+        let prev = prev.filter(|&(_, e)| e == seq);
         let next = self
             .ranges
             .range(seq_end..)
@@ -96,15 +115,22 @@ impl SeqTracker {
 
     /// Whether `seq` has been received.
     pub fn contains(&self, seq: u64) -> bool {
-        self.ranges
-            .range(..=seq)
-            .next_back()
-            .is_some_and(|(&s, &e)| seq >= s && seq < e)
+        // The highest range first: only a sequence below its start
+        // searches.
+        match self.ranges.last_key_value() {
+            Some((&s, &e)) if seq >= s => seq < e,
+            Some(_) => self
+                .ranges
+                .range(..=seq)
+                .next_back()
+                .is_some_and(|(_, &e)| seq < e),
+            None => false,
+        }
     }
 
     /// The highest received sequence number, if any.
     pub fn highest(&self) -> Option<u64> {
-        self.ranges.iter().next_back().map(|(_, &e)| e - 1)
+        self.ranges.last_key_value().map(|(_, &e)| e - 1)
     }
 
     /// Count of distinct sequence numbers received.
@@ -122,7 +148,7 @@ impl SeqTracker {
     /// sequence). Sequence space starts at 0 — a stream whose first
     /// packets were lost has a *leading* gap.
     pub fn gap_count(&self) -> usize {
-        let leading = usize::from(self.ranges.keys().next().is_some_and(|&s| s > 0));
+        let leading = usize::from(self.ranges.first_key_value().is_some_and(|(&s, _)| s > 0));
         self.ranges.len().saturating_sub(1) + leading
     }
 

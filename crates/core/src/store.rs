@@ -159,8 +159,9 @@ impl RetransmitStore {
     /// `MAX_HEAD`) is refused *before* anything is evicted — it must not
     /// wipe the recovery state of every other sequence on its way to not
     /// being stored. Room is made before the newcomer goes in, so it is
-    /// never what is evicted, however low its sequence.
-    pub fn retain(&mut self, seq: u64, pkt: Packet) -> Retained {
+    /// never what is evicted, however low its sequence. The store copies
+    /// the head into its chunk and takes a reference to the tail.
+    pub fn retain(&mut self, seq: u64, pkt: &Packet) -> Retained {
         let len = pkt.len();
         let mut outcome = Retained {
             stored: false,
@@ -213,14 +214,13 @@ impl RetransmitStore {
     }
 
     /// Insert a packet whose sequence is not held and that fits.
-    fn insert(&mut self, seq: u64, pkt: Packet) {
-        let Packet { bytes, meta, tail } = pkt;
-        let (head, wire) = (bytes.len(), bytes.len() + tail.len());
+    fn insert(&mut self, seq: u64, pkt: &Packet) {
+        let (head, wire) = (pkt.bytes.len(), pkt.len());
         let rec = Record {
             seq,
             last_served: None,
-            meta,
-            tail,
+            meta: pkt.meta,
+            tail: pkt.tail.clone(),
             head_at: 0,
             head_len: 0,
         };
@@ -246,7 +246,7 @@ impl RetransmitStore {
             (c, i) = at;
         }
         if let Some(chunk) = self.chunks.get_mut(c) {
-            chunk.insert(i, rec, &bytes);
+            chunk.insert(i, rec, &pkt.bytes);
         }
     }
 
@@ -432,7 +432,7 @@ mod tests {
         // 100 wire bytes each, 40 of them resident: 3 fit in 300.
         let mut s = RetransmitStore::new(300);
         for seq in 0..5 {
-            let r = s.retain(seq, pkt(40, 60));
+            let r = s.retain(seq, &pkt(40, 60));
             assert!(r.stored);
             assert_eq!(r.evicted, u64::from(seq >= 3));
         }
@@ -445,10 +445,10 @@ mod tests {
     fn a_late_low_sequence_is_kept_and_evicted_next() {
         let mut s = RetransmitStore::new(300);
         for seq in [10, 11, 12] {
-            s.retain(seq, pkt(100, 0));
+            s.retain(seq, &pkt(100, 0));
         }
         // Room is made before it goes in: the newcomer is never evicted.
-        let r = s.retain(5, pkt(100, 0));
+        let r = s.retain(5, &pkt(100, 0));
         assert_eq!(
             r,
             Retained {
@@ -457,7 +457,7 @@ mod tests {
             }
         );
         assert_eq!(s.seqs().collect::<Vec<_>>(), vec![5, 11, 12]);
-        s.retain(13, pkt(100, 0));
+        s.retain(13, &pkt(100, 0));
         assert_eq!(s.seqs().collect::<Vec<_>>(), vec![11, 12, 13]);
     }
 
@@ -467,9 +467,9 @@ mod tests {
         // before noticing the newcomer could never fit.
         let mut s = RetransmitStore::new(300);
         for seq in 0..3 {
-            s.retain(seq, pkt(100, 0));
+            s.retain(seq, &pkt(100, 0));
         }
-        let r = s.retain(9, pkt(20, 400));
+        let r = s.retain(9, &pkt(20, 400));
         assert_eq!(
             r,
             Retained {
@@ -488,8 +488,8 @@ mod tests {
     #[test]
     fn first_copy_of_a_sequence_is_authoritative() {
         let mut s = RetransmitStore::new(1_000);
-        assert!(s.retain(7, pkt(100, 0)).stored);
-        assert!(!s.retain(7, pkt(200, 0)).stored);
+        assert!(s.retain(7, &pkt(100, 0)).stored);
+        assert!(!s.retain(7, &pkt(200, 0)).stored);
         assert_eq!(s.len(), 1);
         assert_eq!(s.bytes(), 100);
     }
@@ -497,7 +497,7 @@ mod tests {
     #[test]
     fn holdoff_suppresses_repeat_service() {
         let mut s = RetransmitStore::new(1_000);
-        s.retain(1, pkt(100, 0));
+        s.retain(1, &pkt(100, 0));
         let hold = Time::from_millis(2);
         assert_eq!(serve(&mut s, 1, 1, Time::ZERO, hold), [Got::Hit(100)]);
         assert_eq!(
@@ -520,7 +520,7 @@ mod tests {
     fn a_range_is_answered_in_order_with_compact_gaps() {
         let mut s = RetransmitStore::new(1 << 20);
         for seq in [3, 4, 7] {
-            s.retain(seq, pkt(10 + seq as usize, 0));
+            s.retain(seq, &pkt(10 + seq as usize, 0));
         }
         assert_eq!(
             serve(&mut s, 1, 9, Time::ZERO, Time::ZERO),
@@ -552,7 +552,7 @@ mod tests {
             [Got::Missing(0, u64::MAX)]
         );
         for seq in [0, 5, u64::MAX] {
-            s.retain(seq, pkt(100, 0));
+            s.retain(seq, &pkt(100, 0));
         }
         assert_eq!(
             serve(&mut s, 0, u64::MAX, Time::ZERO, Time::ZERO),
@@ -576,7 +576,7 @@ mod tests {
         let mut original = pkt(0, 4096);
         original.bytes = (0..40).collect();
         original.meta.seq = Some(3);
-        s.retain(3, original.clone());
+        s.retain(3, &original);
         let copy = s.get(3).unwrap();
         assert_eq!(copy, original);
         assert!(copy.tail.shares_with(&original.tail));
@@ -593,7 +593,7 @@ mod tests {
             .chain((0..300).map(|k| 101 + 2 * k))
             .chain((0..100).rev());
         for seq in order {
-            assert!(s.retain(seq, pkt(8 + (seq % 7) as usize, 0)).stored);
+            assert!(s.retain(seq, &pkt(8 + (seq % 7) as usize, 0)).stored);
         }
         assert!(s.seqs().eq(0..700));
         for seq in 0..700 {
@@ -608,7 +608,7 @@ mod tests {
         let Tail::Shared(payload) = &original.tail else {
             panic!("built with a shared tail");
         };
-        s.retain(0, original.clone());
+        s.retain(0, &original);
         assert_eq!(std::sync::Arc::strong_count(payload), 2);
         s.clear();
         assert_eq!(std::sync::Arc::strong_count(payload), 1);

@@ -381,7 +381,7 @@ mod tests {
         ));
         pkt.tail = Tail::build(encoded.len(), |t| t.copy_from_slice(&encoded));
         let mut store = RetransmitStore::new(1 << 20);
-        assert!(store.retain(0, pkt.clone()).stored);
+        assert!(store.retain(0, &pkt).stored);
 
         // The transcoder rewrites the payload of the copy it forwards:
         // the write copies the shared bytes first.

@@ -8,12 +8,14 @@
 //! bytes, the 8-byte index, ride inlined in the head, and the rest is one
 //! filler written once per stream. A counting allocator makes that
 //! checkable: over a lossless pilot run, bytes allocated per delivered
-//! message must stay within 720 B. One payload copy anywhere on the path
-//! adds another `message_len` and fails the bound elevenfold (the
+//! message must stay within 369 B. One payload copy anywhere on the path
+//! adds another `message_len` and fails the bound twenty-two-fold (the
 //! allocation per message was ≈ 8.9 KB with a tail per message, ≈ 43 KB
 //! with contiguous packets). What is left is heads and bookkeeping:
-//! 612 B per message in debug and release builds on x86-64 Linux, down
-//! from 667 B when the retransmission store cloned each head into its own
+//! 313 B per message in debug and release builds on x86-64 Linux, down
+//! from 377 B when the retransmission store was handed an owned clone of
+//! each forwarded packet (a head allocated only to be copied into its
+//! chunk and freed), 667 B when it cloned each head into its own
 //! allocation and 743 B when the receiver still grew a per-message
 //! delivery log. The bound is that figure plus 18 %.
 //!
@@ -104,8 +106,8 @@ fn the_chain_allocates_one_payload_per_message() {
     let per_message = allocated / MESSAGES;
     eprintln!("copy audit: {per_message} B allocated per delivered {message_len} B message");
     assert!(
-        per_message <= 720,
+        per_message <= 369,
         "{per_message} B allocated per delivered message: some hop copies payload bytes \
-         (budget: 720 B of heads and bookkeeping; one {message_len} B payload copy is 11x that)"
+         (budget: 369 B of heads and bookkeeping; one {message_len} B payload copy is 22x that)"
     );
 }

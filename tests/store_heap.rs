@@ -74,7 +74,7 @@ fn a_held_packet_costs_at_most_176_bytes_of_heap() {
         let mut pkt = Packet::new(vec![seq as u8; HEAD]);
         pkt.tail = filler.clone();
         pkt.meta.seq = Some(seq);
-        assert!(store.retain(seq, pkt).stored);
+        assert!(store.retain(seq, &pkt).stored);
     }
     let grown = LIVE.load(Ordering::Relaxed) - base;
     assert_eq!(store.len() as u64, PACKETS);

@@ -167,7 +167,7 @@ fn differential_run(seed: u64, base: u64, ops: usize) {
             0..=49 => {
                 let pkt = packet(&mut rng, cursor, &filler);
                 let want = model.retain(cursor, pkt.clone());
-                assert_eq!(store.retain(cursor, pkt), want, "seed {seed} step {step}");
+                assert_eq!(store.retain(cursor, &pkt), want, "seed {seed} step {step}");
                 cursor = cursor.saturating_add(1);
             }
             // Late or reordered: a first copy below the cursor.
@@ -175,7 +175,7 @@ fn differential_run(seed: u64, base: u64, ops: usize) {
                 let seq = cursor.saturating_sub(1 + rng.below(300));
                 let pkt = packet(&mut rng, seq, &filler);
                 let want = model.retain(seq, pkt.clone());
-                assert_eq!(store.retain(seq, pkt), want, "seed {seed} step {step}");
+                assert_eq!(store.retain(seq, &pkt), want, "seed {seed} step {step}");
             }
             // A second copy of something held: ignored.
             65..=69 => {
@@ -189,7 +189,7 @@ fn differential_run(seed: u64, base: u64, ops: usize) {
                 let pkt = packet(&mut rng, seq, &filler);
                 let want = model.retain(seq, pkt.clone());
                 assert!(!want.stored);
-                assert_eq!(store.retain(seq, pkt), want, "seed {seed} step {step}");
+                assert_eq!(store.retain(seq, &pkt), want, "seed {seed} step {step}");
             }
             // Larger than the whole store: refused, nothing evicted.
             70..=71 => {
@@ -197,7 +197,7 @@ fn differential_run(seed: u64, base: u64, ops: usize) {
                 pkt.tail = Tail::Virtual(capacity as u32);
                 let want = model.retain(cursor, pkt.clone());
                 assert!(!want.stored);
-                assert_eq!(store.retain(cursor, pkt), want, "seed {seed} step {step}");
+                assert_eq!(store.retain(cursor, &pkt), want, "seed {seed} step {step}");
             }
             // A NAK near the cursor.
             72..=93 => {
@@ -267,7 +267,7 @@ fn a_low_late_arrival_is_the_next_eviction() {
         let mut pkt = packet(&mut rng, seq, &filler);
         pkt.tail = Tail::Virtual(100 - pkt.bytes.len() as u32);
         let want = model.retain(seq, pkt.clone());
-        assert_eq!(store.retain(seq, pkt), want);
+        assert_eq!(store.retain(seq, &pkt), want);
     }
     assert!(store.seqs().eq([11, 12, 13]));
 }
