@@ -9,6 +9,7 @@
 //! congestion or loss, it can relay a back-pressure signal to the sender").
 
 use crate::machine::{Input, Machine, Output};
+use mmt_daq::workload::{source, RegularFlow, Source};
 use mmt_dataplane::parser::{build_head, FrameView};
 use mmt_netsim::{Packet, Tail, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr};
@@ -19,14 +20,13 @@ pub use mmt_dataplane::parser::Framing;
 const TOKEN_PUMP: TimerToken = 1;
 
 /// Sender configuration.
-#[derive(Debug, Clone)]
 pub struct SenderConfig {
-    /// Experiment/slice identity stamped on every datagram.
+    /// Experiment/slice identity stamped on every datagram (a message's
+    /// own `experiment` is not read).
     pub experiment: ExperimentId,
-    /// Payload size per datagram.
-    pub message_len: usize,
-    /// Creation schedule (non-decreasing), one entry per message.
-    pub schedule: Vec<Time>,
+    /// The messages to send. Each datagram carries its message's payload
+    /// length and creation time, and the sender's count as its index.
+    pub messages: Source,
     /// Source MAC.
     pub src_mac: EthernetAddress,
     /// Next-hop MAC.
@@ -39,22 +39,29 @@ pub struct SenderConfig {
 }
 
 impl SenderConfig {
-    /// A sender with a fixed-gap schedule (regular-shape elephant flow).
+    /// A sender of `messages` with default addressing, Ethernet framing
+    /// and no backpressure governor.
+    pub fn new(experiment: ExperimentId, messages: Source) -> SenderConfig {
+        SenderConfig {
+            experiment,
+            messages,
+            src_mac: EthernetAddress([0x02, 0, 0, 0, 0, 0x01]),
+            dst_mac: EthernetAddress([0x02, 0, 0, 0, 0, 0x02]),
+            respect_backpressure: false,
+            framing: Framing::Ethernet,
+        }
+    }
+
+    /// A sender of `count` `message_len`-byte messages, `gap` apart from
+    /// time zero (a regular-shape elephant flow).
     pub fn regular(
         experiment: ExperimentId,
         message_len: usize,
         gap: Time,
         count: usize,
     ) -> SenderConfig {
-        SenderConfig {
-            experiment,
-            message_len,
-            schedule: (0..count as u64).map(|i| gap * i).collect(),
-            src_mac: EthernetAddress([0x02, 0, 0, 0, 0, 0x01]),
-            dst_mac: EthernetAddress([0x02, 0, 0, 0, 0, 0x02]),
-            respect_backpressure: false,
-            framing: Framing::Ethernet,
-        }
+        let flow = RegularFlow::with_gap(experiment, message_len, gap, count as u64);
+        SenderConfig::new(experiment, source(flow))
     }
 }
 
@@ -77,13 +84,13 @@ pub struct SenderStats {
 /// The source endpoint node.
 pub struct MmtSender {
     config: SenderConfig,
-    next: usize,
     /// Messages-in-flight credits granted by backpressure (None = no
     /// governor active).
     credits: Option<u64>,
     /// Every message's payload after its 8-byte index: zeros, written
-    /// once per stream and shared as the tail of every message (an empty
-    /// shared tail for 8-byte messages, so there is one tail form).
+    /// once per message length and shared as the tail of every message of
+    /// that length (an empty shared tail for 8-byte messages, so there is
+    /// one tail form). A message shorter than its index is sent as 8 bytes.
     filler: Tail,
     /// Counters.
     pub stats: SenderStats,
@@ -91,22 +98,17 @@ pub struct MmtSender {
 
 impl MmtSender {
     /// Create a sender.
-    pub fn new(config: SenderConfig) -> MmtSender {
-        assert!(
-            config.schedule.windows(2).all(|w| w[1] >= w[0]),
-            "schedule must be non-decreasing"
-        );
-        assert!(config.message_len >= 8, "message must fit its index");
+    pub fn new(mut config: SenderConfig) -> MmtSender {
+        let first_len = config.messages.peek().map_or(8, |m| m.payload_len);
         MmtSender {
-            filler: Tail::build(config.message_len - 8, |_| {}),
+            filler: Tail::build(first_len.saturating_sub(8), |_| {}),
             config,
-            next: 0,
             credits: None,
             stats: SenderStats::default(),
         }
     }
 
-    /// Whether every scheduled message has been emitted.
+    /// Whether every message of the source has been emitted.
     pub fn is_complete(&self) -> bool {
         self.stats.finished_at.is_some()
     }
@@ -143,7 +145,7 @@ impl MmtSender {
     }
 
     fn pump(&mut self, now: Time, out: &mut Vec<Output>) {
-        while self.next < self.config.schedule.len() && self.config.schedule[self.next] <= now {
+        while let Some(&msg) = self.config.messages.peek().filter(|m| m.at <= now) {
             if self.config.respect_backpressure {
                 match &mut self.credits {
                     Some(0) => {
@@ -155,6 +157,7 @@ impl MmtSender {
                     None => {}
                 }
             }
+            self.config.messages.next();
             // Mode-0 header: identification only; the network adds the
             // rest. The payload starts with the message index so receivers
             // can account per-message latency even before sequencing
@@ -164,33 +167,37 @@ impl MmtSender {
             // so it rides inlined in the head; the rest of the payload is
             // the stream's filler, shared by reference. From this point to
             // delivery every hop handles only the head.
+            let filler_len = msg.payload_len.saturating_sub(8);
+            if self.filler.len() != filler_len {
+                self.filler = Tail::build(filler_len, |_| {});
+            }
             let repr = MmtRepr::data(self.config.experiment);
             let head = build_head(
                 self.config.src_mac,
                 self.config.dst_mac,
                 self.config.framing,
                 &repr,
-                &(self.next as u64).to_be_bytes(),
-                self.filler.len(),
+                &self.stats.sent.to_be_bytes(),
+                filler_len,
             );
             let mut pkt = Packet::with_flow(head, u64::from(self.config.experiment.raw()));
             pkt.tail = self.filler.clone();
-            pkt.meta.created_at = self.config.schedule[self.next];
+            pkt.meta.created_at = msg.at;
             // Mirror the header identity into simulator metadata so trace
             // events correlate from the very first hop.
             pkt.meta.seq = repr.sequence();
             pkt.meta.config = Some(repr.config_id);
             out.push(Output::Transmit { port: 0, pkt });
             self.stats.sent += 1;
-            self.next += 1;
         }
-        if self.next < self.config.schedule.len() {
-            out.push(Output::WakeAt {
-                at: self.config.schedule[self.next],
+        match self.config.messages.peek() {
+            Some(next) => out.push(Output::WakeAt {
+                at: next.at,
                 token: TOKEN_PUMP,
-            });
-        } else if self.stats.finished_at.is_none() {
-            self.stats.finished_at = Some(now);
+            }),
+            None => {
+                self.stats.finished_at.get_or_insert(now);
+            }
         }
     }
 }
@@ -225,8 +232,10 @@ impl Machine for MmtSender {
                     self.pump(now, out);
                 }
             }
-            // Sensors are stateless across power cycles: nothing to redo.
-            Input::Restart => {}
+            // The pump's wake died with the crash, but the instrument kept
+            // producing: send what came due while the sensor was down,
+            // then resume the schedule.
+            Input::Restart => self.pump(now, out),
         }
     }
 }
@@ -234,6 +243,7 @@ impl Machine for MmtSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_daq::workload::WorkloadMessage;
     use mmt_dataplane::parser::build_eth_mmt_frame;
     use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Sink};
     use mmt_wire::mmt::BackpressureRepr;
@@ -294,6 +304,97 @@ mod tests {
         let stats = sim.node_as::<MmtSender>(s).unwrap().stats;
         assert_eq!(stats.sent, 20);
         assert!(stats.finished_at.is_some());
+    }
+
+    /// The indices and creation times of the datagrams in `out`, and the
+    /// wake it asks for.
+    fn emitted(out: &mut Vec<Output>) -> (Vec<(u64, Time)>, Option<Time>) {
+        let mut sent = Vec::new();
+        let mut wake = None;
+        for o in out.drain(..) {
+            match o {
+                Output::Transmit { pkt, .. } => {
+                    let index = FrameView::of(&pkt).payload().unwrap().prefix().unwrap();
+                    sent.push((u64::from_be_bytes(index), pkt.meta.created_at));
+                }
+                Output::WakeAt { at, .. } => wake = Some(at),
+                Output::DeliverLocal { .. } => {}
+            }
+        }
+        (sent, wake)
+    }
+
+    #[test]
+    fn a_restarted_sensor_sends_what_came_due_and_resumes_its_source() {
+        let gap = Time::from_micros(10);
+        let exp = ExperimentId::new(2, 0);
+        let mut sender = MmtSender::new(SenderConfig::regular(exp, 64, gap, 10));
+        let mut out = Vec::new();
+        sender.poll(Time::ZERO, Input::Start, &mut out);
+        assert_eq!(emitted(&mut out), (vec![(0, Time::ZERO)], Some(gap)));
+        sender.poll(gap, Input::Timer { token: TOKEN_PUMP }, &mut out);
+        assert_eq!(emitted(&mut out), (vec![(1, gap)], Some(gap * 2)));
+        // A crash kills the wake at 20 µs; power returns at 45 µs. The
+        // three messages that came due meanwhile go at once, with their
+        // own creation times, and the pump arms the next one.
+        sender.crash();
+        sender.poll(Time::from_micros(45), Input::Restart, &mut out);
+        let due: Vec<_> = (2..5).map(|i| (i, gap * i)).collect();
+        assert_eq!(emitted(&mut out), (due, Some(gap * 5)));
+        assert!(!sender.is_complete());
+        // The rest of the schedule follows on its own wakes.
+        let mut rest = Vec::new();
+        let mut wake = Some(gap * 5);
+        while let Some(at) = wake {
+            sender.poll(at, Input::Timer { token: TOKEN_PUMP }, &mut out);
+            let (sent, next) = emitted(&mut out);
+            rest.extend(sent);
+            wake = next;
+        }
+        assert_eq!(rest, (5..10).map(|i| (i, gap * i)).collect::<Vec<_>>());
+        assert_eq!(sender.stats.sent, 10);
+        assert_eq!(sender.stats.finished_at, Some(gap * 9));
+    }
+
+    #[test]
+    fn a_recorded_stream_sends_each_message_at_its_own_time_and_length() {
+        let exp = ExperimentId::new(6, 0);
+        let msg = |at: u64, payload_len: usize, index: u64| WorkloadMessage {
+            at: Time::from_micros(at),
+            payload_len,
+            index,
+            experiment: exp.with_slice(index as u8),
+        };
+        let readings = vec![msg(3, 64, 0), msg(3, 64, 1), msg(7, 128, 2)];
+        let mut sender = MmtSender::new(SenderConfig::new(exp, source(readings)));
+        let mut out = Vec::new();
+        sender.poll(Time::from_micros(5), Input::Start, &mut out);
+        sender.poll(
+            Time::from_micros(7),
+            Input::Timer { token: TOKEN_PUMP },
+            &mut out,
+        );
+        let pkts: Vec<Packet> = out
+            .drain(..)
+            .filter_map(|o| match o {
+                Output::Transmit { pkt, .. } => Some(pkt),
+                _ => None,
+            })
+            .collect();
+        let lens: Vec<_> = pkts
+            .iter()
+            .map(|p| FrameView::of(p).payload().unwrap().len())
+            .collect();
+        assert_eq!(lens, [64, 64, 128]);
+        assert!(
+            pkts[0].tail.shares_with(&pkts[1].tail),
+            "one filler per length"
+        );
+        // The configured experiment is stamped, not the readings' slices.
+        assert!(pkts
+            .iter()
+            .all(|p| FrameView::of(p).mmt_repr().unwrap().experiment == exp));
+        assert!(sender.is_complete());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   Vera Rubin 400 Gbps) with per-experiment record sizes and rates.
 //! * [`workload`] — wire-level traffic generators: regular elephant flows
 //!   and the Vera Rubin alert-burst profile (5.4 Gbps bursts beside the
-//!   nightly 30 TB bulk capture, §2.1).
+//!   nightly 30 TB bulk capture, §2.1), and the [`Source`] every sender
+//!   in the workspace pulls its messages from.
 //! * [`supernova`] — the multi-domain alert scenario: a DUNE supernova
 //!   trigger and the neutrino→photon arrival-lag model that gives the
 //!   alert its deadline (§3 Req 10).
@@ -38,4 +39,4 @@ pub use catalog::{Experiment, EXPERIMENTS};
 pub use events::{EventGenerator, EventKind, Hit};
 pub use osmotic::SensorField;
 pub use storage::{ContainerReader, ContainerWriter, StorageError};
-pub use workload::{BurstFlow, RegularFlow, WorkloadMessage};
+pub use workload::{source, BurstFlow, RegularFlow, Source, WorkloadMessage};

@@ -9,9 +9,13 @@
 //! Generators yield [`WorkloadMessage`]s (time + size + identity) rather
 //! than full packets, so experiments can choose framing (MMT over
 //! Ethernet, MMT over IP, TCP baseline) independently of the workload.
+//! Every sender pulls its messages from one [`Source`]: a regular flow,
+//! two flows chained, or a recorded stream such as a sensor field's
+//! readings.
 
 use mmt_netsim::{Bandwidth, Time};
 use mmt_wire::mmt::ExperimentId;
+use std::iter::Peekable;
 
 /// One message to transmit: a discrete, timestamped DAQ unit (Req 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,18 +30,36 @@ pub struct WorkloadMessage {
     pub experiment: ExperimentId,
 }
 
-/// A constant-rate, constant-size elephant flow.
+/// What a sender sends: a stream of messages in creation-time order,
+/// read one ahead so the sender knows when the next one comes due.
+pub type Source = Peekable<Box<dyn Iterator<Item = WorkloadMessage> + Send>>;
+
+/// `messages`, in creation-time order, as a sender's [`Source`].
+pub fn source<I>(messages: I) -> Source
+where
+    I: IntoIterator<Item = WorkloadMessage>,
+    I::IntoIter: Send + 'static,
+{
+    let messages: Box<dyn Iterator<Item = WorkloadMessage> + Send> = Box::new(messages.into_iter());
+    messages.peekable()
+}
+
+/// A constant-rate, constant-size elephant flow: `count` messages of
+/// `message_bytes`, `gap` apart. Its state is the next index, so a flow
+/// costs the same few bytes however long it is.
 #[derive(Debug, Clone)]
 pub struct RegularFlow {
     experiment: ExperimentId,
     message_bytes: usize,
-    interval: Time,
+    gap: Time,
     start: Time,
     next_index: u64,
+    count: u64,
 }
 
 impl RegularFlow {
-    /// A flow of `message_bytes` messages at `rate` starting at `start`.
+    /// An endless flow of `message_bytes` messages at `rate` starting at
+    /// `start`.
     ///
     /// # Panics
     /// Panics if the rate or size produce a zero interval.
@@ -47,39 +69,39 @@ impl RegularFlow {
         rate: Bandwidth,
         start: Time,
     ) -> RegularFlow {
-        let interval = rate.tx_time(message_bytes);
-        assert!(interval > Time::ZERO, "rate too high for message size");
+        let gap = rate.tx_time(message_bytes);
+        assert!(gap > Time::ZERO, "rate too high for message size");
+        RegularFlow::with_gap(experiment, message_bytes, gap, u64::MAX).starting_at(start)
+    }
+
+    /// `count` messages of `message_bytes`, message `i` at `gap · i`. A
+    /// zero gap makes the whole flow due at once (a burst, or a bulk
+    /// transfer).
+    pub fn with_gap(
+        experiment: ExperimentId,
+        message_bytes: usize,
+        gap: Time,
+        count: u64,
+    ) -> RegularFlow {
         RegularFlow {
             experiment,
             message_bytes,
-            interval,
-            start,
+            gap,
+            start: Time::ZERO,
             next_index: 0,
+            count,
         }
     }
 
-    /// The constant inter-message gap.
-    pub fn interval(&self) -> Time {
-        self.interval
+    /// The same flow with every message `start` later.
+    pub fn starting_at(self, start: Time) -> RegularFlow {
+        RegularFlow { start, ..self }
     }
 
-    /// Messages with creation times `<= until`.
-    pub fn take_until(&mut self, until: Time) -> Vec<WorkloadMessage> {
-        let mut out = Vec::new();
-        loop {
-            let at = self.start + self.interval * self.next_index;
-            if at > until {
-                break;
-            }
-            out.push(WorkloadMessage {
-                at,
-                payload_len: self.message_bytes,
-                index: self.next_index,
-                experiment: self.experiment,
-            });
-            self.next_index += 1;
-        }
-        out
+    /// Payload bytes of the messages still to come (saturating for an
+    /// endless flow).
+    pub fn remaining_bytes(&self) -> u64 {
+        (self.count - self.next_index).saturating_mul(self.message_bytes as u64)
     }
 }
 
@@ -87,7 +109,11 @@ impl Iterator for RegularFlow {
     type Item = WorkloadMessage;
 
     fn next(&mut self) -> Option<WorkloadMessage> {
-        let at = self.start.checked_add(self.interval * self.next_index)?;
+        if self.next_index == self.count {
+            return None;
+        }
+        let offset = self.gap.as_nanos().checked_mul(self.next_index)?;
+        let at = self.start.checked_add(Time::from_nanos(offset))?;
         let msg = WorkloadMessage {
             at,
             payload_len: self.message_bytes,
@@ -161,32 +187,20 @@ impl BurstFlow {
             start,
         )
     }
+}
 
-    /// Messages with creation times `<= until`.
-    pub fn take_until(&mut self, until: Time) -> Vec<WorkloadMessage> {
-        let mut out = Vec::new();
-        while let Some(msg) = self.peek_time().filter(|&t| t <= until).map(|t| {
-            let m = WorkloadMessage {
-                at: t,
-                payload_len: self.message_bytes,
-                index: self.next_index,
-                experiment: self.experiment,
-            };
-            self.advance();
-            m
-        }) {
-            out.push(msg);
-        }
-        out
-    }
+impl Iterator for BurstFlow {
+    type Item = WorkloadMessage;
 
-    fn peek_time(&self) -> Option<Time> {
+    fn next(&mut self) -> Option<WorkloadMessage> {
         let burst_start = self.start.checked_add(self.period * self.burst_no)?;
-        let offset = self.intra_gap * self.in_burst;
-        burst_start.checked_add(offset)
-    }
-
-    fn advance(&mut self) {
+        let at = burst_start.checked_add(self.intra_gap * self.in_burst)?;
+        let msg = WorkloadMessage {
+            at,
+            payload_len: self.message_bytes,
+            index: self.next_index,
+            experiment: self.experiment,
+        };
         self.next_index += 1;
         self.in_burst += 1;
         // Past the burst window? Move to the next period.
@@ -194,21 +208,6 @@ impl BurstFlow {
             self.in_burst = 0;
             self.burst_no += 1;
         }
-    }
-}
-
-impl Iterator for BurstFlow {
-    type Item = WorkloadMessage;
-
-    fn next(&mut self) -> Option<WorkloadMessage> {
-        let at = self.peek_time()?;
-        let msg = WorkloadMessage {
-            at,
-            payload_len: self.message_bytes,
-            index: self.next_index,
-            experiment: self.experiment,
-        };
-        self.advance();
         Some(msg)
     }
 }
@@ -229,13 +228,13 @@ mod tests {
 
     #[test]
     fn regular_flow_has_constant_shape() {
-        let mut flow = RegularFlow::new(catalog::DUNE.id(0), 8192, Bandwidth::gbps(10), Time::ZERO);
-        let msgs = flow.take_until(Time::from_millis(1));
+        let flow = RegularFlow::new(catalog::DUNE.id(0), 8192, Bandwidth::gbps(10), Time::ZERO);
+        let msgs: Vec<_> = flow.take_while(|m| m.at <= Time::from_millis(1)).collect();
         // 8192 B at 10 Gb/s = 6.5536 µs per message → ~152 in 1 ms.
         assert!((150..=154).contains(&msgs.len()), "{}", msgs.len());
         // Perfectly regular gaps and sizes.
         let gap = msgs[1].at - msgs[0].at;
-        assert_eq!(gap, flow.interval());
+        assert_eq!(gap, Bandwidth::gbps(10).tx_time(8192));
         for w in msgs.windows(2) {
             assert_eq!(w[1].at - w[0].at, gap);
             assert_eq!(w[0].payload_len, 8192);
@@ -248,17 +247,32 @@ mod tests {
     }
 
     #[test]
-    fn regular_flow_iterator_agrees_with_take_until() {
-        let flow_a = RegularFlow::new(catalog::MU2E.id(0), 4096, Bandwidth::gbps(1), Time::ZERO);
-        let mut flow_b = flow_a.clone();
-        let from_iter: Vec<_> = flow_a.take(10).collect();
-        let from_take = flow_b.take_until(from_iter.last().unwrap().at);
-        assert_eq!(from_iter, from_take);
+    fn a_gapped_flow_is_count_messages_gap_apart_from_its_start() {
+        let gap = Time::from_micros(7);
+        let mut flow = RegularFlow::with_gap(catalog::MU2E.id(0), 4096, gap, 5)
+            .starting_at(Time::from_millis(1));
+        assert_eq!(flow.remaining_bytes(), 5 * 4096);
+        assert_eq!(flow.next().map(|m| m.at), Some(Time::from_millis(1)));
+        assert_eq!(flow.remaining_bytes(), 4 * 4096);
+        let rest: Vec<_> = flow.collect();
+        assert_eq!(rest.len(), 4);
+        for (i, m) in rest.iter().enumerate() {
+            let i = i as u64 + 1;
+            assert_eq!(m.at, Time::from_millis(1) + gap * i);
+            assert_eq!((m.index, m.payload_len), (i, 4096));
+        }
+        // A zero gap makes the whole flow due at once: io's bursts.
+        let burst = RegularFlow::with_gap(catalog::MU2E.id(0), 1024, Time::ZERO, 32);
+        assert!(burst.clone().all(|m| m.at == Time::ZERO));
+        assert_eq!(burst.count(), 32);
+        // An endless flow ends only where time itself would overflow.
+        let endless = RegularFlow::new(catalog::MU2E.id(0), 8, Bandwidth::gbps(1), Time::MAX);
+        assert_eq!(endless.count(), 1);
     }
 
     #[test]
     fn burst_flow_is_silent_between_bursts() {
-        let mut flow = BurstFlow::new(
+        let flow = BurstFlow::new(
             catalog::VERA_RUBIN.id(0),
             8192,
             Bandwidth::gbps(5),
@@ -266,7 +280,7 @@ mod tests {
             Time::from_secs(1),
             Time::ZERO,
         );
-        let msgs = flow.take_until(Time::from_secs(3));
+        let msgs: Vec<_> = flow.take_while(|m| m.at <= Time::from_secs(3)).collect();
         assert!(!msgs.is_empty());
         // All messages fall within [k, k + 10 ms) of some period k.
         for m in &msgs {
@@ -281,8 +295,8 @@ mod tests {
 
     #[test]
     fn vera_rubin_profile_peaks_at_5_4_gbps() {
-        let mut flow = BurstFlow::vera_rubin_alerts(Time::ZERO);
-        let msgs = flow.take_until(Time::from_secs(1));
+        let flow = BurstFlow::vera_rubin_alerts(Time::ZERO);
+        let msgs: Vec<_> = flow.take_while(|m| m.at <= Time::from_secs(1)).collect();
         let in_burst: Vec<_> = msgs
             .iter()
             .filter(|m| m.at < Time::from_secs(1))
@@ -291,8 +305,8 @@ mod tests {
         let bps = offered_bps(&in_burst, Time::from_secs(1));
         assert!((bps - 5.4e9).abs() / 5.4e9 < 0.02, "{bps}");
         // And silence until the next exposure at t = 34 s.
-        let mut flow2 = BurstFlow::vera_rubin_alerts(Time::ZERO);
-        let more = flow2.take_until(Time::from_secs(33));
+        let flow2 = BurstFlow::vera_rubin_alerts(Time::ZERO);
+        let more: Vec<_> = flow2.take_while(|m| m.at <= Time::from_secs(33)).collect();
         assert!(more
             .iter()
             .all(|m| m.at <= Time::from_secs(1) + Time::from_nanos(1)));

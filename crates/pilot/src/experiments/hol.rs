@@ -10,6 +10,7 @@
 use mmt_core::buffer::{RetransmitBuffer, PORT_DAQ, PORT_WAN};
 use mmt_core::receiver::{MmtReceiver, ReceiverConfig};
 use mmt_core::sender::{MmtSender, SenderConfig};
+use mmt_daq::workload::RegularFlow;
 use mmt_dataplane::programs::BorderConfig;
 use mmt_netsim::stats::LatencyHistogram;
 use mmt_netsim::{Bandwidth, LinkSpec, LossModel, Simulator, Time};
@@ -71,11 +72,8 @@ pub fn run_tcp(p: &HolParams) -> HolResult {
     // the window to cover the offered-rate BDP (slow start would otherwise
     // dominate a short measurement window and obscure the HOL effect).
     let profile = CcProfile::tuned_dtn().warmed(4096);
-    let schedule: Vec<Time> = (0..p.messages as u64).map(|i| p.gap * i).collect();
-    let snd = sim.add_node(
-        "snd",
-        Box::new(TcpSender::new(profile, 1, MSG, schedule.clone())),
-    );
+    let messages = RegularFlow::with_gap(ExperimentId::new(2, 0), MSG, p.gap, p.messages as u64);
+    let snd = sim.add_node("snd", Box::new(TcpSender::new(profile, 1, messages)));
     let rcv = sim.add_node(
         "rcv",
         Box::new(TcpReceiver::new(1, MSG, profile.max_window_bytes)),
@@ -93,7 +91,7 @@ pub fn run_tcp(p: &HolParams) -> HolResult {
     let baseline = p.rtt / 2;
     let mut impacted = 0usize;
     for d in receiver.delivered() {
-        let created = schedule[d.index as usize];
+        let created = p.gap * d.index;
         let l = d.delivered_at.saturating_sub(created);
         latency.record(l);
         if l > baseline + p.rtt {

@@ -13,6 +13,7 @@ use mmt_core::buffer::{RetransmitBuffer, PORT_DAQ, PORT_WAN};
 use mmt_core::receiver::{MmtReceiver, ReceiverConfig};
 use mmt_core::sender::{MmtSender, SenderConfig};
 use mmt_daq::osmotic::SensorField;
+use mmt_daq::workload::source;
 use mmt_dataplane::programs::BorderConfig;
 use mmt_netsim::{Bandwidth, LinkSpec, LossModel, Simulator, Time};
 use mmt_wire::mmt::ExperimentId;
@@ -50,13 +51,12 @@ pub fn run(duration: Time, seed: u64) -> OsmoticResult {
     let produced = readings.len() as u64;
 
     let mut sim = Simulator::new(seed);
-    // One MmtSender stands in for the field's uplink multiplexer: the
-    // schedule is the merged reading stream; slices are per-sensor.
-    // (Message payloads carry the reading index; slice fidelity is
-    // checked separately through the daq crate's generator.)
-    let schedule: Vec<Time> = readings.iter().map(|m| m.at).collect();
-    let mut scfg = SenderConfig::regular(exp, field.reading_bytes, Time::ZERO, 0);
-    scfg.schedule = schedule;
+    // One MmtSender stands in for the field's uplink multiplexer: it
+    // sends the merged reading stream as it is, stamped with the field's
+    // experiment; slices are per-sensor. (Message payloads carry the
+    // reading index; slice fidelity is checked separately through the daq
+    // crate's generator.)
+    let scfg = SenderConfig::new(exp, source(readings));
     let sensors = sim.add_node("sensor-field", Box::new(MmtSender::new(scfg)));
 
     let gateway = sim.add_node(

@@ -17,6 +17,7 @@
 
 use mmt_daq::storage::ContainerWriter;
 use mmt_daq::supernova::BurstDetector;
+use mmt_daq::workload::{source, RegularFlow, Source};
 use mmt_dataplane::parser::{build_eth_mmt_frame, FrameView};
 use mmt_netsim::{
     Bandwidth, Context, LinkSpec, Node, Packet, PortId, Simulator, Sink, Time, TimerToken,
@@ -27,34 +28,34 @@ use mmt_wire::EthernetAddress;
 
 const DUNE_EXP: u32 = 2;
 
-/// A sensor-side node that emits real encoded trigger records on a
-/// schedule (mode 0, as sensors do).
+/// A sensor-side node that emits one real encoded trigger record per
+/// message of its source, at the message's time (mode 0, as sensors do).
+/// Every record carries the same 256-byte payload; the message's size is
+/// not read.
 pub struct RecordSender {
     experiment: ExperimentId,
-    schedule: Vec<Time>,
-    next: usize,
+    messages: Source,
     /// Records emitted.
     pub sent: u64,
 }
 
 impl RecordSender {
-    /// Create a sender from a creation schedule.
-    pub fn new(experiment: ExperimentId, schedule: Vec<Time>) -> RecordSender {
+    /// A sender of one record per message.
+    pub fn new(experiment: ExperimentId, messages: Source) -> RecordSender {
         RecordSender {
             experiment,
-            schedule,
-            next: 0,
+            messages,
             sent: 0,
         }
     }
 
     fn pump(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        while self.next < self.schedule.len() && self.schedule[self.next] <= now {
+        while let Some(msg) = self.messages.next_if(|m| m.at <= now) {
             let record = TriggerRecord {
                 run: 1,
-                event: self.next as u64,
-                timestamp_ns: self.schedule[self.next].as_nanos(),
+                event: self.sent,
+                timestamp_ns: msg.at.as_nanos(),
                 sub: SubHeader::Dune(DuneSubHeader {
                     crate_no: 1,
                     slot: 1,
@@ -71,13 +72,12 @@ impl RecordSender {
                 &record.encode().expect("valid record"), // mmt-lint: allow(P1, "encode/decode of a record this experiment just built; inverse pair")
             );
             let mut pkt = Packet::with_flow(frame, u64::from(self.experiment.raw()));
-            pkt.meta.created_at = self.schedule[self.next];
+            pkt.meta.created_at = msg.at;
             ctx.send(0, pkt);
             self.sent += 1;
-            self.next += 1;
         }
-        if self.next < self.schedule.len() {
-            ctx.set_timer(self.schedule[self.next] - now, 1);
+        if let Some(next) = self.messages.peek() {
+            ctx.set_timer(next.at - now, 1);
         }
     }
 }
@@ -243,21 +243,16 @@ const FNAL_RUBIN: Time = Time::from_millis(70);
 /// (the burst), through an in-path monitor at FNAL, to the archive.
 pub fn run(seed: u64) -> PayloadResult {
     let exp = ExperimentId::new(DUNE_EXP, 0);
-    // Schedule: 1 kHz for 1 s, then 5 kHz for 2 s.
-    let mut schedule = Vec::new();
-    let mut t = Time::ZERO;
-    while t < Time::from_secs(1) {
-        schedule.push(t);
-        t += Time::from_millis(1);
-    }
-    while t < Time::from_secs(3) {
-        schedule.push(t);
-        t += Time::from_micros(200);
-    }
-    let records = schedule.len() as u64;
+    // Two chained flows: 1 kHz for 1 s, then 5 kHz for 2 s.
+    let (normal, burst) = (1_000, 10_000);
+    let records = normal + burst;
+    let messages = RegularFlow::with_gap(exp, 256, Time::from_millis(1), normal).chain(
+        RegularFlow::with_gap(exp, 256, Time::from_micros(200), burst)
+            .starting_at(Time::from_secs(1)),
+    );
 
     let mut sim = Simulator::new(seed);
-    let sender = sim.add_node("dune", Box::new(RecordSender::new(exp, schedule)));
+    let sender = sim.add_node("dune", Box::new(RecordSender::new(exp, source(messages))));
     // Burst window 100 ms; normal rate gives ~100 candidates per window,
     // the burst ~500: threshold at 300.
     let monitor = sim.add_node(

@@ -41,8 +41,8 @@ fn row_for(exp: &Experiment) -> T1Row {
     let scale = exp.daq_rate.as_bps().div_ceil(lane_cap);
     let lane_rate = Bandwidth::bps(exp.daq_rate.as_bps() / scale);
     let window = Time::from_millis(10);
-    let mut flow = RegularFlow::new(exp.id(0), exp.record_bytes, lane_rate, Time::ZERO);
-    let msgs = flow.take_until(window);
+    let flow = RegularFlow::new(exp.id(0), exp.record_bytes, lane_rate, Time::ZERO);
+    let msgs: Vec<_> = flow.take_while(|m| m.at <= window).collect();
     let lane_bps = offered_bps(&msgs, window);
     T1Row {
         name: exp.name,

@@ -15,6 +15,7 @@
 use mmt_core::buffer::{RetransmitBuffer, PORT_DAQ, PORT_WAN};
 use mmt_core::receiver::{MmtReceiver, ReceiverConfig};
 use mmt_core::sender::{MmtSender, SenderConfig};
+use mmt_daq::workload::{source, RegularFlow};
 use mmt_dataplane::programs::BorderConfig;
 use mmt_netsim::{Bandwidth, LinkSpec, LossModel, Simulator, Time};
 use mmt_transport::{CcProfile, TcpReceiver, TcpSender, UdpReceiver, UdpSender};
@@ -56,10 +57,10 @@ const BATCH: u64 = 40_000_000; // 40 MB
 fn udp_stage_time(seed: u64) -> Time {
     // DAQ network: 100 GbE, 5 µs, lossless.
     let mut sim = Simulator::new(seed);
-    let count = (BATCH as usize).div_ceil(MSG);
+    let count = BATCH.div_ceil(MSG as u64);
     let gap = Bandwidth::gbps(100).tx_time(MSG + 50);
-    let schedule: Vec<Time> = (0..count as u64).map(|i| gap * i).collect();
-    let s = sim.add_node("s", Box::new(UdpSender::new(1, MSG, schedule)));
+    let batch = RegularFlow::with_gap(ExperimentId::new(2, 0), MSG, gap, count);
+    let s = sim.add_node("s", Box::new(UdpSender::new(1, source(batch))));
     let r = sim.add_node("r", Box::new(UdpReceiver::new(1)));
     sim.add_oneway(
         s,

@@ -2,8 +2,11 @@
 
 use super::profile::CcProfile;
 use crate::segment::{Segment, SegmentFlags};
+use mmt_daq::workload::RegularFlow;
 use mmt_netsim::{Context, Node, Packet, PortId, RttEstimator, Time, TimerToken};
+use mmt_wire::mmt::ExperimentId;
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 
 const TOKEN_RTO: TimerToken = 1;
 const TOKEN_SEND: TimerToken = 2;
@@ -41,16 +44,16 @@ pub struct TcpSenderStats {
 
 /// A TCP sender transmitting a stream of application messages.
 ///
-/// Messages become available at their scheduled creation times; the stream
-/// is their concatenation (message delineation lives at the receiver,
-/// §4.1 point 1a). For a bulk transfer, schedule every message at time
-/// zero.
+/// Messages become available at their creation times; the stream is
+/// their concatenation (message delineation lives at the receiver, §4.1
+/// point 1a). For a bulk transfer, every message is created at time zero.
 pub struct TcpSender {
     profile: CcProfile,
     flow: u64,
-    message_len: usize,
-    /// Creation time of each message, non-decreasing.
-    schedule: Vec<Time>,
+    /// The messages not yet available.
+    messages: Peekable<RegularFlow>,
+    /// Bytes of the messages available so far.
+    available: u64,
     total_bytes: u64,
 
     // Connection state. All congestion arithmetic is integer (bytes and
@@ -98,35 +101,23 @@ pub struct TcpSender {
     next_send_at: Time,
     send_timer_armed: bool,
 
-    /// Index of the next message not yet fully enqueued (for wake-ups).
-    next_msg: usize,
-
     /// Counters.
     pub stats: TcpSenderStats,
 }
 
 impl TcpSender {
-    /// A sender for `message_count` messages of `message_len` bytes, each
-    /// created at the given schedule time. Use [`TcpSender::bulk`] for a
-    /// one-shot transfer.
-    pub fn new(
-        profile: CcProfile,
-        flow: u64,
-        message_len: usize,
-        schedule: Vec<Time>,
-    ) -> TcpSender {
-        assert!(message_len > 0 && !schedule.is_empty());
-        assert!(
-            schedule.windows(2).all(|w| w[1] >= w[0]),
-            "schedule must be non-decreasing"
-        );
-        let total_bytes = (message_len as u64) * (schedule.len() as u64);
+    /// A sender of `messages`, each available from its creation time. The
+    /// flow's length fixes the stream's total bytes up front. Use
+    /// [`TcpSender::bulk`] for a one-shot transfer.
+    pub fn new(profile: CcProfile, flow: u64, messages: RegularFlow) -> TcpSender {
+        let total_bytes = messages.remaining_bytes();
+        assert!(total_bytes > 0, "an empty stream");
         let cwnd = profile.mss as u64 * u64::from(profile.init_cwnd_segments);
         TcpSender {
             profile,
             flow,
-            message_len,
-            schedule,
+            messages: messages.peekable(),
+            available: 0,
             total_bytes,
             established: false,
             snd_una: 0,
@@ -149,7 +140,6 @@ impl TcpSender {
             hole_retx: std::collections::BTreeSet::new(),
             next_send_at: Time::ZERO,
             send_timer_armed: false,
-            next_msg: 0,
             stats: TcpSenderStats::default(),
         }
     }
@@ -157,24 +147,16 @@ impl TcpSender {
     /// A bulk transfer of `total_bytes` (rounded up to whole messages of
     /// `message_len`), all available at time zero.
     pub fn bulk(profile: CcProfile, flow: u64, total_bytes: u64, message_len: usize) -> TcpSender {
-        let messages = total_bytes.div_ceil(message_len as u64) as usize;
-        TcpSender::new(profile, flow, message_len, vec![Time::ZERO; messages])
+        let count = total_bytes.div_ceil(message_len as u64);
+        // TCP carries no experiment id; the flow's is never read.
+        let messages =
+            RegularFlow::with_gap(ExperimentId::from_raw(0), message_len, Time::ZERO, count);
+        TcpSender::new(profile, flow, messages)
     }
 
     /// Whether every byte has been acknowledged.
     pub fn is_complete(&self) -> bool {
         self.stats.completed_at.is_some()
-    }
-
-    /// Bytes of application data available for sending at `now`.
-    fn available_bytes(&self, now: Time) -> u64 {
-        // Messages with creation time <= now. The schedule is sorted, so
-        // scan from the cursor.
-        let mut n = self.next_msg;
-        while n < self.schedule.len() && self.schedule[n] <= now {
-            n += 1;
-        }
-        (n as u64) * (self.message_len as u64)
     }
 
     fn effective_window(&self) -> u64 {
@@ -230,11 +212,10 @@ impl TcpSender {
             return;
         }
         let now = ctx.now();
-        let available = self.available_bytes(now);
-        // Advance the message cursor for wake-up scheduling.
-        while self.next_msg < self.schedule.len() && self.schedule[self.next_msg] <= now {
-            self.next_msg += 1;
+        while let Some(m) = self.messages.next_if(|m| m.at <= now) {
+            self.available += m.payload_len as u64;
         }
+        let available = self.available;
         loop {
             // In recovery the RFC 6675 pipe governs; otherwise plain
             // outstanding bytes.
@@ -248,12 +229,9 @@ impl TcpSender {
             }
             if self.snd_nxt >= available {
                 // Nothing to send yet; wake when the next message arrives.
-                if self.next_msg < self.schedule.len() {
-                    let wake = self.schedule[self.next_msg];
-                    if wake > now {
-                        ctx.set_timer(wake - now, TOKEN_SEND);
-                        self.send_timer_armed = true;
-                    }
+                if let Some(next) = self.messages.peek() {
+                    ctx.set_timer(next.at - now, TOKEN_SEND);
+                    self.send_timer_armed = true;
                 }
                 break;
             }

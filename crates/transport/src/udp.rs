@@ -2,49 +2,40 @@
 //! (DUNE carries DAQ data over UDP, §4): no retransmission, no pacing
 //! beyond the schedule, loss is silent.
 
+use mmt_daq::workload::Source;
 use mmt_netsim::{Context, Node, Packet, PortId, Time, TimerToken};
 
-/// A UDP-style sender: emits one datagram per scheduled message.
+/// A UDP-style sender: emits one datagram per message of its source.
 pub struct UdpSender {
     flow: u64,
-    message_len: usize,
-    schedule: Vec<Time>,
-    next: usize,
+    messages: Source,
     /// Datagrams sent.
     pub sent: u64,
 }
 
 impl UdpSender {
-    /// A sender emitting `message_len`-byte datagrams at the scheduled
-    /// times.
-    pub fn new(flow: u64, message_len: usize, schedule: Vec<Time>) -> UdpSender {
-        assert!(
-            schedule.windows(2).all(|w| w[1] >= w[0]),
-            "schedule must be non-decreasing"
-        );
+    /// A sender emitting one datagram of each message's length (at least
+    /// 8 bytes) at its creation time.
+    pub fn new(flow: u64, messages: Source) -> UdpSender {
         UdpSender {
             flow,
-            message_len,
-            schedule,
-            next: 0,
+            messages,
             sent: 0,
         }
     }
 
     fn pump(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        while self.next < self.schedule.len() && self.schedule[self.next] <= now {
+        while let Some(msg) = self.messages.next_if(|m| m.at <= now) {
             // Encode the message index in the first 8 bytes so receivers
             // can detect loss and reordering.
-            let mut bytes = vec![0u8; self.message_len.max(8)];
-            bytes[..8].copy_from_slice(&(self.next as u64).to_be_bytes());
+            let mut bytes = vec![0u8; msg.payload_len.max(8)];
+            bytes[..8].copy_from_slice(&self.sent.to_be_bytes());
             ctx.send(0, Packet::with_flow(bytes, self.flow));
             self.sent += 1;
-            self.next += 1;
         }
-        if self.next < self.schedule.len() {
-            let wake = self.schedule[self.next] - now;
-            ctx.set_timer(wake, 1);
+        if let Some(next) = self.messages.peek() {
+            ctx.set_timer(next.at - now, 1);
         }
     }
 }
@@ -118,13 +109,21 @@ impl Node for UdpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_daq::workload::{source, RegularFlow};
     use mmt_netsim::{Bandwidth, LinkSpec, LossModel, Simulator};
+    use mmt_wire::mmt::ExperimentId;
+
+    /// `count` `len`-byte messages, `gap` apart from `start`.
+    fn flow(len: usize, start: Time, gap: Time, count: u64) -> Source {
+        let exp = ExperimentId::new(2, 0);
+        source(RegularFlow::with_gap(exp, len, gap, count).starting_at(start))
+    }
 
     #[test]
     fn lossless_delivery_in_order() {
         let mut sim = Simulator::new(1);
-        let schedule: Vec<Time> = (0..50).map(|i| Time::from_micros(i * 10)).collect();
-        let s = sim.add_node("s", Box::new(UdpSender::new(1, 1000, schedule)));
+        let messages = flow(1000, Time::ZERO, Time::from_micros(10), 50);
+        let s = sim.add_node("s", Box::new(UdpSender::new(1, messages)));
         let r = sim.add_node("r", Box::new(UdpReceiver::new(1)));
         sim.add_oneway(
             s,
@@ -144,8 +143,8 @@ mod tests {
     #[test]
     fn loss_is_silent_and_detected_by_gap() {
         let mut sim = Simulator::new(3);
-        let schedule: Vec<Time> = (0..1000).map(Time::from_micros).collect();
-        let s = sim.add_node("s", Box::new(UdpSender::new(1, 1000, schedule)));
+        let messages = flow(1000, Time::ZERO, Time::from_micros(1), 1000);
+        let s = sim.add_node("s", Box::new(UdpSender::new(1, messages)));
         let r = sim.add_node("r", Box::new(UdpReceiver::new(1)));
         sim.add_oneway(
             s,
@@ -167,8 +166,8 @@ mod tests {
     #[test]
     fn schedule_timing_respected() {
         let mut sim = Simulator::new(1);
-        let schedule = vec![Time::from_millis(1), Time::from_millis(5)];
-        let s = sim.add_node("s", Box::new(UdpSender::new(1, 100, schedule)));
+        let messages = flow(100, Time::from_millis(1), Time::from_millis(4), 2);
+        let s = sim.add_node("s", Box::new(UdpSender::new(1, messages)));
         let r = sim.add_node("r", Box::new(UdpReceiver::new(1)));
         sim.add_oneway(s, 0, r, 0, LinkSpec::new(Bandwidth::gbps(100), Time::ZERO));
         sim.run();

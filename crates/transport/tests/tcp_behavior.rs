@@ -2,8 +2,10 @@
 //! throughput ceilings, loss recovery, and head-of-line blocking — the
 //! dynamics the paper's experiments compare against.
 
+use mmt_daq::workload::RegularFlow;
 use mmt_netsim::{Bandwidth, LinkSpec, LossModel, NodeId, Simulator, Time};
 use mmt_transport::{CcProfile, TcpReceiver, TcpSender};
+use mmt_wire::mmt::ExperimentId;
 
 const MSG: usize = 8192;
 
@@ -170,11 +172,11 @@ fn fct_grows_with_rtt() {
 fn streaming_schedule_paces_the_sender() {
     // Messages created every 100 µs; the sender cannot run ahead of the
     // application.
-    let schedule: Vec<Time> = (0..100).map(|i| Time::from_micros(i * 100)).collect();
+    let messages = RegularFlow::with_gap(ExperimentId::new(2, 0), MSG, Time::from_micros(100), 100);
     let mut sim = Simulator::new(8);
     let snd = sim.add_node(
         "snd",
-        Box::new(TcpSender::new(CcProfile::tuned_dtn(), 1, MSG, schedule)),
+        Box::new(TcpSender::new(CcProfile::tuned_dtn(), 1, messages)),
     );
     let rcv = sim.add_node("rcv", Box::new(TcpReceiver::new(1, MSG, u64::MAX / 4)));
     sim.connect(

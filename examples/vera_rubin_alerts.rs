@@ -34,8 +34,8 @@ fn main() {
     }
 
     println!("\n=== the alert workload itself (§2.1) ===");
-    let mut flow = BurstFlow::vera_rubin_alerts(Time::ZERO);
-    let msgs = flow.take_until(Time::from_secs(1));
+    let flow = BurstFlow::vera_rubin_alerts(Time::ZERO);
+    let msgs: Vec<_> = flow.take_while(|m| m.at <= Time::from_secs(1)).collect();
     let burst_rate = offered_bps(&msgs, Time::from_secs(1));
     println!(
         "burst: {} alerts of 8 KiB in the first second -> {:.2} Gb/s (paper: 5.4 Gb/s)",

@@ -51,7 +51,9 @@ fn usage() -> ! {
          \x20         [--crash-node NAME]       crash a node mid-run (sensor|dtn1|standby|\n\
          \x20                                   tofino2|dtn2-nic|dtn2-host)\n\
          \x20         [--crash-at MS]           crash time in ms (requires --crash-node)\n\
-         \x20         [--restart-at MS]         restart time in ms (must be > --crash-at)\n\
+         \x20         [--restart-at MS]         restart time in ms (must be > --crash-at); a\n\
+         \x20                                   restarted sensor sends what came due while\n\
+         \x20                                   it was down, then resumes its schedule\n\
          \x20         [--adapt 0|1]             closed-loop mode adaptation; adds the standby\n\
          \x20                                   retransmission buffer to the topology\n\
          \x20         exit: 0 completed; 4 INCOMPLETE within the 300 s horizon\n\
